@@ -1,19 +1,31 @@
 """The paper's e-commerce scenario end to end (Figures 3/4, Section 7).
 
-Registers the EP workflow (with its parallel notify/delivery
-subworkflows and the reminder loop) and the order-processing workflow in
-the tool's repository, assesses the current configuration, and asks for
-minimum-cost recommendations under increasingly strict performability
-goals — comparing the greedy heuristic with exhaustive search and
-simulated annealing.
+Maps the EP workflow (with its parallel notify/delivery subworkflows and
+the reminder loop) and the order-processing workflow from their state
+charts into the performance model, assesses the current configuration
+the way ``repro assess`` does, and asks for minimum-cost
+recommendations under increasingly strict performability goals —
+comparing the greedy heuristic with exhaustive search and simulated
+annealing.
 
 Run:  python examples/ecommerce_configuration.py
 """
 
-from repro.core.configuration import ReplicationConstraints
-from repro.core.goals import PerformabilityGoals
-from repro.core.performance import SystemConfiguration
-from repro.tool import ConfigurationTool, WorkflowRepository
+from repro.core.availability import AvailabilityModel
+from repro.core.configuration import (
+    SEARCHES,
+    ReplicationConstraints,
+    greedy_configuration,
+)
+from repro.core.goals import GoalEvaluator, PerformabilityGoals
+from repro.core.performability import PerformabilityModel
+from repro.core.performance import (
+    PerformanceModel,
+    SystemConfiguration,
+    Workload,
+    WorkloadItem,
+)
+from repro.spec.translator import translate_chart
 from repro.workflows import (
     ecommerce_activities,
     ecommerce_chart,
@@ -26,12 +38,25 @@ ARRIVAL_RATES = {"EP": 0.4, "OrderProcessing": 0.2}  # workflows per minute
 
 
 def main() -> None:
-    repository = WorkflowRepository()
-    repository.register(ecommerce_chart(), ecommerce_activities())
-    repository.register(
-        order_processing_chart(), order_processing_activities()
+    # ------------------------------------------------------------------
+    # Mapping (Section 7.1): state charts -> workflow models.
+    # ------------------------------------------------------------------
+    types = standard_server_types()
+    workflows = [
+        translate_chart(ecommerce_chart(), ecommerce_activities()),
+        translate_chart(
+            order_processing_chart(), order_processing_activities()
+        ),
+    ]
+    performance = PerformanceModel(
+        types,
+        Workload(
+            [
+                WorkloadItem(workflow, ARRIVAL_RATES[workflow.name])
+                for workflow in workflows
+            ]
+        ),
     )
-    tool = ConfigurationTool(standard_server_types(), repository)
 
     # ------------------------------------------------------------------
     # Assess the configuration an administrator might start with.
@@ -39,7 +64,15 @@ def main() -> None:
     initial = SystemConfiguration(
         {"comm-server": 1, "wf-engine": 2, "app-server": 3}
     )
-    print(tool.evaluate(initial, ARRIVAL_RATES).format_text())
+    print(performance.assess(initial).format_text())
+    availability = AvailabilityModel(types, initial)
+    print(
+        f"\nSystem unavailability: {availability.unavailability():.3e} "
+        f"(~{availability.downtime_per_year('hours'):.2f} hours/year)"
+    )
+    performability = PerformabilityModel(performance, availability)
+    print()
+    print(performability.expected_waiting_times().format_text())
 
     # ------------------------------------------------------------------
     # Recommendations for a ladder of goals.
@@ -55,7 +88,9 @@ def main() -> None:
             max_waiting_time=waiting_goal,
             max_unavailability=unavailability_goal,
         )
-        recommendation = tool.recommend(goals, ARRIVAL_RATES)
+        recommendation = greedy_configuration(
+            GoalEvaluator(performance), goals
+        )
         print(
             f"{label:10s} w<={waiting_goal:<5g} U<={unavailability_goal:<8g}"
             f" -> {recommendation.configuration} "
@@ -74,9 +109,8 @@ def main() -> None:
     )
     print("\n--- Algorithm comparison for the 'standard' goal ---")
     for algorithm in ("greedy", "exhaustive", "simulated_annealing"):
-        recommendation = tool.recommend(
-            goals, ARRIVAL_RATES, constraints=constraints,
-            algorithm=algorithm,
+        recommendation = SEARCHES[algorithm](
+            GoalEvaluator(performance), goals, constraints
         )
         print(
             f"{algorithm:20s} -> {recommendation.configuration} "
@@ -88,10 +122,10 @@ def main() -> None:
     # Constraint: the communication server is licensed per node and
     # fixed at two replicas.
     # ------------------------------------------------------------------
-    constrained = tool.recommend(
+    constrained = greedy_configuration(
+        GoalEvaluator(performance),
         goals,
-        ARRIVAL_RATES,
-        constraints=ReplicationConstraints(fixed={"comm-server": 2}),
+        ReplicationConstraints(fixed={"comm-server": 2}),
     )
     print(
         f"\nWith comm-server fixed at 2: {constrained.configuration} "

@@ -4,8 +4,8 @@ Runs the EP workflow on the discrete-event WFMS (the reproduction's
 stand-in for the real products the authors measured) as a campaign of
 independent replications, compares the Section 4/5 predictions against
 the simulated 95% confidence intervals, and closes the loop by
-recalibrating the models from one replication's audit trail
-(Section 7.1).
+replaying one replication's audit trail into the streaming calibrator
+that feeds the recommendation pipeline (Section 7.1).
 
 Run:  python examples/simulation_validation.py   (~30 s)
 """
@@ -17,17 +17,13 @@ from repro.core.performance import (
     Workload,
     WorkloadItem,
 )
-from repro.monitor.calibration import (
-    estimate_transition_probabilities,
-    estimate_turnaround_time,
-)
+from repro.monitor.stream import StreamingCalibrator
 from repro.sim.campaign import (
     CampaignPlan,
     run_campaign,
     run_replication,
     validate_against_models,
 )
-from repro.tool import ConfigurationTool, WorkflowRepository
 from repro.wfms import RoutingPolicy, SimulatedWorkflowType
 from repro.workflows import (
     ecommerce_activities,
@@ -96,21 +92,30 @@ def main() -> None:
     # the audit trail of one replication (run_replication keeps it).
     # ------------------------------------------------------------------
     report = run_replication(plan, 0)
-    repository = WorkflowRepository()
-    repository.register(ecommerce_chart(), ecommerce_activities())
-    tool = ConfigurationTool(types, repository)
-    calibration = tool.calibrate(report.trail, observation_period=DURATION)
-    print()
-    print(calibration.format_text())
+    calibrator = StreamingCalibrator()
+    calibrator.replay(report.trail)
+    print("\nCalibration from monitoring data:")
+    for name, estimate in calibrator.service_times().items():
+        scv = (estimate.second_moment - estimate.mean**2) / estimate.mean**2
+        print(
+            f"  {name:18s} b = {estimate.mean:.6f}, "
+            f"b(2) = {estimate.second_moment:.6f} "
+            f"(SCV {scv:.3f}, {estimate.sample_count} samples)"
+        )
+    print(
+        f"  {'EP':18s} arrival rate "
+        f"{calibrator.arrival_rate('EP', DURATION):.6f}, "
+        f"turnaround {calibrator.turnaround_time('EP'):.4f}"
+    )
 
-    probabilities = estimate_transition_probabilities(report.trail, "EP")
+    probabilities = calibrator.transition_probabilities("EP")
     print("\nRe-estimated EP branching probabilities (designer values in "
           "parentheses):")
     print(f"  NewOrder -> CreditCardCheck: "
           f"{probabilities[('NewOrder', 'CreditCardCheck')]:.3f} (0.600)")
     print(f"  CreditCardCheck -> Shipment: "
           f"{probabilities[('CreditCardCheck', 'Shipment_S')]:.3f} (0.900)")
-    measured_turnaround = estimate_turnaround_time(report.trail, "EP")
+    measured_turnaround = calibrator.turnaround_time("EP")
     print(f"  measured EP turnaround (replication 0): "
           f"{measured_turnaround:.2f} "
           f"(model: {model.turnaround_time('EP'):.2f})")

@@ -15,10 +15,11 @@ Systems"* (Gillmann, Weissenfels, Weikum, Kraiss — EDBT 2000):
 * :mod:`repro.sim` / :mod:`repro.wfms` — a discrete-event simulated
   distributed WFMS (replicated server pools, routing, failures) used to
   validate the analytic predictions.
-* :mod:`repro.monitor` — audit trails and calibration of model parameters
-  from monitoring data.
-* :mod:`repro.tool` — the configuration tool of Section 7 (mapping,
-  calibration, evaluation, recommendation).
+* :mod:`repro.monitor` — audit trails, streaming calibration of model
+  parameters from monitoring data, and drift detection.
+* :mod:`repro.service` — the configuration tool of Section 7 as one
+  calibrate → evaluate → recommend pipeline, in batch and as the
+  always-on ``repro serve``.
 * :mod:`repro.queueing` — M/G/1, M/M/1, M/M/c, and Little's-law utilities.
 * :mod:`repro.workflows` — ready-made example workflows, including the
   paper's e-commerce workflow (Figures 3 and 4).

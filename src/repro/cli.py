@@ -26,13 +26,7 @@ from typing import Sequence
 
 from repro import obs
 from repro.core.availability import AvailabilityModel
-from repro.core.configuration import (
-    ReplicationConstraints,
-    branch_and_bound_configuration,
-    exhaustive_configuration,
-    greedy_configuration,
-    simulated_annealing_configuration,
-)
+from repro.core.configuration import SEARCHES, ReplicationConstraints
 from repro.core.evaluation_cache import EvaluationCache
 from repro.core.goals import GoalEvaluator, PerformabilityGoals
 from repro.core.performance import PerformanceModel, SystemConfiguration
@@ -44,14 +38,6 @@ from repro.exceptions import (
 )
 from repro.io import Project, load_project, save_project
 from repro.scenarios.generator import LANDSCAPES, SERVICE_TIME_FAMILIES
-
-_SEARCHES = {
-    "greedy": greedy_configuration,
-    "exhaustive": exhaustive_configuration,
-    "branch_and_bound": branch_and_bound_configuration,
-    "simulated_annealing": simulated_annealing_configuration,
-}
-
 
 def _parse_configuration(text: str) -> SystemConfiguration:
     """Parse ``name=count,name=count`` into a configuration."""
@@ -240,7 +226,7 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
             else:
                 print(result.format_text())
             return 0
-        search = _SEARCHES[args.algorithm]
+        search = SEARCHES[args.algorithm]
         recommendation = search(
             evaluator, goals, constraints, executor=executor
         )
@@ -809,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="system unavailability goal",
     )
     recommend.add_argument(
-        "--algorithm", choices=sorted(_SEARCHES), default="greedy",
+        "--algorithm", choices=sorted(SEARCHES), default="greedy",
     )
     recommend.add_argument(
         "--frontier", action="store_true",
@@ -1000,7 +986,7 @@ def build_parser() -> argparse.ArgumentParser:
         "arrival-rate estimator",
     )
     serve.add_argument(
-        "--algorithm", choices=sorted(_SEARCHES), default="greedy",
+        "--algorithm", choices=sorted(SEARCHES), default="greedy",
         help="point-search algorithm for each re-search",
     )
     serve.add_argument(

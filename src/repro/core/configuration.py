@@ -42,6 +42,7 @@ from repro.core.search.types import (
 )
 
 __all__ = [
+    "SEARCHES",
     "ConfigurationRecommendation",
     "ReplicationConstraints",
     "SearchStep",
@@ -151,3 +152,13 @@ def simulated_annealing_configuration(
     return SearchEngine(
         evaluator, goals, executor, stop_check=stop_check
     ).run(strategy)
+
+
+#: The point searches by algorithm name: the ``--algorithm`` choices of
+#: ``repro recommend``/``repro serve`` and the service pipeline's table.
+SEARCHES: dict[str, Callable[..., ConfigurationRecommendation]] = {
+    "greedy": greedy_configuration,
+    "exhaustive": exhaustive_configuration,
+    "branch_and_bound": branch_and_bound_configuration,
+    "simulated_annealing": simulated_annealing_configuration,
+}

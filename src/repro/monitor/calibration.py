@@ -9,6 +9,11 @@ the first two moments of server service times.  The estimates can be
 assembled directly into a :class:`~repro.core.workflow_model.WorkflowDefinition`
 (for the top level of a workflow type) or into updated
 :class:`~repro.core.model_types.ServerTypeSpec` values.
+
+The §7 loop itself calibrates through the streaming twin,
+:class:`~repro.monitor.stream.StreamingCalibrator`; these batch
+estimators stay because they are its test oracle, the reference that
+``tests/monitor/test_stream.py`` compares the stream against bitwise.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Sequential drift detection over streaming calibration statistics.
 
-The batch comparator in :mod:`repro.tool.reconfiguration` answers "did
-the parameters change between two calibration snapshots?"; this module
-answers the *online* question — "has the running system drifted away
-from the parameters the current configuration was chosen for?" — using
+The paper's dynamic reconfiguration (§7.1) needs to know when the
+running system has drifted away from the parameters the current
+configuration was chosen for.  This module is the one drift rule of the
+§7 loop: it answers that question *online*, record by record, with
 Page–Hinkley / CUSUM-style sequential change detectors:
 
 * :class:`PageHinkleyDetector` — the classic two-sided Page–Hinkley

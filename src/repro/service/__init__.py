@@ -21,7 +21,6 @@ the runbook and ``docs/CLI.md`` for every flag).
 
 from repro.service.pipeline import (
     SCHEMA,
-    SEARCHES,
     SearchSettings,
     batch_recommendation,
     calibrated_model,
@@ -43,7 +42,6 @@ __all__ = [
     "DEFAULT_TENANT",
     "RecommendationService",
     "SCHEMA",
-    "SEARCHES",
     "SERVICE_METRICS",
     "SNAPSHOT_SCHEMA",
     "SearchSettings",

@@ -1,8 +1,10 @@
 """The shared calibrate → evaluate → recommend pipeline (Section 7).
 
-One function — :func:`recommend_from_calibration` — turns the current
-state of a :class:`~repro.monitor.stream.StreamingCalibrator` into a
-canonical recommendation document.  Both consumers call it:
+This module is the repository's one implementation of the paper's
+configuration-tool loop.  One function —
+:func:`recommend_from_calibration` — turns the current state of a
+:class:`~repro.monitor.stream.StreamingCalibrator` into a canonical
+recommendation document.  Both consumers call it:
 
 * the **batch** path (:func:`batch_recommendation`, the programmatic
   twin of ``repro monitor`` followed by ``repro recommend``) replays a
@@ -33,12 +35,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.core.configuration import (
-    branch_and_bound_configuration,
-    exhaustive_configuration,
-    greedy_configuration,
-    simulated_annealing_configuration,
-)
+from repro.core.configuration import SEARCHES
 from repro.core.evaluation_cache import EvaluationCache, model_fingerprint
 from repro.core.goals import GoalEvaluator, PerformabilityGoals
 from repro.core.model_types import ServerTypeIndex, ServerTypeSpec
@@ -54,14 +51,6 @@ from repro.monitor.stream import StreamingCalibrator
 
 #: Schema tag of the canonical recommendation document.
 SCHEMA = "repro.service.recommendation/v1"
-
-#: Search algorithms the pipeline can run (the CLI ``recommend`` set).
-SEARCHES: dict[str, Callable[..., Any]] = {
-    "greedy": greedy_configuration,
-    "exhaustive": exhaustive_configuration,
-    "branch_and_bound": branch_and_bound_configuration,
-    "simulated_annealing": simulated_annealing_configuration,
-}
 
 
 @dataclass(frozen=True)

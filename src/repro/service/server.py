@@ -188,7 +188,7 @@ class RecommendationService:
         obs.event(
             "service.drift",
             tenant=tenant_name,
-            kind=event.kind,
+            family=event.kind,
             subject=event.subject,
         )
 

@@ -19,6 +19,8 @@ stopped.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from pathlib import Path
 from typing import Any, Callable
 
@@ -222,9 +224,28 @@ class ServiceState:
         return state
 
     def save_snapshot(self, path: str | Path) -> int:
-        """Write the snapshot as JSON; returns the number of tenants."""
-        document = self.export_snapshot()
-        Path(path).write_text(json.dumps(document, sort_keys=True))
+        """Write the snapshot as JSON; returns the number of tenants.
+
+        The write is atomic: the JSON goes to a temporary file in the
+        same directory, is flushed and fsynced, and then replaces
+        ``path`` in one ``os.replace``.  A crash or a full disk
+        mid-write leaves the previous snapshot intact; a write that
+        fails with an exception also removes its temporary file.
+        """
+        text = json.dumps(self.export_snapshot(), sort_keys=True)
+        target = Path(path)
+        descriptor, temporary = tempfile.mkstemp(
+            dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(descriptor, "w") as stream:
+                stream.write(text)
+                stream.flush()
+                os.fsync(stream.fileno())
+            os.replace(temporary, target)
+        except BaseException:
+            Path(temporary).unlink(missing_ok=True)
+            raise
         return len(self.tenants)
 
     @classmethod

@@ -1,21 +1,26 @@
 """Integration: the full configuration-tool loop of Section 7.
 
-map (repository -> models) -> run the simulated WFMS -> calibrate from
-the audit trail -> re-evaluate -> recommend.  This is the "analysis and
-assessment of an operational system all the way to ... automatically
-recommending a reconfiguration" spectrum the paper describes.
+map (state charts -> models) -> run the simulated WFMS -> calibrate from
+the audit trail (streaming calibrator) -> re-evaluate -> recommend.
+This is the "analysis and assessment of an operational system all the
+way to ... automatically recommending a reconfiguration" spectrum the
+paper describes.
 """
 
 import pytest
 
-from repro.core.goals import PerformabilityGoals
-from repro.core.performance import SystemConfiguration
+from repro.core.configuration import greedy_configuration
+from repro.core.goals import GoalEvaluator, PerformabilityGoals
+from repro.core.performance import PerformanceModel, SystemConfiguration
+from repro.io import Project
 from repro.monitor.calibration import (
     calibrate_flat_workflow,
     estimate_transition_probabilities,
     estimate_turnaround_time,
 )
-from repro.tool import ConfigurationTool, WorkflowRepository
+from repro.monitor.stream import StreamingCalibrator
+from repro.service.pipeline import calibrated_specs
+from repro.spec.translator import translate_chart
 from repro.wfms import RoutingPolicy, SimulatedWFMS, SimulatedWorkflowType
 from repro.workflows import (
     ecommerce_activities,
@@ -54,71 +59,91 @@ def operational_run():
     return types, configuration, report
 
 
-@pytest.fixture(scope="module")
-def tool():
-    repository = WorkflowRepository()
-    repository.register(ecommerce_chart(), ecommerce_activities())
-    repository.register(
-        order_processing_chart(), order_processing_activities()
-    )
-    return ConfigurationTool(standard_server_types(), repository)
-
-
 RATES = {"EP": 0.4, "OrderProcessing": 0.2}
 
 
+@pytest.fixture(scope="module")
+def baseline():
+    """The mapped study: both charts translated onto the §5.2 landscape."""
+    return Project(
+        server_types=standard_server_types(),
+        workflows=(
+            translate_chart(ecommerce_chart(), ecommerce_activities()),
+            translate_chart(
+                order_processing_chart(), order_processing_activities()
+            ),
+        ),
+        arrival_rates=RATES,
+    )
+
+
+@pytest.fixture(scope="module")
+def calibrator(operational_run):
+    _, _, report = operational_run
+    calibrator = StreamingCalibrator()
+    calibrator.replay(report.trail)
+    return calibrator
+
+
+def performance_model(baseline, server_types=None):
+    return PerformanceModel(
+        server_types or baseline.server_types, baseline.workload()
+    )
+
+
 class TestMapEvaluateRecommend:
-    def test_evaluate_operational_configuration(self, tool):
-        report = tool.evaluate(
+    def test_evaluate_operational_configuration(self, baseline):
+        report = performance_model(baseline).assess(
             SystemConfiguration(
                 {"comm-server": 1, "wf-engine": 2, "app-server": 3}
-            ),
-            RATES,
+            )
         )
         assert report.is_stable
-        assert report.performance.throughput.bottleneck == "app-server"
+        assert report.throughput.bottleneck == "app-server"
 
-    def test_recommendation_meets_goals(self, tool):
+    def test_recommendation_meets_goals(self, baseline):
         goals = PerformabilityGoals(
             max_waiting_time=0.25, max_unavailability=1e-5
         )
-        recommendation = tool.recommend(goals, RATES)
+        recommendation = greedy_configuration(
+            GoalEvaluator(performance_model(baseline)), goals
+        )
         assessment = recommendation.assessment
         assert assessment.satisfied
         assert assessment.performability.max_expected_waiting_time <= 0.25
         assert assessment.unavailability <= 1e-5
 
-    def test_tighter_goals_cost_more(self, tool):
-        loose = tool.recommend(
+    def test_tighter_goals_cost_more(self, baseline):
+        evaluator = GoalEvaluator(performance_model(baseline))
+        loose = greedy_configuration(
+            evaluator,
             PerformabilityGoals(max_waiting_time=0.5,
                                 max_unavailability=1e-4),
-            RATES,
         )
-        tight = tool.recommend(
+        tight = greedy_configuration(
+            evaluator,
             PerformabilityGoals(max_waiting_time=0.05,
                                 max_unavailability=1e-7),
-            RATES,
         )
         assert tight.cost > loose.cost
 
 
 class TestCalibrationRoundTrip:
-    def test_service_moments_recovered(self, operational_run, tool):
-        types, _, report = operational_run
-        calibration = tool.calibrate(report.trail, observation_period=20_000.0)
+    def test_service_moments_recovered(self, operational_run, calibrator):
+        types, _, _ = operational_run
+        estimates = calibrator.service_times()
         for name in types.names:
-            mean, _ = calibration.server_updates[name]
-            assert mean == pytest.approx(
+            assert estimates[name].mean == pytest.approx(
                 types.spec(name).mean_service_time, rel=0.05
             )
 
-    def test_arrival_rates_recovered(self, operational_run, tool):
-        _, _, report = operational_run
-        calibration = tool.calibrate(report.trail, observation_period=20_000.0)
-        assert calibration.arrival_rates["EP"] == pytest.approx(0.4, rel=0.1)
-        assert calibration.arrival_rates["OrderProcessing"] == pytest.approx(
-            0.2, rel=0.15
+    def test_arrival_rates_recovered(self, calibrator):
+        assert calibrator.arrival_rate("EP", 20_000.0) == pytest.approx(
+            0.4, rel=0.1
         )
+        assert calibrator.arrival_rate(
+            "OrderProcessing", 20_000.0
+        ) == pytest.approx(0.2, rel=0.15)
 
     def test_branching_probabilities_recovered(self, operational_run):
         _, _, report = operational_run
@@ -139,18 +164,18 @@ class TestCalibrationRoundTrip:
         assert model.turnaround_time() == pytest.approx(measured, rel=0.05)
 
     def test_calibrated_tool_predictions_stay_consistent(
-        self, operational_run, tool
+        self, operational_run, baseline, calibrator
     ):
-        _, configuration, report = operational_run
-        calibration = tool.calibrate(report.trail, observation_period=20_000.0)
-        recalibrated = tool.with_calibrated_servers(calibration)
-        before = tool.evaluate(configuration, RATES)
-        after = recalibrated.evaluate(configuration, RATES)
+        _, configuration, _ = operational_run
+        before = performance_model(baseline).assess(configuration)
+        after = performance_model(
+            baseline, calibrated_specs(calibrator, baseline)
+        ).assess(configuration)
         # Measured moments are close to the design-time ones, so the
         # assessments must agree closely too.
-        for name in tool.server_types.names:
-            assert after.performance.utilizations[name] == pytest.approx(
-                before.performance.utilizations[name], rel=0.1
+        for name in baseline.server_types.names:
+            assert after.utilizations[name] == pytest.approx(
+                before.utilizations[name], rel=0.1
             )
 
     def test_analytic_turnaround_matches_reference_model(

@@ -28,6 +28,15 @@ def visit(index, residence, state="a", workflow_type="wf", next_state="b"):
     )
 
 
+def residence_shift_visits():
+    """200 visits of ``wf/a`` with mean residence 1, then 200 with mean 4."""
+    rng = random.Random(42)
+    return [
+        visit(i, rng.expovariate(1.0 if i < 200 else 0.25))
+        for i in range(400)
+    ]
+
+
 class TestPageHinkleyDetector:
     def test_stationary_stream_stays_quiet(self):
         rng = random.Random(1)
@@ -112,15 +121,13 @@ class TestDriftMonitor:
         assert monitor.events == []
 
     def test_residence_time_shift_confirmed_after_the_shift(self):
-        rng = random.Random(42)
+        visits = residence_shift_visits()
         monitor = DriftMonitor()
-        for i in range(200):
-            assert monitor.observe(visit(i, rng.expovariate(1.0))) == []
+        for record in visits[:200]:
+            assert monitor.observe(record) == []
         confirmed = []
-        for i in range(200, 400):
-            confirmed.extend(
-                monitor.observe(visit(i, rng.expovariate(0.25)))
-            )
+        for record in visits[200:]:
+            confirmed.extend(monitor.observe(record))
         assert confirmed
         event = confirmed[0]
         assert event.kind == "residence_time"

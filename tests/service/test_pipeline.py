@@ -1,9 +1,21 @@
 """Tests for the shared calibrate -> evaluate -> recommend pipeline."""
 
+import random
+
 import pytest
 
 from repro.core.evaluation_cache import EvaluationCache
+from repro.core.goals import GoalEvaluator, PerformabilityGoals
+from repro.core.model_types import (
+    ActivitySpec,
+    ServerTypeIndex,
+    ServerTypeSpec,
+)
+from repro.core.performance import SystemConfiguration
+from repro.core.workflow_model import WorkflowDefinition, WorkflowState
 from repro.exceptions import ValidationError
+from repro.io import Project
+from repro.monitor.audit import InstanceRecord, ServiceRequestRecord
 from repro.monitor.stream import StreamingCalibrator
 from repro.service import (
     SearchSettings,
@@ -98,6 +110,25 @@ class TestCalibratedModel:
                 spec.mean_service_time == measured[spec.name].mean
             ), spec.name
 
+    def test_silent_types_keep_the_baseline(self, two_type_baseline):
+        calibrator = StreamingCalibrator()
+        for start in (0.0, 10.0, 20.0):
+            calibrator.observe(
+                ServiceRequestRecord(
+                    "engine", "engine#0", start, start + 0.01,
+                    start + 0.01 + 0.08,
+                )
+            )
+        index = calibrated_specs(calibrator, two_type_baseline)
+        baseline_types = two_type_baseline.server_types
+        assert index.spec("engine").mean_service_time == pytest.approx(0.08)
+        # Uncalibrated type untouched.
+        assert index.spec("app") == baseline_types.spec("app")
+        # Failure rates survive the calibration.
+        assert index.spec("engine").failure_rate == (
+            baseline_types.spec("engine").failure_rate
+        )
+
 
 class TestByteIdentity:
     def test_streaming_equals_batch(
@@ -157,3 +188,132 @@ class TestInfeasible:
         assert document["feasible"] is False
         assert "error" in document
         render_document(document)  # still canonical JSON
+
+
+#: Monitoring window of the synthetic trails, and the load the running
+#: configuration was sized for (instances of ``wf`` per time unit).
+PERIOD = 1_000.0
+ASSUMED_RATE = 1.0
+RECONFIGURATION_GOALS = PerformabilityGoals(
+    max_waiting_time=0.3, max_unavailability=1e-4
+)
+
+
+@pytest.fixture()
+def two_type_baseline():
+    """A two-type landscape running one single-activity workflow."""
+    work = ActivitySpec("work", 5.0, loads={"engine": 3.0, "app": 2.0})
+    workflow = WorkflowDefinition(
+        name="wf",
+        states=(
+            WorkflowState("work", activity=work),
+            WorkflowState("end", mean_duration=0.1),
+        ),
+        transitions={("work", "end"): 1.0},
+        initial_state="work",
+    )
+    return Project(
+        server_types=ServerTypeIndex(
+            [
+                ServerTypeSpec(
+                    "engine", 0.05, failure_rate=1 / 10080, repair_rate=0.1
+                ),
+                ServerTypeSpec(
+                    "app", 0.2, failure_rate=1 / 1440, repair_rate=0.1
+                ),
+            ]
+        ),
+        workflows=(workflow,),
+        arrival_rates={"wf": ASSUMED_RATE},
+    )
+
+
+def calibrated_window(arrival_rate, app_service=0.2):
+    """A calibrator fed one window of ``wf`` at the given rate.
+
+    Every instance sends the activity's loads (three ``engine``, two
+    ``app`` requests), each tagged with its ``instance_id`` so the
+    pipeline joins it to the completed instance.  Service durations are
+    exponential, matching the specs' default SCV of 1.
+    """
+    rng = random.Random(0)
+    calibrator = StreamingCalibrator()
+    count = int(arrival_rate * PERIOD)
+    for instance in range(count):
+        start = instance * PERIOD / count
+        for server_type, service, requests in (
+            ("engine", 0.05, 3), ("app", app_service, 2)
+        ):
+            for _ in range(requests):
+                calibrator.observe(
+                    ServiceRequestRecord(
+                        server_type, f"{server_type}#0", start, start,
+                        start + rng.expovariate(1.0 / service),
+                        instance_id=instance,
+                    )
+                )
+        calibrator.observe(InstanceRecord(instance, "wf", start, start + 5.1))
+    return calibrator
+
+
+def recommended(calibrator, baseline):
+    document = recommend_from_calibration(
+        calibrator, baseline, RECONFIGURATION_GOALS,
+        observation_period=PERIOD,
+    )
+    assert document["feasible"]
+    return SystemConfiguration(document["result"]["configuration"])
+
+
+def goal_check(calibrator, baseline, configuration):
+    model = calibrated_model(calibrator, baseline, PERIOD)
+    return GoalEvaluator(model).assess(configuration, RECONFIGURATION_GOALS)
+
+
+class TestReconfiguration:
+    """Section 7.1's reconfiguration outcomes on the calibrated loop."""
+
+    def test_load_growth_recommends_more_servers(self, two_type_baseline):
+        current = recommended(
+            calibrated_window(ASSUMED_RATE), two_type_baseline
+        )
+        grown = recommended(
+            calibrated_window(4 * ASSUMED_RATE), two_type_baseline
+        )
+        assert grown.total_servers > current.total_servers
+
+    def test_oversized_configuration_is_downsized(self, two_type_baseline):
+        oversized = SystemConfiguration({"engine": 5, "app": 8})
+        calibrator = calibrated_window(0.3)
+        assert goal_check(calibrator, two_type_baseline, oversized).satisfied
+        cheaper = recommended(calibrator, two_type_baseline)
+        types = two_type_baseline.server_types
+        assert cheaper.cost(types) < oversized.cost(types)
+        assert cheaper.total_servers < oversized.total_servers
+
+    def test_app_slowdown_adds_app_replicas(self, two_type_baseline):
+        current = recommended(
+            calibrated_window(ASSUMED_RATE), two_type_baseline
+        )
+        slowed = recommended(
+            calibrated_window(ASSUMED_RATE, app_service=0.8),
+            two_type_baseline,
+        )
+        assert slowed.count("app") > current.count("app")
+
+    def test_goal_check_names_the_violated_goal(self, two_type_baseline):
+        current = recommended(
+            calibrated_window(ASSUMED_RATE), two_type_baseline
+        )
+        assert goal_check(
+            calibrated_window(ASSUMED_RATE), two_type_baseline, current
+        ).satisfied
+        assessment = goal_check(
+            calibrated_window(4 * ASSUMED_RATE), two_type_baseline, current
+        )
+        assert not assessment.satisfied
+        assert [
+            (violation.kind, violation.server_type)
+            for violation in assessment.violations
+        ] == [("waiting_time", "app")]
+        assert "waiting time of app" in str(assessment.violations[0])

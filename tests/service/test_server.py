@@ -8,12 +8,16 @@ import urllib.request
 
 import pytest
 
+from repro import obs
+from repro.monitor.audit import AuditTrail
+from repro.monitor.persistence import save_trail
 from repro.service import (
     RecommendationService,
     batch_recommendation,
     render_document,
 )
 
+from tests.monitor.test_drift import residence_shift_visits
 from tests.service.conftest import TRAIL_PATH
 
 
@@ -98,6 +102,49 @@ class TestEndpoints:
         assert summary["ingested"] == 0
         assert summary["rejected"] == 2
         assert len(summary["rejections"]) == 2
+
+
+class TestDriftPost:
+    @pytest.fixture()
+    def shift_body(self, tmp_path):
+        """JSONL of state visits whose residence times jump fourfold."""
+        trail = AuditTrail()
+        for record in residence_shift_visits():
+            trail.record_state_visit(record)
+        path = tmp_path / "shift.jsonl"
+        save_trail(trail, path)
+        return path.read_bytes()
+
+    def test_confirmed_drift_answers_200_and_ingests_every_line(
+        self, service, shift_body
+    ):
+        status, summary = _post(f"{service.url}/events", shift_body)
+        assert status == 200, summary
+        assert summary["ingested"] == 400
+        assert summary["records_seen"] == 400
+        assert summary["drift_confirmed"] >= 1
+        tenant = service.state.tenant()
+        assert tenant.drift_confirmations == summary["drift_confirmed"]
+
+    def test_confirmed_drift_emits_a_service_drift_event(
+        self, service, shift_body
+    ):
+        obs.reset()
+        obs.enable()
+        try:
+            status, summary = _post(f"{service.url}/events", shift_body)
+            events = [
+                event for event in obs.tracer().events
+                if event.get("event") == "service.drift"
+            ]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert status == 200, summary
+        assert len(events) == summary["drift_confirmed"] >= 1
+        assert events[0]["tenant"] == "default"
+        assert events[0]["family"] == "residence_time"
+        assert events[0]["subject"] == "wf/a"
 
 
 class TestServeLoop:

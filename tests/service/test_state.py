@@ -1,6 +1,7 @@
 """Tests for tenant shards and the service snapshot format."""
 
 import json
+import os
 
 import pytest
 
@@ -111,6 +112,27 @@ class TestSnapshotRoundTrip:
         again = restored.tenant("alpha")
         assert again.document == {"schema": "doc", "feasible": True}
         assert again.revision == 1
+
+    @pytest.mark.parametrize("step", ["fsync", "replace"])
+    def test_failed_write_keeps_previous_snapshot(
+        self, tmp_path, monkeypatch, step
+    ):
+        path = tmp_path / "snapshot.json"
+        state = ServiceState()
+        state.tenant("alpha").publish({"schema": "doc"}, 0)
+        state.save_snapshot(path)
+        previous = path.read_bytes()
+        state.tenant("beta")
+
+        def disk_full(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, step, disk_full)
+        with pytest.raises(OSError, match="No space"):
+            state.save_snapshot(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == previous
+        assert [entry.name for entry in tmp_path.iterdir()] == [path.name]
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):
