@@ -24,7 +24,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, Literal
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -34,9 +34,6 @@ from repro.core.linalg import SolveMethod
 from repro.core.model_types import ServerTypeIndex, ServerTypeSpec
 from repro.core.performance import SystemConfiguration
 from repro.exceptions import ValidationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.core.evaluation_cache import EvaluationCache
 
 #: Hours per year used to express downtime (365 days).
 HOURS_PER_YEAR = 365.0 * 24.0
@@ -150,12 +147,10 @@ class AvailabilityModel:
         server_types: ServerTypeIndex,
         configuration: SystemConfiguration,
         policy: RepairPolicy = RepairPolicy.INDEPENDENT,
-        cache: "EvaluationCache | None" = None,
     ) -> None:
         self.server_types = server_types
         self.configuration = configuration
         self.policy = policy
-        self._cache = cache
         self._counts = configuration.as_vector(server_types)
         if np.any(self._counts < 1):
             raise ValidationError(
@@ -318,21 +313,7 @@ class AvailabilityModel:
     # Availability metrics
     # ------------------------------------------------------------------
     def pools(self) -> dict[str, ServerPoolAvailability]:
-        """Per-type birth-death availability chains.
-
-        With an evaluation cache attached, the chain (and its lazily
-        computed steady-state marginal) for each ``(spec, count,
-        policy)`` is shared across every model that asks for it — in a
-        configuration search this means one birth-death solve per
-        distinct pool size instead of one per candidate.
-        """
-        if self._cache is not None:
-            return {
-                spec.name: self._cache.pool(
-                    spec, int(self._counts[i]), self.policy
-                )
-                for i, spec in enumerate(self.server_types.specs)
-            }
+        """Per-type birth-death availability chains."""
         return {
             spec.name: ServerPoolAvailability(
                 spec=spec,
@@ -418,16 +399,11 @@ class AvailabilityModel:
             system_availability *= availability_value
         sensitivity: dict[str, float] = {}
         for i, spec in enumerate(self.server_types.specs):
-            if self._cache is not None:
-                grown = self._cache.pool(
-                    spec, int(self._counts[i]) + 1, self.policy
-                )
-            else:
-                grown = ServerPoolAvailability(
-                    spec=spec,
-                    count=int(self._counts[i]) + 1,
-                    policy=self.policy,
-                )
+            grown = ServerPoolAvailability(
+                spec=spec,
+                count=int(self._counts[i]) + 1,
+                policy=self.policy,
+            )
             others = (
                 system_availability / base_availability[spec.name]
                 if base_availability[spec.name] > 0.0

@@ -4,8 +4,8 @@ The configuration search (Section 7.2) evaluates hundreds to thousands
 of candidate configurations, and every evaluation re-runs the same three
 building blocks: per-type birth-death availability marginals (Section
 5), per-type M/G/1 waiting times (Section 4.4), and the goal assessment
-that combines them (Section 7.1).  Two structural facts make aggressive
-cross-candidate reuse sound:
+that combines them (Section 7.1).  Three structural facts make
+aggressive cross-candidate reuse sound:
 
 * the waiting time ``w_x(n)`` of server type ``x`` with ``n`` running
   replicas depends only on ``n``, the type's service-time moments, and
@@ -14,7 +14,12 @@ cross-candidate reuse sound:
   search (and every search over the same workload);
 * the per-type availability marginal depends only on ``(spec, count,
   repair policy)``, so the birth-death solve for "3 app servers" is the
-  same in every candidate that has 3 app servers.
+  same in every candidate that has 3 app servers;
+* the §5 product form and the §6 marginal separation make every number
+  the goal check reads about type ``x`` — unavailability, performability
+  and failure-free waiting time, finite mass, utilization — a function
+  of ``Y_x`` alone (:class:`~repro.core.performability.TypeTerm`), so a
+  candidate is assessed as a fold over ``k`` cached terms.
 
 :class:`EvaluationCache` holds these shared results plus a bounded LRU
 cache of full :class:`~repro.core.goals.GoalAssessment` objects keyed by
@@ -34,13 +39,14 @@ sum_x Y_x)`` to ``O(sum_x Y_x + C)`` waiting-time evaluations.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Callable, Hashable
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.core.availability import RepairPolicy, ServerPoolAvailability
 from repro.core.model_types import ServerTypeSpec
+from repro.core.performability import DegradedStatePolicy, TypeTerm, type_term
 from repro.exceptions import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -159,6 +165,11 @@ class EvaluationCache:
         #: n = 0..len-1; grown monotonically, never evicted (a curve
         #: holds one float per admissible replica count).
         self._curves: dict[str, list[float]] = {}
+        #: Per-(type, count, policies) terms; like the curves, a few
+        #: entries per admissible replica count and never evicted.
+        self._terms: dict[tuple, TypeTerm] = {}
+        self.term_hits = 0
+        self.term_misses = 0
         self.curve_hits = 0
         self.curve_misses = 0
         self.curve_points_computed = 0
@@ -196,6 +207,7 @@ class EvaluationCache:
         self._assessments.clear()
         self._pools.clear()
         self._curves.clear()
+        self._terms.clear()
 
     def invalidate(self, reason: str = "") -> None:
         """Drop everything — including the model fingerprint — on drift.
@@ -229,6 +241,8 @@ class EvaluationCache:
           service moments); it is re-keyed under the new spec so future
           lookups hit, with its already-solved steady-state vector
           carried over;
+        * type terms are always dropped; they are rebuilt from the
+          surviving curves and marginals on first use;
         * goal assessments are always dropped: each combines waiting
           times and marginals across *all* types, and clearing them also
           keeps a search's ``evaluations`` accounting identical to a
@@ -306,6 +320,7 @@ class EvaluationCache:
             self._pools.put((new_spec, count, policy_value), rekeyed)
             pools_kept += 1
 
+        self._terms.clear()
         assessments_dropped = len(self._assessments)
         self._assessments.clear()
 
@@ -418,6 +433,61 @@ class EvaluationCache:
         return np.array(curve[: up_to + 1], dtype=float)
 
     # ------------------------------------------------------------------
+    # Per-type terms
+    # ------------------------------------------------------------------
+    def type_terms(
+        self,
+        performance: "PerformanceModel",
+        counts: Sequence[int],
+        repair_policy: RepairPolicy,
+        degraded_policy: DegradedStatePolicy,
+        penalty_waiting_time: float | None,
+    ) -> list[TypeTerm]:
+        """The terms of every type, ``counts[i]`` replicas of type ``i``.
+
+        Each term is keyed by ``(type, count, (repair policy, degraded
+        policy, penalty))``; the type name stands for its spec and total
+        request rate because the cache is bound to one model
+        fingerprint.  A miss builds the term from the shared pool
+        marginal and waiting curve, so those caches are consulted once
+        per distinct ``(type, count)`` rather than once per candidate.
+        """
+        policies = (
+            repair_policy.value, degraded_policy.value, penalty_waiting_time
+        )
+        terms: list[TypeTerm] = []
+        hits = 0
+        for type_index, spec in enumerate(performance.server_types.specs):
+            count = counts[type_index]
+            key = (spec.name, count, policies)
+            term = self._terms.get(key) if self.enabled else None
+            if term is not None:
+                hits += 1
+                terms.append(term)
+                continue
+            term = type_term(
+                performance,
+                type_index,
+                self.pool(spec, count, repair_policy),
+                self.waiting_curve(
+                    spec.name,
+                    count,
+                    lambda n: performance.waiting_time_for_count(type_index, n),
+                ),
+                degraded_policy,
+                penalty_waiting_time,
+            )
+            if self.enabled:
+                self._terms[key] = term
+                self.term_misses += 1
+                obs.count("evaluation_cache.type_terms.misses")
+            terms.append(term)
+        if hits:
+            self.term_hits += hits
+            obs.count("evaluation_cache.type_terms.hits", hits)
+        return terms
+
+    # ------------------------------------------------------------------
     # Snapshots (parallel search merge-back)
     # ------------------------------------------------------------------
     def export_snapshot(self) -> dict:
@@ -425,7 +495,9 @@ class EvaluationCache:
 
         Contains the waiting-time curves and the pool marginals (as
         plain floats), plus the model fingerprint for binding checks.
-        Goal assessments are deliberately excluded: merging them into
+        Type terms are left out: a receiver rebuilds them from the
+        curves and marginals on first use.  Goal assessments are
+        deliberately excluded: merging them into
         another evaluator's cache would change that evaluator's
         assessment-lookup outcomes and with it the ``evaluations``
         accounting of a search — the curves and marginals are pure
@@ -501,6 +573,9 @@ class EvaluationCache:
             "waiting_curve.hits": self.curve_hits,
             "waiting_curve.misses": self.curve_misses,
             "waiting_curve.points_computed": self.curve_points_computed,
+            "type_terms.size": len(self._terms),
+            "type_terms.hits": self.term_hits,
+            "type_terms.misses": self.term_misses,
             "evictions": self._assessments.evictions + self._pools.evictions,
             "rebinds": self.rebinds,
         }

@@ -6,7 +6,9 @@ server type) and a tolerance threshold for the unavailability of the
 entire WFMS.  :class:`GoalEvaluator` checks a candidate configuration
 against these goals using the availability model (Section 5) and the
 performability model (Section 6); it is the inner loop of the
-configuration search (Section 7.2).
+configuration search (Section 7.2).  Both models' product forms make a
+candidate's numbers a fold over per-type terms, so an assessment builds
+neither model.
 """
 
 from __future__ import annotations
@@ -16,14 +18,16 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro import obs
-from repro.core.availability import AvailabilityModel, RepairPolicy
+from repro.core.availability import RepairPolicy
 from repro.core.evaluation_cache import EvaluationCache, model_fingerprint
 from repro.core.model_types import ServerTypeIndex
 from repro.core.performance import PerformanceModel, SystemConfiguration
 from repro.core.performability import (
     DegradedStatePolicy,
-    PerformabilityModel,
     PerformabilityReport,
+    check_penalty,
+    fold_report,
+    system_unavailability,
 )
 from repro.exceptions import ValidationError
 
@@ -229,14 +233,16 @@ class GoalAssessment:
 class GoalEvaluator:
     """Evaluates configurations against performability goals.
 
-    Wires together the performance model (built once per workload), the
-    availability model (built per candidate configuration), and the
-    performability model.  Evaluation results are cached in an
-    :class:`~repro.core.evaluation_cache.EvaluationCache` keyed by the
-    *values* of the configuration and the goals, which the iterating
-    search of Section 7.2 relies on; passing a shared cache lets several
-    evaluators (e.g. one per search algorithm) reuse per-type waiting
-    curves, pool marginals, and whole assessments across searches.
+    Assesses a candidate as a fold over one
+    :class:`~repro.core.performability.TypeTerm` per server type, taken
+    from an :class:`~repro.core.evaluation_cache.EvaluationCache` that
+    computes each ``(type, replica count)`` term once from the
+    performance model (built once per workload).  Whole assessments are
+    cached too, keyed by the *values* of the configuration and the
+    goals, which the iterating search of Section 7.2 relies on; passing
+    a shared cache lets several evaluators (e.g. one per search
+    algorithm) reuse terms, waiting curves, pool marginals, and whole
+    assessments across searches.
     """
 
     def __init__(
@@ -247,6 +253,7 @@ class GoalEvaluator:
         penalty_waiting_time: float | None = None,
         cache: EvaluationCache | None = None,
     ) -> None:
+        check_penalty(degraded_policy, penalty_waiting_time)
         self.performance = performance
         self.repair_policy = repair_policy
         self.degraded_policy = degraded_policy
@@ -304,14 +311,27 @@ class GoalEvaluator:
 
         self.evaluation_count += 1
         obs.count("configuration.candidates_evaluated")
-        availability_model = AvailabilityModel(
-            self.server_types, configuration, policy=self.repair_policy,
-            cache=self.cache,
+        names = self.server_types.names
+        replicas = configuration.replicas
+        counts = [replicas.get(name, 0) for name in names]
+        if min(counts) < 1:
+            raise ValidationError(
+                "every server type needs at least one configured replica; "
+                f"got {configuration}"
+            )
+        terms = self.cache.type_terms(
+            self.performance,
+            counts,
+            self.repair_policy,
+            self.degraded_policy,
+            self.penalty_waiting_time,
         )
         violations: list[GoalViolation] = []
 
-        unavailability = availability_model.unavailability()
-        per_type = availability_model.per_type_unavailability()
+        unavailability = system_unavailability(terms)
+        per_type = {
+            name: term.unavailability for name, term in zip(names, terms)
+        }
         if goals.max_unavailability is not None:
             if unavailability > goals.max_unavailability:
                 violations.append(
@@ -336,14 +356,13 @@ class GoalEvaluator:
 
         performability_report: PerformabilityReport | None = None
         if goals.has_performance_goal:
-            performability = PerformabilityModel(
-                self.performance,
-                availability_model,
-                policy=self.degraded_policy,
-                penalty_waiting_time=self.penalty_waiting_time,
-                cache=self.cache,
-            )
-            performability_report = performability.expected_waiting_times()
+            obs.count("performability.evaluations")
+            with obs.span(
+                "performability.expected_waiting_times", method="marginal"
+            ):
+                performability_report = fold_report(
+                    configuration, names, terms, self.degraded_policy
+                )
             for name, value in (
                 performability_report.expected_waiting_times.items()
             ):
@@ -360,7 +379,6 @@ class GoalEvaluator:
 
         if violations:
             obs.count("configuration.goal_violations", len(violations))
-        utilizations = self.performance.utilizations(configuration)
         assessment = GoalAssessment(
             configuration=configuration,
             goals=goals,
@@ -369,8 +387,7 @@ class GoalEvaluator:
             unavailability=unavailability,
             per_type_unavailability=per_type,
             utilizations={
-                name: float(utilizations[i])
-                for i, name in enumerate(self.server_types.names)
+                name: term.utilization for name, term in zip(names, terms)
             },
         )
         self.cache.store_assessment(key, assessment)

@@ -163,6 +163,7 @@ class ServerTypeIndex:
         if len(set(names)) != len(names):
             raise ValidationError(f"duplicate server type names in {names}")
         self._specs = specs
+        self._names = tuple(names)
         self._positions = {spec.name: i for i, spec in enumerate(specs)}
 
     def __len__(self) -> int:
@@ -185,7 +186,7 @@ class ServerTypeIndex:
     @property
     def names(self) -> tuple[str, ...]:
         """Server type names in index order."""
-        return tuple(spec.name for spec in self._specs)
+        return self._names
 
     @property
     def specs(self) -> tuple[ServerTypeSpec, ...]:

@@ -24,17 +24,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.core.availability import AvailabilityModel
+from repro.core.availability import AvailabilityModel, ServerPoolAvailability
 from repro.core.performance import PerformanceModel, SystemConfiguration
 from repro.exceptions import ValidationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.core.evaluation_cache import EvaluationCache
 
 
 class DegradedStatePolicy(enum.Enum):
@@ -107,6 +104,121 @@ class PerformabilityReport:
         return "\n".join(lines)
 
 
+def check_penalty(
+    policy: DegradedStatePolicy, penalty_waiting_time: float | None
+) -> None:
+    """Reject a ``PENALTY`` policy without a positive penalty value."""
+    if policy is DegradedStatePolicy.PENALTY:
+        if penalty_waiting_time is None or penalty_waiting_time <= 0.0:
+            raise ValidationError(
+                "PENALTY policy requires a positive penalty_waiting_time"
+            )
+
+
+@dataclass(frozen=True)
+class TypeTerm:
+    """One server type's share of a configuration's assessment.
+
+    Under the Section 5 product form and the Section 6 marginal
+    separation, every number the Section 7.1 goal check reads about
+    type ``x`` depends on its replica count ``Y_x`` alone; a
+    configuration's numbers are a fold over its ``k`` terms (products
+    in type order, see :func:`fold_report`).
+    """
+
+    #: Probability that all ``Y_x`` replicas are down.
+    unavailability: float
+    #: ``1 - unavailability``, the factor of the system availability.
+    availability: float
+    #: Performability waiting time ``W_x`` under the degraded policy.
+    expected_waiting_time: float
+    #: Marginal mass of the states where ``w_x`` is finite, the factor
+    #: of the operational-and-stable probability.
+    finite_mass: float
+    #: Waiting time ``w_x(Y_x)`` with every replica up.
+    failure_free_waiting_time: float
+    #: Per-replica utilization ``rho_x`` with every replica up.
+    utilization: float
+
+
+def type_term(
+    performance: PerformanceModel,
+    type_index: int,
+    pool: ServerPoolAvailability,
+    waits: np.ndarray,
+    policy: DegradedStatePolicy,
+    penalty_waiting_time: float | None,
+) -> TypeTerm:
+    """The term of one server type with ``pool.count`` replicas.
+
+    ``pool`` is the type's birth-death chain and ``waits`` its
+    waiting-time curve ``w_x(n)`` for ``n = 0..pool.count``; both come
+    from an :class:`~repro.core.evaluation_cache.EvaluationCache` in a
+    configuration search and are built fresh by
+    :class:`PerformabilityModel`.  This is the only implementation of
+    the per-type expectation, so the search and the model agree
+    bitwise.
+    """
+    marginal = np.asarray(pool.state_probabilities, dtype=float)
+    finite = np.isfinite(waits)
+    finite_mass = float(marginal[finite].sum())
+    infinite_mass = 1.0 - finite_mass
+    weighted = float(marginal[finite] @ waits[finite])
+    if policy is DegradedStatePolicy.CONDITIONAL:
+        expected = math.inf if finite_mass <= 0.0 else weighted / finite_mass
+    elif policy is DegradedStatePolicy.PENALTY:
+        assert penalty_waiting_time is not None
+        expected = weighted + infinite_mass * penalty_waiting_time
+    elif bool(np.any(marginal[~finite] > 0.0)):  # INFINITE
+        expected = math.inf
+    else:
+        expected = weighted
+    total = performance.total_request_rates()[type_index]
+    mean = performance.server_types.specs[type_index].mean_service_time
+    return TypeTerm(
+        unavailability=pool.unavailability,
+        availability=pool.availability,
+        expected_waiting_time=float(expected),
+        finite_mass=finite_mass,
+        failure_free_waiting_time=float(waits[pool.count]),
+        utilization=float(total / pool.count * mean),
+    )
+
+
+def system_unavailability(terms: Sequence[TypeTerm]) -> float:
+    """Section 5 product form: one minus the product of availabilities."""
+    availability = 1.0
+    for term in terms:
+        availability *= term.availability
+    return 1.0 - availability
+
+
+def fold_report(
+    configuration: SystemConfiguration,
+    names: Sequence[str],
+    terms: Sequence[TypeTerm],
+    policy: DegradedStatePolicy,
+) -> PerformabilityReport:
+    """The Section 6 report of a configuration from its type terms."""
+    feasible_probability = 1.0
+    for term in terms:
+        feasible_probability *= term.finite_mass
+    return PerformabilityReport(
+        configuration=configuration,
+        expected_waiting_times={
+            name: term.expected_waiting_time
+            for name, term in zip(names, terms)
+        },
+        failure_free_waiting_times={
+            name: term.failure_free_waiting_time
+            for name, term in zip(names, terms)
+        },
+        feasible_probability=feasible_probability,
+        unavailability=system_unavailability(terms),
+        policy=policy,
+    )
+
+
 class PerformabilityModel:
     """Combines the performance and availability models (Section 6)."""
 
@@ -116,23 +228,17 @@ class PerformabilityModel:
         availability: AvailabilityModel,
         policy: DegradedStatePolicy = DegradedStatePolicy.CONDITIONAL,
         penalty_waiting_time: float | None = None,
-        cache: "EvaluationCache | None" = None,
     ) -> None:
         if performance.server_types != availability.server_types:
             raise ValidationError(
                 "performance and availability models must share the same "
                 "server type index"
             )
-        if policy is DegradedStatePolicy.PENALTY:
-            if penalty_waiting_time is None or penalty_waiting_time <= 0.0:
-                raise ValidationError(
-                    "PENALTY policy requires a positive penalty_waiting_time"
-                )
+        check_penalty(policy, penalty_waiting_time)
         self.performance = performance
         self.availability = availability
         self.policy = policy
         self.penalty_waiting_time = penalty_waiting_time
-        self._cache = cache
         self._state_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -176,10 +282,13 @@ class PerformabilityModel:
         processes are mutually independent and that the waiting time of
         type ``x`` depends on the system state only through ``X_x``; the
         expectation then separates into per-type birth-death marginals,
-        turning an O(prod(Y_x + 1)) evaluation into O(sum(Y_x)).  Both
-        methods return identical values (cross-checked in the tests);
-        the fast path is what makes configuration search over many
-        server types practical.
+        turning an O(prod(Y_x + 1)) evaluation into O(sum(Y_x)).  It is
+        the :func:`type_term` fold that
+        :meth:`~repro.core.goals.GoalEvaluator.assess` runs on cached
+        terms, so both produce the same report bitwise.  Both methods
+        return identical values (cross-checked in the tests); the fast
+        path is what makes configuration search over many server types
+        practical.
         """
         obs.count("performability.evaluations")
         with obs.span(
@@ -191,76 +300,30 @@ class PerformabilityModel:
                 return self._expected_waiting_times_joint()
         raise ValidationError(f"unknown performability method {method!r}")
 
-    def _waiting_curve(self, type_index: int, up_to: int) -> np.ndarray:
-        """The curve ``w_x(n)`` for ``n = 0..up_to`` of one server type.
-
-        The waiting time of type ``x`` depends on the system state only
-        through its own pool size, so the curve is a property of the
-        workload alone and is shared across *all* candidates of a
-        configuration search via the evaluation cache (when one is
-        attached).
-        """
-        name = self.performance.server_types.names[type_index]
-
-        def compute(available: int) -> float:
-            return self.performance.waiting_time_for_count(
-                type_index, available
-            )
-
-        if self._cache is not None:
-            return self._cache.waiting_curve(name, up_to, compute)
-        return np.array(
-            [compute(n) for n in range(up_to + 1)], dtype=float
-        )
-
     def _expected_waiting_times_marginal(self) -> PerformabilityReport:
-        names = self.performance.server_types.names
-        full_configuration = self.availability.configuration
-        counts = full_configuration.as_vector(
-            self.performance.server_types
-        )
-        pools = self.availability.pools()
-
-        expected = np.zeros(len(names))
-        feasible_probability = 1.0
-        for i, name in enumerate(names):
-            marginal = np.asarray(
-                pools[name].state_probabilities, dtype=float
+        """The per-type term fold, on freshly built pools and curves."""
+        terms = [
+            type_term(
+                self.performance,
+                i,
+                pool,
+                np.array(
+                    [
+                        self.performance.waiting_time_for_count(i, n)
+                        for n in range(pool.count + 1)
+                    ],
+                    dtype=float,
+                ),
+                self.policy,
+                self.penalty_waiting_time,
             )
-            waits = self._waiting_curve(i, int(counts[i]))
-            finite = np.isfinite(waits)
-            finite_mass = float(marginal[finite].sum())
-            infinite_mass = 1.0 - finite_mass
-            weighted = float(marginal[finite] @ waits[finite])
-            feasible_probability *= finite_mass
-            if self.policy is DegradedStatePolicy.CONDITIONAL:
-                if finite_mass <= 0.0:
-                    expected[i] = math.inf
-                else:
-                    expected[i] = weighted / finite_mass
-            elif self.policy is DegradedStatePolicy.PENALTY:
-                assert self.penalty_waiting_time is not None
-                expected[i] = (
-                    weighted + infinite_mass * self.penalty_waiting_time
-                )
-            else:  # INFINITE
-                if bool(np.any(marginal[~finite] > 0.0)):
-                    expected[i] = math.inf
-                else:
-                    expected[i] = weighted
-
-        failure_free = self.performance.waiting_times(full_configuration)
-        return PerformabilityReport(
-            configuration=full_configuration,
-            expected_waiting_times={
-                name: float(expected[i]) for i, name in enumerate(names)
-            },
-            failure_free_waiting_times={
-                name: float(failure_free[i]) for i, name in enumerate(names)
-            },
-            feasible_probability=feasible_probability,
-            unavailability=self.availability.unavailability(),
-            policy=self.policy,
+            for i, pool in enumerate(self.availability.pools().values())
+        ]
+        return fold_report(
+            self.availability.configuration,
+            self.performance.server_types.names,
+            terms,
+            self.policy,
         )
 
     def _expected_waiting_times_joint(self) -> PerformabilityReport:

@@ -104,6 +104,10 @@ DECLARED_METRICS: tuple[tuple[str, str, str], ...] = (
      "Per-pool birth-death marginal cache hits"),
     ("counter", "evaluation_cache.pool_marginals.misses",
      "Per-pool birth-death marginal cache misses"),
+    ("counter", "evaluation_cache.type_terms.hits",
+     "Per-(server type, replica count) term cache hits"),
+    ("counter", "evaluation_cache.type_terms.misses",
+     "Per-(server type, replica count) term cache misses"),
     ("counter", "evaluation_cache.evictions",
      "Entries evicted from the bounded evaluation caches"),
     ("counter", "evaluation_cache.merges",

@@ -117,6 +117,12 @@ SERVICE_METRICS: tuple[tuple[str, str, str], ...] = (
 
 _JSON = "application/json; charset=utf-8"
 
+#: Largest request body the service reads (16 MiB).  A larger
+#: ``Content-Length`` is answered with 413 before any of the body is
+#: read, so a client cannot hold a connection open for a body of any
+#: claimed size.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 
 class RecommendationService:
     """Long-running §7 recommendation loop over HTTP.
@@ -341,7 +347,7 @@ class RecommendationService:
         if status >= 400:
             obs.count("service.http.errors")
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed",
+                  405: "Method Not Allowed", 413: "Content Too Large",
                   500: "Internal Server Error"}.get(status, "OK")
         lines = [
             f"HTTP/1.1 {status} {reason}",
@@ -386,6 +392,13 @@ class RecommendationService:
                     raise ValidationError(
                         "bad Content-Length header"
                     ) from None
+        if content_length < 0:
+            raise ValidationError("negative Content-Length header")
+        if content_length > MAX_BODY_BYTES:
+            return 413, _JSON, render_json_body({
+                "error": f"request body of {content_length} bytes exceeds "
+                         f"the {MAX_BODY_BYTES}-byte limit",
+            }), {}
         body = b""
         if content_length > 0:
             body = await asyncio.wait_for(

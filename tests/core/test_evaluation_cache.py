@@ -12,6 +12,7 @@ from repro.core.configuration import (
     greedy_configuration,
     simulated_annealing_configuration,
 )
+from repro.core import evaluation_cache
 from repro.core.evaluation_cache import (
     BoundedCache,
     EvaluationCache,
@@ -33,14 +34,14 @@ from repro.core.workflow_model import WorkflowDefinition, WorkflowState
 from repro.exceptions import ValidationError
 
 
-def make_performance(arrival_rate=0.8, fast_service=0.05):
+def make_performance(arrival_rate=0.8, fast_service=0.05, slow_failure=0.01):
     types = ServerTypeIndex(
         [
             ServerTypeSpec(
                 "fast", fast_service, failure_rate=0.001, repair_rate=0.1
             ),
             ServerTypeSpec(
-                "slow", 0.3, failure_rate=0.01, repair_rate=0.1
+                "slow", 0.3, failure_rate=slow_failure, repair_rate=0.1
             ),
         ]
     )
@@ -139,7 +140,7 @@ class TestWaitingCurves:
         second = cache.waiting_curve("fast", 2, float)
         assert second[0] == 0.0
 
-    def test_disabled_cache_always_computes(self):
+    def test_disabled_cache_always_computes(self, monkeypatch):
         cache = EvaluationCache(enabled=False)
         calls = []
 
@@ -151,6 +152,28 @@ class TestWaitingCurves:
         cache.waiting_curve("fast", 1, compute)
         assert calls == [0, 1, 0, 1]
         assert cache.curve_hits == 0
+
+        # Terms too: every candidate recomputes every type's term.
+        terms_built = []
+        real_type_term = evaluation_cache.type_term
+
+        def spy(performance, type_index, pool, waits, *policy):
+            terms_built.append((type_index, pool.count))
+            return real_type_term(performance, type_index, pool, waits, *policy)
+
+        monkeypatch.setattr(evaluation_cache, "type_term", spy)
+        evaluator = GoalEvaluator(make_performance(), cache=cache)
+        goals = PerformabilityGoals(max_waiting_time=10.0)
+        first = SystemConfiguration({"fast": 2, "slow": 2})
+        second = SystemConfiguration({"fast": 2, "slow": 3})
+        for configuration in (first, first, second):
+            evaluator.assess(configuration, goals)
+        assert terms_built == [
+            (0, 2), (1, 2), (0, 2), (1, 2), (0, 2), (1, 3)
+        ]
+        stats = cache.stats()
+        assert stats["type_terms.size"] == 0
+        assert stats["type_terms.hits"] == stats["type_terms.misses"] == 0
 
 
 class TestPoolSharing:
@@ -366,6 +389,25 @@ class TestRebind:
         assert a.satisfied == b.satisfied
         assert a.unavailability == b.unavailability
         assert warm.evaluation_count == cold.evaluation_count
+
+        # Each step below leaves every cached term stale; the next
+        # assessment of the same candidates must equal a cold one bitwise.
+        def assert_cold(*model_args):
+            warm = GoalEvaluator(make_performance(*model_args), cache=cache)
+            cold = GoalEvaluator(make_performance(*model_args))
+            for fast, slow in ((2, 2), (3, 1)):
+                candidate = SystemConfiguration({"fast": fast, "slow": slow})
+                assert repr(warm.assess(candidate, goals)) == repr(
+                    cold.assess(candidate, goals)
+                )
+
+        # One type's failure rate and the other's service moments move.
+        cache.rebind(model_fingerprint(make_performance(0.8, 0.06, 0.02)))
+        assert_cold(0.8, 0.06, 0.02)
+        cache.clear()
+        assert_cold(0.8, 0.05, 0.03)
+        cache.invalidate("drift")
+        assert_cold(0.9, 0.05, 0.03)
 
     def test_clear_assessments_keeps_curves(self):
         cache = EvaluationCache()

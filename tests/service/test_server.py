@@ -1,6 +1,7 @@
 """Lifecycle tests for the always-on recommendation service."""
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -16,6 +17,7 @@ from repro.service import (
     batch_recommendation,
     render_document,
 )
+from repro.service.server import MAX_BODY_BYTES
 
 from tests.monitor.test_drift import residence_shift_visits
 from tests.service.conftest import TRAIL_PATH
@@ -102,6 +104,39 @@ class TestEndpoints:
         assert summary["ingested"] == 0
         assert summary["rejected"] == 2
         assert len(summary["rejections"]) == 2
+
+
+class TestBodyLimit:
+    """POST /events never waits for a body it will not read."""
+
+    @staticmethod
+    def _raw_post(service, content_length: int) -> bytes:
+        """Send only the head of a POST; return the whole response."""
+        head = (
+            "POST /events HTTP/1.1\r\n"
+            f"Host: {service.host}\r\n"
+            f"Content-Length: {content_length}\r\n\r\n"
+        ).encode("ascii")
+        with socket.create_connection(
+            (service.host, service.port), timeout=5.0
+        ) as connection:
+            connection.sendall(head)
+            chunks = []
+            while chunk := connection.recv(65536):
+                chunks.append(chunk)
+        return b"".join(chunks)
+
+    def test_oversized_body_is_413_before_reading(self, service):
+        response = self._raw_post(service, MAX_BODY_BYTES + 1)
+        status_line, _, rest = response.partition(b"\r\n")
+        assert status_line == b"HTTP/1.1 413 Content Too Large"
+        body = json.loads(rest.partition(b"\r\n\r\n")[2])
+        assert str(MAX_BODY_BYTES) in body["error"]
+
+    def test_negative_length_is_400(self, service):
+        response = self._raw_post(service, -5)
+        assert response.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"negative Content-Length" in response
 
 
 class TestDriftPost:
