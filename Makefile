@@ -1,6 +1,6 @@
 # Development targets for the repro package.
 
-.PHONY: install test docstrings bench bench-search bench-search-parallel \
+.PHONY: install test docstrings bench bench-search \
 	bench-frontier campaign bench-campaign bench-corpus bench-sim \
 	bench-sim-quick bench-monitor bench-service monitor-smoke \
 	serve-smoke examples all
@@ -19,10 +19,6 @@ bench:
 
 bench-search:
 	PYTHONPATH=src python benchmarks/bench_search.py --check
-
-bench-search-parallel:
-	PYTHONPATH=src python benchmarks/bench_search.py --parallel-only --check \
-		--output BENCH_search_parallel.json
 
 bench-frontier:
 	PYTHONPATH=src python benchmarks/bench_frontier.py --check

@@ -2,8 +2,8 @@
 
 Runs :func:`repro.core.search.frontier_search` over the five-type
 extended landscape and records the frontier's size, evaluation count,
-``search.frontier.*`` counters, and wall-clock time for the serial and
-process-pool paths.  The record is written to ``BENCH_frontier.json``.
+``search.frontier.*`` counters, and wall-clock time.  The record is
+written to ``BENCH_frontier.json``.
 
 ``--check`` exits non-zero unless:
 
@@ -12,8 +12,6 @@ process-pool paths.  The record is written to ``BENCH_frontier.json``.
   code;
 * the frontier is **seed-stable** — two runs with the same seed emit
   byte-identical JSON documents;
-* the parallel path (2 spawn workers) emits a document byte-identical
-  to the serial one;
 * the frontier **contains the single-objective optimum** — the
   exhaustive search's recommendation for the same goals appears among
   the frontier points and is what the frontier recommends.
@@ -42,7 +40,7 @@ from repro.core.configuration import (
 from repro.core.evaluation_cache import EvaluationCache
 from repro.core.goals import GoalEvaluator, PerformabilityGoals
 from repro.core.performance import PerformanceModel, Workload, WorkloadItem
-from repro.core.search import OBJECTIVES, ProcessPoolEvaluator, frontier_search
+from repro.core.search import OBJECTIVES, frontier_search
 from repro.workflows import (
     ecommerce_workflow,
     extended_server_types,
@@ -91,9 +89,7 @@ def make_constraints(quick: bool) -> ReplicationConstraints:
 
 
 def run_sweep(
-    goals: PerformabilityGoals,
-    constraints: ReplicationConstraints,
-    executor=None,
+    goals: PerformabilityGoals, constraints: ReplicationConstraints
 ) -> dict:
     """One frontier sweep; returns its document, counters, wall-clock."""
     evaluator = GoalEvaluator(
@@ -102,9 +98,7 @@ def run_sweep(
     obs.reset()
     obs.enable()
     started = time.perf_counter()
-    result = frontier_search(
-        evaluator, goals, constraints, seed=SEED, executor=executor
-    )
+    result = frontier_search(evaluator, goals, constraints, seed=SEED)
     elapsed = time.perf_counter() - started
     counters = {
         name: obs.registry().counter(name).value
@@ -155,10 +149,6 @@ def check(record: dict) -> list[str]:
     problems = non_dominance_violations(record["serial"]["document"])
     if not record["seed_stable"]:
         problems.append("same-seed reruns must be byte-identical")
-    if not record["parallel_identical"]:
-        problems.append(
-            "parallel frontier must be byte-identical to serial"
-        )
     if not record["contains_single_objective_optimum"]:
         problems.append(
             "frontier must contain the exhaustive single-objective "
@@ -187,11 +177,6 @@ def main(argv: list[str] | None = None) -> int:
     constraints = make_constraints(args.quick)
     serial = run_sweep(goals, constraints)
     rerun = run_sweep(goals, constraints)
-    executor = ProcessPoolEvaluator(workers=2, chunk_size=8)
-    try:
-        parallel = run_sweep(goals, constraints, executor=executor)
-    finally:
-        executor.close()
 
     exhaustive = exhaustive_configuration(
         GoalEvaluator(make_performance_model(), cache=EvaluationCache()),
@@ -213,10 +198,6 @@ def main(argv: list[str] | None = None) -> int:
         "seed_stable": (
             json.dumps(rerun["document"], sort_keys=True) == serial_json
         ),
-        "parallel_identical": (
-            json.dumps(parallel["document"], sort_keys=True)
-            == serial_json
-        ),
         "contains_single_objective_optimum": (
             dict(sorted(exhaustive.configuration.replicas.items()))
             in frontier_configurations
@@ -224,7 +205,6 @@ def main(argv: list[str] | None = None) -> int:
             == exhaustive.cost
         ),
         "serial": serial,
-        "parallel_wall_clock_seconds": parallel["wall_clock_seconds"],
     }
     Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
 
@@ -241,13 +221,9 @@ def main(argv: list[str] | None = None) -> int:
             for name, value in serial["counters"].items()
         )
     )
-    print(
-        f"  wall-clock: serial={serial['wall_clock_seconds']:.3f}s "
-        f"parallel={parallel['wall_clock_seconds']:.3f}s"
-    )
+    print(f"  wall-clock: {serial['wall_clock_seconds']:.3f}s")
     print(
         f"  seed-stable={record['seed_stable']} "
-        f"parallel-identical={record['parallel_identical']} "
         f"contains-optimum="
         f"{record['contains_single_objective_optimum']}"
     )

@@ -15,19 +15,6 @@ waiting-time evaluations — the innermost unit of performance-model
 work) plus wall-clock time, and the two paths are compared for exact
 numerical equality.  The record is written to ``BENCH_search.json``.
 
-A second sweep compares serial against parallel candidate evaluation:
-the exhaustive and branch-and-bound searches run once with the default
-in-process path and once through a :class:`ProcessPoolEvaluator` with
-two spawn-started workers (warmed up outside the timed region, so the
-one-time interpreter/import cost is reported separately).  The sweep
-uses a strict availability goal that binds *jointly* across the five
-server types — invisible to the per-type analytic bounds — so the
-exhaustive search must wade through thousands of candidates and each
-batch carries enough work to amortize the IPC.  Recommendations must be
-bit-identical between the two paths; wall-clock speedup is recorded
-(it exceeds 1.0 only on multi-core machines, so ``--check`` gates on
-identity, never on the speedup).
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_search.py --quick --check
@@ -35,8 +22,7 @@ Usage::
 ``--quick`` shrinks the search space for CI smoke runs; ``--check``
 exits non-zero unless the cached path does at least 2x fewer
 performance-model evaluations than the uncached path, is no slower,
-and produces byte-identical numerics — and the parallel path matches
-the serial path exactly.
+and produces byte-identical numerics.
 """
 
 from __future__ import annotations
@@ -44,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -59,7 +44,6 @@ from repro.core.configuration import (
 )
 from repro.core.evaluation_cache import EvaluationCache
 from repro.core.goals import GoalEvaluator, PerformabilityGoals
-from repro.core.search import ProcessPoolEvaluator
 from repro.core.performance import PerformanceModel, Workload, WorkloadItem
 from repro.workflows import (
     ecommerce_workflow,
@@ -86,21 +70,6 @@ ALGORITHMS = (
     # high-replica corner, and a fast schedule freezes the walk first.
     ("simulated_annealing", simulated_annealing_configuration,
      {"iterations": 1000, "cooling": 0.999, "seed": 13}),
-)
-
-#: Parallel-sweep goals (full mode): the 5e-8 unavailability target can
-#: only be met jointly — every per-type bound is far below it — so the
-#: first satisfying configuration sits thousands of candidates deep in
-#: the cost order (~4.5k evaluations for the exhaustive search).
-PARALLEL_FULL_GOALS = PerformabilityGoals(
-    max_waiting_time=0.2, max_unavailability=5e-8
-)
-PARALLEL_WORKERS = 2
-PARALLEL_CHUNK_SIZE = 64
-
-PARALLEL_ALGORITHMS = (
-    ("exhaustive", exhaustive_configuration),
-    ("branch_and_bound", branch_and_bound_configuration),
 )
 
 WORK_COUNTERS = (
@@ -188,119 +157,34 @@ def run_suite(
     }
 
 
-def make_parallel_landscape(
-    quick: bool,
-) -> tuple[PerformabilityGoals, ReplicationConstraints]:
-    if quick:
-        return QUICK_GOALS, make_constraints(quick=True)
-    return PARALLEL_FULL_GOALS, ReplicationConstraints(
-        maximum={name: 7 for name in (
-            "comm-server", "wf-engine", "app-server",
-            "wf-engine-2", "app-server-2",
-        )},
-        max_total_servers=33,
-    )
-
-
-def run_parallel_sweep(quick: bool) -> dict:
-    """Serial vs :class:`ProcessPoolEvaluator` for the batching searches.
-
-    Every evaluator gets a fresh enabled cache, so both paths start
-    cold; the worker pool is warmed up (processes started, caches still
-    empty) outside the timed region and its startup cost is reported
-    separately.  The exhaustive search runs before branch-and-bound so
-    its parallel measurement sees cold worker caches.
-    """
-    goals, constraints = make_parallel_landscape(quick)
-    performance = make_performance_model()
-    executor = ProcessPoolEvaluator(
-        workers=PARALLEL_WORKERS, chunk_size=PARALLEL_CHUNK_SIZE
-    )
-    sweep: dict = {
-        "workers": PARALLEL_WORKERS,
-        "chunk_size": PARALLEL_CHUNK_SIZE,
-        "cpu_count": os.cpu_count(),
-        "max_waiting_time": goals.max_waiting_time,
-        "max_unavailability": goals.max_unavailability,
-        "algorithms": {},
-    }
-    try:
-        started = time.perf_counter()
-        sweep["workers_ready"] = executor.warm_up(
-            GoalEvaluator(performance, cache=EvaluationCache())
-        )
-        sweep["startup_seconds"] = time.perf_counter() - started
-        for name, search in PARALLEL_ALGORITHMS:
-            serial_evaluator = GoalEvaluator(
-                performance, cache=EvaluationCache()
-            )
-            started = time.perf_counter()
-            serial = search(serial_evaluator, goals, constraints)
-            serial_seconds = time.perf_counter() - started
-            parallel_evaluator = GoalEvaluator(
-                performance, cache=EvaluationCache()
-            )
-            started = time.perf_counter()
-            parallel = search(
-                parallel_evaluator, goals, constraints, executor=executor
-            )
-            parallel_seconds = time.perf_counter() - started
-            sweep["algorithms"][name] = {
-                "evaluations": serial.evaluations,
-                "cost": serial.cost,
-                "serial_seconds": serial_seconds,
-                "parallel_seconds": parallel_seconds,
-                "parallel_speedup": (
-                    serial_seconds / parallel_seconds
-                    if parallel_seconds else math.inf
-                ),
-                "identical": (
-                    assessment_numerics(serial)
-                    == assessment_numerics(parallel)
-                    and serial.evaluations == parallel.evaluations
-                ),
-            }
-    finally:
-        executor.close()
-    return sweep
-
-
 def compare(record: dict) -> list[str]:
     """Return a list of violated expectations (empty when all hold)."""
     problems: list[str] = []
-    if "cached" in record:
-        cached, uncached = record["cached"], record["uncached"]
-        if cached["results"] != uncached["results"]:
-            for name in cached["results"]:
-                if cached["results"][name] != uncached["results"][name]:
-                    problems.append(
-                        f"numerics differ for {name}: cached="
-                        f"{cached['results'][name]} uncached="
-                        f"{uncached['results'][name]}"
-                    )
-        points_cached = cached["counters"][
-            "performance.waiting_time_points"
-        ]
-        points_uncached = uncached["counters"][
-            "performance.waiting_time_points"
-        ]
-        if points_cached * 2 > points_uncached:
-            problems.append(
-                "cached path must do >= 2x fewer performance-model "
-                f"evaluations: cached={points_cached:.0f} "
-                f"uncached={points_uncached:.0f}"
-            )
-        if cached["wall_clock_seconds"] > uncached["wall_clock_seconds"]:
-            problems.append(
-                "cached path must not be slower: "
-                f"cached={cached['wall_clock_seconds']:.3f}s "
-                f"uncached={uncached['wall_clock_seconds']:.3f}s"
-            )
-    for name, entry in record["parallel"]["algorithms"].items():
-        if not entry["identical"]:
-            problems.append(
-                f"parallel {name} search must be bit-identical to serial"
-            )
+    cached, uncached = record["cached"], record["uncached"]
+    if cached["results"] != uncached["results"]:
+        for name in cached["results"]:
+            if cached["results"][name] != uncached["results"][name]:
+                problems.append(
+                    f"numerics differ for {name}: cached="
+                    f"{cached['results'][name]} uncached="
+                    f"{uncached['results'][name]}"
+                )
+    points_cached = cached["counters"]["performance.waiting_time_points"]
+    points_uncached = uncached["counters"][
+        "performance.waiting_time_points"
+    ]
+    if points_cached * 2 > points_uncached:
+        problems.append(
+            "cached path must do >= 2x fewer performance-model "
+            f"evaluations: cached={points_cached:.0f} "
+            f"uncached={points_uncached:.0f}"
+        )
+    if cached["wall_clock_seconds"] > uncached["wall_clock_seconds"]:
+        problems.append(
+            "cached path must not be slower: "
+            f"cached={cached['wall_clock_seconds']:.3f}s "
+            f"uncached={uncached['wall_clock_seconds']:.3f}s"
+        )
     return problems
 
 
@@ -316,79 +200,54 @@ def main(argv: list[str] | None = None) -> int:
         "exactness expectations",
     )
     parser.add_argument(
-        "--parallel-only", action="store_true",
-        help="skip the cache suites and run only the serial-vs-parallel "
-        "sweep",
-    )
-    parser.add_argument(
         "--output", default="BENCH_search.json",
         help="path of the JSON perf record (default: %(default)s)",
     )
     args = parser.parse_args(argv)
 
-    record: dict = {
+    goals = QUICK_GOALS if args.quick else FULL_GOALS
+    constraints = make_constraints(args.quick)
+    # Uncached first so the cached run cannot warm anything for it.
+    uncached = run_suite(goals, constraints, cached=False)
+    cached = run_suite(goals, constraints, cached=True)
+    points_cached = cached["counters"]["performance.waiting_time_points"]
+    points_uncached = uncached["counters"][
+        "performance.waiting_time_points"
+    ]
+    record = {
         "benchmark": "bench_search",
         "mode": "quick" if args.quick else "full",
-    }
-    if not args.parallel_only:
-        goals = QUICK_GOALS if args.quick else FULL_GOALS
-        constraints = make_constraints(args.quick)
-        # Uncached first so the cached run cannot warm anything for it.
-        uncached = run_suite(goals, constraints, cached=False)
-        cached = run_suite(goals, constraints, cached=True)
-        points_cached = cached["counters"][
-            "performance.waiting_time_points"
-        ]
-        points_uncached = uncached["counters"][
-            "performance.waiting_time_points"
-        ]
-        record["uncached"] = uncached
-        record["cached"] = cached
-        record["evaluation_reduction"] = (
-            points_uncached / points_cached
-            if points_cached else math.inf
-        )
-        record["speedup"] = (
+        "uncached": uncached,
+        "cached": cached,
+        "evaluation_reduction": (
+            points_uncached / points_cached if points_cached else math.inf
+        ),
+        "speedup": (
             uncached["wall_clock_seconds"] / cached["wall_clock_seconds"]
             if cached["wall_clock_seconds"] else math.inf
-        )
-    parallel = run_parallel_sweep(args.quick)
-    record["parallel"] = parallel
+        ),
+    }
     Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
 
     print(f"search benchmark ({record['mode']} mode)")
-    if not args.parallel_only:
-        print(
-            "  performance-model evaluations: "
-            f"uncached={points_uncached:.0f} cached={points_cached:.0f} "
-            f"({record['evaluation_reduction']:.1f}x fewer)"
-        )
-        print(
-            "  wall-clock: "
-            f"uncached={uncached['wall_clock_seconds']:.3f}s "
-            f"cached={cached['wall_clock_seconds']:.3f}s "
-            f"({record['speedup']:.1f}x speedup)"
-        )
     print(
-        f"  parallel sweep: workers={parallel['workers']} "
-        f"cpu_count={parallel['cpu_count']} "
-        f"startup={parallel['startup_seconds']:.2f}s"
+        "  performance-model evaluations: "
+        f"uncached={points_uncached:.0f} cached={points_cached:.0f} "
+        f"({record['evaluation_reduction']:.1f}x fewer)"
     )
-    for name, entry in parallel["algorithms"].items():
-        print(
-            f"    {name}: {entry['evaluations']} evaluations, "
-            f"serial={entry['serial_seconds']:.3f}s "
-            f"parallel={entry['parallel_seconds']:.3f}s "
-            f"({entry['parallel_speedup']:.2f}x, "
-            f"identical={entry['identical']})"
-        )
+    print(
+        "  wall-clock: "
+        f"uncached={uncached['wall_clock_seconds']:.3f}s "
+        f"cached={cached['wall_clock_seconds']:.3f}s "
+        f"({record['speedup']:.1f}x speedup)"
+    )
     print(f"  record written to {args.output}")
 
     problems = compare(record)
     for problem in problems:
         print(f"  FAIL: {problem}", file=sys.stderr)
     if not problems:
-        print("  serial/parallel identical, cache expectations met")
+        print("  cache expectations met")
     return 1 if (args.check and problems) else 0
 
 

@@ -29,6 +29,7 @@ from repro.core.availability import AvailabilityModel
 from repro.core.configuration import SEARCHES, ReplicationConstraints
 from repro.core.evaluation_cache import EvaluationCache
 from repro.core.goals import GoalEvaluator, PerformabilityGoals
+from repro.core.model_types import ServerTypeIndex
 from repro.core.performance import PerformanceModel, SystemConfiguration
 from repro.core.performability import PerformabilityModel
 from repro.exceptions import (
@@ -39,8 +40,14 @@ from repro.exceptions import (
 from repro.io import Project, load_project, save_project
 from repro.scenarios.generator import LANDSCAPES, SERVICE_TIME_FAMILIES
 
-def _parse_configuration(text: str) -> SystemConfiguration:
-    """Parse ``name=count,name=count`` into a configuration."""
+def _parse_configuration(
+    text: str, server_types: ServerTypeIndex, flag: str = "--config"
+) -> SystemConfiguration:
+    """Parse ``name=count,name=count`` into a configuration.
+
+    Every name must be a server type of the study's landscape, so a
+    typo is a usage error rather than a silently ignored entry.
+    """
     replicas: dict[str, int] = {}
     for part in text.split(","):
         part = part.strip()
@@ -48,17 +55,23 @@ def _parse_configuration(text: str) -> SystemConfiguration:
             continue
         if "=" not in part:
             raise ValidationError(
-                f"bad --config entry {part!r}; expected name=count"
+                f"bad {flag} entry {part!r}; expected name=count"
             )
         name, _, count = part.partition("=")
+        name = name.strip()
+        if name not in server_types.names:
+            raise ValidationError(
+                f"unknown server type {name!r} in {flag}; known: "
+                + ", ".join(server_types.names)
+            )
         try:
-            replicas[name.strip()] = int(count)
+            replicas[name] = int(count)
         except ValueError:
             raise ValidationError(
                 f"bad replica count in {part!r}"
             ) from None
     if not replicas:
-        raise ValidationError("--config must name at least one server type")
+        raise ValidationError(f"{flag} must name at least one server type")
     return SystemConfiguration(replicas)
 
 
@@ -152,7 +165,7 @@ def _cmd_init_demo(args: argparse.Namespace) -> int:
 
 def _cmd_assess(args: argparse.Namespace) -> int:
     project = load_project(args.project)
-    configuration = _parse_configuration(args.config)
+    configuration = _parse_configuration(args.config, project.server_types)
     performance = _performance_model(project)
     print(performance.assess(configuration).format_text())
 
@@ -169,7 +182,7 @@ def _cmd_assess(args: argparse.Namespace) -> int:
 
 def _cmd_availability(args: argparse.Namespace) -> int:
     project = load_project(args.project)
-    configuration = _parse_configuration(args.config)
+    configuration = _parse_configuration(args.config, project.server_types)
     model = AvailabilityModel(project.server_types, configuration)
     print(f"Configuration {configuration}")
     print(f"  system unavailability: {model.unavailability():.6e}")
@@ -190,22 +203,15 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
     cache = EvaluationCache(enabled=not args.no_evaluation_cache)
     evaluator = GoalEvaluator(_performance_model(project), cache=cache)
     goals = _goals_from_args(args)
-    constraints = ReplicationConstraints(
-        fixed=dict(
-            (name, int(count))
-            for name, _, count in (
-                entry.partition("=") for entry in args.fix or []
-            )
-        ),
-        max_total_servers=args.max_total_servers,
+    fixed = (
+        _parse_configuration(
+            ",".join(args.fix), project.server_types, "--fix"
+        ).replicas
+        if args.fix else {}
     )
-    if args.workers < 1:
-        raise ValidationError("--workers must be >= 1")
-    executor = None
-    if args.workers > 1:
-        from repro.core.search import ProcessPoolEvaluator
-
-        executor = ProcessPoolEvaluator(workers=args.workers)
+    constraints = ReplicationConstraints(
+        fixed=fixed, max_total_servers=args.max_total_servers
+    )
     try:
         if args.frontier:
             from repro.core.search import OBJECTIVES, frontier_search
@@ -219,7 +225,6 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
                 constraints,
                 objectives=objectives,
                 seed=args.seed,
-                executor=executor,
             )
             if args.json:
                 print(json.dumps(result.to_document(), indent=2))
@@ -227,14 +232,9 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
                 print(result.format_text())
             return 0
         search = SEARCHES[args.algorithm]
-        recommendation = search(
-            evaluator, goals, constraints, executor=executor
-        )
+        recommendation = search(evaluator, goals, constraints)
     except InfeasibleConfigurationError as error:
         return _report_infeasible(error, json_output=args.json)
-    finally:
-        if executor is not None:
-            executor.close()
     if args.json:
         print(json.dumps(recommendation.to_document(), indent=2))
     else:
@@ -300,7 +300,7 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
     project = load_project(args.project)
-    configuration = _parse_configuration(args.config)
+    configuration = _parse_configuration(args.config, project.server_types)
     model = AvailabilityModel(project.server_types, configuration)
     print(f"Configuration {configuration}")
     print(
@@ -342,7 +342,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.wfms.runtime import SimulatedWFMS, SimulatedWorkflowType
 
     project = _load_study(args)
-    configuration = _parse_configuration(args.config)
+    configuration = _parse_configuration(args.config, project.server_types)
     workflow_types = []
     for workflow in project.workflows:
         chart, activities = definition_to_chart(workflow)
@@ -388,7 +388,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.wfms.runtime import SimulatedWorkflowType
 
     project = _load_study(args)
-    configuration = _parse_configuration(args.config)
+    configuration = _parse_configuration(args.config, project.server_types)
     workflow_types = []
     for workflow in project.workflows:
         chart, activities = definition_to_chart(workflow)
@@ -643,7 +643,7 @@ def _cmd_corpus_assess(args: argparse.Namespace) -> int:
 
 def _cmd_throughput(args: argparse.Namespace) -> int:
     project = load_project(args.project)
-    configuration = _parse_configuration(args.config)
+    configuration = _parse_configuration(args.config, project.server_types)
     model = _performance_model(project)
     report = model.max_sustainable_throughput(configuration)
     print(f"Configuration {configuration}")
@@ -829,11 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-evaluation-cache", action="store_true",
         help="disable the shared evaluation cache (reference path; "
         "every candidate is assessed from scratch)",
-    )
-    recommend.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="evaluate candidate batches on N worker processes "
-        "(results are bit-identical to the serial default)",
     )
     recommend.add_argument(
         "--json", action="store_true",

@@ -59,12 +59,7 @@ from repro.core.performability import (
     PerformabilityModel,
     PerformabilityReport,
 )
-from repro.core.search import (
-    CandidateEvaluator,
-    ProcessPoolEvaluator,
-    SearchEngine,
-    SerialEvaluator,
-)
+from repro.core.search import SearchEngine
 from repro.core.phase_type import (
     PhaseTypeDistribution,
     PhaseTypeRepairPool,
@@ -94,7 +89,6 @@ __all__ = [
     "AbsorptionRewardModel",
     "ActivitySpec",
     "AvailabilityModel",
-    "CandidateEvaluator",
     "Computer",
     "ConfigurationRecommendation",
     "DegradedStatePolicy",
@@ -111,12 +105,10 @@ __all__ = [
     "PerformanceReport",
     "PhaseTypeDistribution",
     "PhaseTypeRepairPool",
-    "ProcessPoolEvaluator",
     "RepairPolicy",
     "ReplicationConstraints",
     "SearchEngine",
     "SearchStep",
-    "SerialEvaluator",
     "ServerPoolAvailability",
     "ServerRole",
     "ServerTypeIndex",

@@ -14,11 +14,7 @@ heuristic's near-minimality claim.
 
 This module is the stable public API; the machinery lives in
 :mod:`repro.core.search`, where one :class:`~repro.core.search.SearchEngine`
-runs each algorithm as a candidate-proposal strategy against a pluggable
-evaluation executor.  Every search below accepts an ``executor`` — pass a
-:class:`~repro.core.search.ProcessPoolEvaluator` to evaluate candidate
-batches on worker processes (bit-identical results, multi-core speed for
-the batching searches); the default is in-process serial evaluation.
+runs each algorithm as a candidate-proposal strategy.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from typing import Callable
 from repro.core.goals import GoalEvaluator, PerformabilityGoals
 from repro.core.performance import SystemConfiguration
 from repro.core.search.engine import SearchEngine
-from repro.core.search.executors import CandidateEvaluator
 from repro.core.search.strategies import (
     BranchAndBoundStrategy,
     ExhaustiveStrategy,
@@ -58,7 +53,6 @@ def greedy_configuration(
     goals: PerformabilityGoals,
     constraints: ReplicationConstraints | None = None,
     initial: SystemConfiguration | None = None,
-    executor: CandidateEvaluator | None = None,
     stop_check: Callable[[], bool] | None = None,
 ) -> ConfigurationRecommendation:
     """The paper's greedy heuristic (Section 7.2).
@@ -74,16 +68,13 @@ def greedy_configuration(
     """
     constraints = constraints or ReplicationConstraints()
     strategy = GreedyStrategy(evaluator, goals, constraints, initial)
-    return SearchEngine(
-        evaluator, goals, executor, stop_check=stop_check
-    ).run(strategy)
+    return SearchEngine(evaluator, goals, stop_check=stop_check).run(strategy)
 
 
 def exhaustive_configuration(
     evaluator: GoalEvaluator,
     goals: PerformabilityGoals,
     constraints: ReplicationConstraints | None = None,
-    executor: CandidateEvaluator | None = None,
     stop_check: Callable[[], bool] | None = None,
 ) -> ConfigurationRecommendation:
     """Exact minimum-cost configuration by enumeration in cost order.
@@ -93,16 +84,13 @@ def exhaustive_configuration(
     """
     constraints = constraints or ReplicationConstraints(max_total_servers=16)
     strategy = ExhaustiveStrategy(evaluator, goals, constraints)
-    return SearchEngine(
-        evaluator, goals, executor, stop_check=stop_check
-    ).run(strategy)
+    return SearchEngine(evaluator, goals, stop_check=stop_check).run(strategy)
 
 
 def branch_and_bound_configuration(
     evaluator: GoalEvaluator,
     goals: PerformabilityGoals,
     constraints: ReplicationConstraints | None = None,
-    executor: CandidateEvaluator | None = None,
     stop_check: Callable[[], bool] | None = None,
 ) -> ConfigurationRecommendation:
     """Exact minimum-cost search with monotonicity-based pruning.
@@ -115,9 +103,7 @@ def branch_and_bound_configuration(
     """
     constraints = constraints or ReplicationConstraints(max_total_servers=32)
     strategy = BranchAndBoundStrategy(evaluator, goals, constraints)
-    return SearchEngine(
-        evaluator, goals, executor, stop_check=stop_check
-    ).run(strategy)
+    return SearchEngine(evaluator, goals, stop_check=stop_check).run(strategy)
 
 
 def simulated_annealing_configuration(
@@ -129,7 +115,6 @@ def simulated_annealing_configuration(
     cooling: float = 0.98,
     violation_penalty: float = 100.0,
     seed: int = 0,
-    executor: CandidateEvaluator | None = None,
     stop_check: Callable[[], bool] | None = None,
 ) -> ConfigurationRecommendation:
     """Simulated-annealing search over the configuration space.
@@ -149,9 +134,7 @@ def simulated_annealing_configuration(
         violation_penalty=violation_penalty,
         seed=seed,
     )
-    return SearchEngine(
-        evaluator, goals, executor, stop_check=stop_check
-    ).run(strategy)
+    return SearchEngine(evaluator, goals, stop_check=stop_check).run(strategy)
 
 
 #: The point searches by algorithm name: the ``--algorithm`` choices of

@@ -107,16 +107,8 @@ class BoundedCache:
         obs.count(f"evaluation_cache.{self.name}.hits")
         return entry
 
-    def peek(self, key: Hashable) -> Any | None:
-        """Lookup without touching the LRU order or hit/miss counters.
-
-        Used by snapshot merging, which must not perturb the counter
-        sequence a serial run would produce.
-        """
-        return self._entries.get(key)
-
     def items(self) -> list[tuple[Hashable, Any]]:
-        """Entries in LRU order (oldest first), for snapshot export."""
+        """Entries in LRU order (oldest first), for re-keying on rebind."""
         return list(self._entries.items())
 
     def put(self, key: Hashable, value: Any) -> None:
@@ -486,76 +478,6 @@ class EvaluationCache:
             self.term_hits += hits
             obs.count("evaluation_cache.type_terms.hits", hits)
         return terms
-
-    # ------------------------------------------------------------------
-    # Snapshots (parallel search merge-back)
-    # ------------------------------------------------------------------
-    def export_snapshot(self) -> dict:
-        """Picklable snapshot of the *shareable* caches.
-
-        Contains the waiting-time curves and the pool marginals (as
-        plain floats), plus the model fingerprint for binding checks.
-        Type terms are left out: a receiver rebuilds them from the
-        curves and marginals on first use.  Goal assessments are
-        deliberately excluded: merging them into
-        another evaluator's cache would change that evaluator's
-        assessment-lookup outcomes and with it the ``evaluations``
-        accounting of a search — the curves and marginals are pure
-        value caches with no such protocol attached.
-        """
-        return {
-            "fingerprint": self._fingerprint,
-            "curves": {
-                name: list(curve) for name, curve in self._curves.items()
-            },
-            "pools": [
-                (spec, count, policy_value,
-                 pool.state_probabilities.tolist())
-                for (spec, count, policy_value), pool in self._pools.items()
-            ],
-        }
-
-    def merge_snapshot(self, snapshot: dict) -> dict[str, int]:
-        """Fold a snapshot's warmed entries into this cache.
-
-        Curves are extended where the snapshot knows more points (the
-        values for shared prefixes are bitwise identical by
-        construction, so existing points are never overwritten); pool
-        marginals are added where missing, reconstructed with their
-        already-solved steady-state vector so no birth-death solve is
-        repeated.  A snapshot from a differently-fingerprinted model
-        raises; merging into a disabled cache is a no-op.  Returns the
-        number of newly merged curve points and pools.
-        """
-        if not self.enabled:
-            return {"curve_points": 0, "pools": 0}
-        fingerprint = snapshot.get("fingerprint")
-        if fingerprint is not None:
-            self.bind(fingerprint)
-        merged_points = 0
-        for name, curve in snapshot.get("curves", {}).items():
-            mine = self._curves.setdefault(name, [])
-            if len(curve) > len(mine):
-                merged_points += len(curve) - len(mine)
-                mine.extend(float(value) for value in curve[len(mine):])
-        merged_pools = 0
-        for spec, count, policy_value, probabilities in snapshot.get(
-            "pools", ()
-        ):
-            key = (spec, count, policy_value)
-            if self._pools.peek(key) is not None:
-                continue
-            pool = ServerPoolAvailability(
-                spec=spec, count=count, policy=RepairPolicy(policy_value)
-            )
-            # Seed the lazily computed marginal with the solved vector.
-            pool.__dict__["state_probabilities"] = np.asarray(
-                probabilities, dtype=float
-            )
-            self._pools.put(key, pool)
-            merged_pools += 1
-        obs.count("evaluation_cache.merges")
-        return {"curve_points": merged_points, "pools": merged_pools}
 
     # ------------------------------------------------------------------
     # Introspection

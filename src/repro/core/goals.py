@@ -392,44 +392,3 @@ class GoalEvaluator:
         )
         self.cache.store_assessment(key, assessment)
         return assessment
-
-    def assess_many(
-        self,
-        configurations: list[SystemConfiguration],
-        goals: PerformabilityGoals,
-    ) -> list[GoalAssessment]:
-        """Assess a batch of configurations, in order.
-
-        The batch entry point the search executors call: worker
-        processes evaluate whole candidate chunks through it, and the
-        cache makes repeated members cheap.  Results are positionally
-        aligned with ``configurations``.
-        """
-        return [
-            self.assess(configuration, goals)
-            for configuration in configurations
-        ]
-
-    def adopt_assessment(self, assessment: GoalAssessment) -> GoalAssessment:
-        """Commit an externally computed assessment as if assessed here.
-
-        Replays the exact :meth:`assess` bookkeeping — cache lookup,
-        evaluation count, obs counters, cache store — without rerunning
-        the models, so a parent process consuming worker-computed
-        assessments in order ends up in a state bit-identical to having
-        evaluated serially.  When the cache already holds an entry for
-        the key, the cached assessment wins and the external one is
-        discarded (again matching what :meth:`assess` would return).
-        """
-        key = self._assessment_key(assessment.configuration, assessment.goals)
-        cached = self.cache.assessment(key)
-        if cached is not None:
-            return cached
-        self.evaluation_count += 1
-        obs.count("configuration.candidates_evaluated")
-        if assessment.violations:
-            obs.count(
-                "configuration.goal_violations", len(assessment.violations)
-            )
-        self.cache.store_assessment(key, assessment)
-        return assessment

@@ -304,11 +304,11 @@ class PerformanceModel:
         Every configuration-evaluation path (utilizations, waiting
         times, goal assessment) depends on the workload only through the
         per-type total request rates ``l_x`` — exactly the second half
-        of :func:`~repro.core.evaluation_cache.model_fingerprint`.  A
-        search worker process therefore rebuilds its model from the
-        fingerprint alone instead of pickling the per-workflow CTMCs,
-        and computes bitwise-identical results because the floats are
-        carried over verbatim.
+        of :func:`~repro.core.evaluation_cache.model_fingerprint`.  The
+        recommendation service therefore builds its calibrated model
+        from per-type totals alone instead of per-workflow CTMCs, and
+        the model computes bitwise-identical results for the same
+        floats.
 
         The partial model has no workload: the per-workflow analyses
         (turnaround times, request counts, throughput, load breakdown)

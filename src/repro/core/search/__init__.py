@@ -1,17 +1,13 @@
 """The configuration-search engine (Section 7.2).
 
-One engine, four candidate-proposal strategies, two evaluation
-backends:
+One engine, five candidate-proposal strategies:
 
-* :class:`SearchEngine` — the unified propose → evaluate → consume →
+* :class:`SearchEngine` — the unified propose → evaluate → observe →
   record loop that the four per-algorithm loops in
   :mod:`repro.core.configuration` collapsed into;
 * :class:`GreedyStrategy`, :class:`ExhaustiveStrategy`,
   :class:`BranchAndBoundStrategy`, :class:`SimulatedAnnealingStrategy`
   — the paper's algorithms as pure proposal logic;
-* :class:`SerialEvaluator` (default) and :class:`ProcessPoolEvaluator`
-  (spawn workers, cache merge-back, bit-identical to serial) — where
-  candidate evaluation runs;
 * :class:`ParetoFrontier` / :class:`FrontierStrategy` /
   :func:`frontier_search` — the multi-objective generalization: a
   maintained non-dominated set over cost, waiting time, unavailability,
@@ -39,11 +35,6 @@ from repro.core.search.frontier import (
     ParetoFrontier,
     frontier_search,
 )
-from repro.core.search.executors import (
-    CandidateEvaluator,
-    ProcessPoolEvaluator,
-    SerialEvaluator,
-)
 from repro.core.search.strategies import (
     BranchAndBoundStrategy,
     Candidate,
@@ -62,7 +53,6 @@ __all__ = [
     "BackgroundSearchExecutor",
     "BranchAndBoundStrategy",
     "Candidate",
-    "CandidateEvaluator",
     "ConfigurationRecommendation",
     "ExhaustiveStrategy",
     "FrontierPoint",
@@ -71,13 +61,11 @@ __all__ = [
     "GreedyStrategy",
     "OBJECTIVES",
     "ParetoFrontier",
-    "ProcessPoolEvaluator",
     "ReplicationConstraints",
     "SearchEngine",
     "SearchOutcome",
     "SearchStep",
     "SearchStrategy",
-    "SerialEvaluator",
     "SimulatedAnnealingStrategy",
     "configurations_by_cost",
     "frontier_search",

@@ -10,8 +10,8 @@ concerns: searches run on daemon worker threads, and each logical key
 (one tenant, in the service) carries a generation counter so that
 submitting a new search supersedes the previous one — the stale
 search's cancellation event is set (the engine's ``stop_check`` polls
-it and raises :class:`~repro.exceptions.SearchCancelledError` at the
-next batch boundary) and its result, if it finishes anyway, is dropped
+it and raises :class:`~repro.exceptions.SearchCancelledError` before
+the next candidate) and its result, if it finishes anyway, is dropped
 instead of delivered.
 
 The executor is deliberately independent of the search functions it
@@ -114,7 +114,7 @@ class BackgroundSearchExecutor:
                 self._keys[key] = state
             elif not state.cancel.is_set():
                 # A search is (possibly) still running for this key —
-                # tell it to stop at its next batch boundary.
+                # tell it to stop before its next candidate.
                 state.cancel.set()
                 obs.count("search.background.superseded")
             state.generation += 1

@@ -1,13 +1,11 @@
 """The unified configuration-search loop (Section 7.2).
 
 :class:`SearchEngine` owns everything the four search algorithms used
-to duplicate: proposing candidate batches from a strategy, evaluating
-them through a pluggable executor, consuming assessments in proposal
-order, recording the :class:`SearchStep` trace, counting evaluations,
-and emitting the ``configuration.search`` span and counters.  The
+to duplicate: asking a strategy for the next candidate, assessing it,
+recording the :class:`SearchStep` trace, counting evaluations, and
+emitting the ``configuration.search`` span and counters.  The
 strategies (:mod:`repro.core.search.strategies`) contain only search
-logic; the executors (:mod:`repro.core.search.executors`) contain only
-evaluation placement.  One loop, four algorithms, two backends.
+logic.  One loop, every algorithm.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from typing import Callable
 
 from repro import obs
 from repro.core.goals import GoalAssessment, GoalEvaluator, PerformabilityGoals
-from repro.core.search.executors import CandidateEvaluator, SerialEvaluator
 from repro.core.search.strategies import SearchExhausted, SearchStrategy
 from repro.core.search.types import (
     ConfigurationRecommendation,
@@ -28,27 +25,23 @@ from repro.exceptions import InfeasibleConfigurationError, SearchCancelledError
 class SearchEngine:
     """Runs one candidate-proposal strategy to a recommendation.
 
-    The engine consumes assessments strictly in proposal order and
-    stops at the strategy's terminal assessment, so the outcome is
-    independent of the executor: a parallel backend may evaluate ahead
-    speculatively, but only the consumed prefix is ever committed.
+    The loop is sequential: each candidate is assessed and handed back
+    to the strategy before the next one is proposed, so the strategy
+    alone fixes the order in which candidates are consumed.
     """
 
     def __init__(
         self,
         evaluator: GoalEvaluator,
         goals: PerformabilityGoals,
-        executor: CandidateEvaluator | None = None,
         stop_check: Callable[[], bool] | None = None,
     ) -> None:
         self.evaluator = evaluator
         self.goals = goals
-        self.executor = executor if executor is not None else SerialEvaluator()
-        #: Cooperative cancellation probe, polled at every batch
-        #: boundary; returning true raises
+        #: Cooperative cancellation probe, polled before every
+        #: candidate; returning true raises
         #: :class:`~repro.exceptions.SearchCancelledError`.  ``None``
-        #: (the default) never cancels, so existing callers see the
-        #: exact proposal/evaluation sequence they always did.
+        #: (the default) never cancels.
         self.stop_check = stop_check
 
     def run(self, strategy: SearchStrategy) -> ConfigurationRecommendation:
@@ -71,11 +64,7 @@ class SearchEngine:
                 algorithm=strategy.name,
             )
 
-        with obs.span(
-            "configuration.search",
-            algorithm=strategy.name,
-            executor=self.executor.name,
-        ) as span:
+        with obs.span("configuration.search", algorithm=strategy.name) as span:
             try:
                 final = self._loop(strategy, trace)
             except SearchExhausted as exc:
@@ -97,40 +86,30 @@ class SearchEngine:
     def _loop(
         self, strategy: SearchStrategy, trace: list[SearchStep]
     ) -> GoalAssessment:
-        evaluator, goals, executor = self.evaluator, self.goals, self.executor
-        stop_check = self.stop_check
-        limit = max(1, executor.batch_limit)
+        evaluator, goals, stop_check = (
+            self.evaluator, self.goals, self.stop_check
+        )
         while True:
             if stop_check is not None and stop_check():
                 obs.count("configuration.search.cancelled")
                 raise SearchCancelledError(
                     f"search {strategy.name!r} cancelled by stop_check"
                 )
-            batch = strategy.propose(limit)
-            if not batch:
+            candidate = strategy.propose()
+            if candidate is None:
                 return strategy.exhausted()
-            obs.count("configuration.search.batches")
-            slots = executor.evaluate_batch(evaluator, goals, batch)
-            for index, (candidate, slot) in enumerate(zip(batch, slots)):
-                obs.count("configuration.search.iterations")
-                assessment = slot()
-                trace.append(
-                    SearchStep(
-                        configuration=candidate.configuration,
-                        cost=candidate.configuration.cost(
-                            evaluator.server_types
-                        ),
-                        satisfied=assessment.satisfied,
-                        added_server_type=candidate.added_server_type,
-                        criterion=candidate.criterion,
-                    )
+            obs.count("configuration.search.iterations")
+            configuration = candidate.configuration
+            assessment = evaluator.assess(configuration, goals)
+            trace.append(
+                SearchStep(
+                    configuration=configuration,
+                    cost=configuration.cost(evaluator.server_types),
+                    satisfied=assessment.satisfied,
+                    added_server_type=candidate.added_server_type,
+                    criterion=candidate.criterion,
                 )
-                final = strategy.observe(candidate, assessment)
-                if final is not None:
-                    discarded = len(batch) - index - 1
-                    if discarded and executor.eager:
-                        obs.count(
-                            "configuration.search.speculative_evaluations",
-                            discarded,
-                        )
-                    return final
+            )
+            final = strategy.observe(candidate, assessment)
+            if final is not None:
+                return final

@@ -18,7 +18,7 @@ Three pieces:
 * :class:`ParetoFrontier` — the non-dominated set: insertion rejects
   dominated newcomers and evicts members the newcomer dominates, with
   deterministic first-wins tie-breaking on objective-equal points;
-* :class:`FrontierStrategy` — a batch-invariant
+* :class:`FrontierStrategy` — a
   :class:`~repro.core.search.strategies.SearchStrategy` that seeds the
   frontier from the cost-ordered candidate enumeration (up to and
   including the first goal-satisfying candidate, so the frontier always
@@ -26,24 +26,22 @@ Three pieces:
   seeded-random samples across the constraint box, then hillclimbs the
   frontier's neighbourhood closure with seeded random restarts;
 * :func:`frontier_search` — the public entry point: drives the strategy
-  through the existing :class:`~repro.core.search.SearchEngine`, so
-  :class:`~repro.core.search.SerialEvaluator` and
-  :class:`~repro.core.search.ProcessPoolEvaluator` work unchanged and
-  all evaluations hit the shared
+  through the existing :class:`~repro.core.search.SearchEngine`, so all
+  evaluations hit the shared
   :class:`~repro.core.evaluation_cache.EvaluationCache`.
 
 Determinism: every proposal round is fixed before any of its
-assessments are consumed, rounds never depend on the engine's batch
-``limit``, and the only randomness flows from one seeded
-``random.Random`` consumed at round boundaries — so the frontier (and
-its JSON document) is byte-identical across repeated runs and across
-serial/parallel executors for any worker count.
+assessments are consumed and then handed out one candidate at a time,
+and the only randomness flows from one seeded ``random.Random``
+consumed at round boundaries — so the frontier (and its JSON document)
+is byte-identical across repeated runs.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -53,7 +51,6 @@ from repro.core.model_types import ServerTypeIndex
 from repro.core.performance import SystemConfiguration
 from repro.core.search.candidates import configurations_by_cost
 from repro.core.search.engine import SearchEngine
-from repro.core.search.executors import CandidateEvaluator
 from repro.core.search.strategies import (
     Candidate,
     SearchExhausted,
@@ -240,9 +237,8 @@ class FrontierStrategy(SearchStrategy):
     """Shotgun + hillclimb proposal strategy maintaining the frontier.
 
     Three phases, each organized in *rounds* whose content is fixed
-    before any of the round's assessments is consumed (batch
-    invariance — the engine may slice a round into any batch sizes
-    without changing the consumed sequence):
+    before any of the round's assessments is consumed; a round's
+    candidates are then proposed one at a time, in round order:
 
     1. **prefix** — rounds of the lazy cost-ordered candidate
        enumeration (the heap behind the exhaustive search) until the
@@ -301,7 +297,7 @@ class FrontierStrategy(SearchStrategy):
             evaluator.server_types, constraints
         )
         self._phase = "prefix"
-        self._pending: list[Candidate] = []
+        self._pending: deque[Candidate] = deque()
         self._seen: set[tuple[tuple[str, int], ...]] = set()
         self._rounds = 0
         self._prefix_emitted = 0
@@ -419,17 +415,17 @@ class FrontierStrategy(SearchStrategy):
                     else self._prefix_emitted >= self._prefix
                 )
                 if not done:
-                    self._pending = self._prefix_round_candidates()
+                    self._pending.extend(self._prefix_round_candidates())
                     if self._pending:
                         return
                 self._phase = "shotgun"
             elif self._phase == "shotgun":
-                self._pending = self._shotgun_round_candidates()
+                self._pending.extend(self._shotgun_round_candidates())
                 self._phase = "climb"
                 if self._pending:
                     return
             elif self._phase == "climb":
-                self._pending = self._climb_round_candidates()
+                self._pending.extend(self._climb_round_candidates())
                 if self._pending:
                     return
                 if self.restarts_used < self._restarts:
@@ -438,22 +434,20 @@ class FrontierStrategy(SearchStrategy):
                         self.restarts_used += 1
                         obs.count("search.frontier.restarts")
                         self._restart_points.append(restart)
-                        self._pending = [
+                        self._pending.append(
                             Candidate(restart, criterion="restart")
-                        ]
+                        )
                         return
                 return
             else:  # pragma: no cover - defensive
                 return
 
     # -- SearchStrategy interface -------------------------------------
-    def propose(self, limit: int) -> list[Candidate]:
-        """Serve the current round in engine-sized slices."""
+    def propose(self) -> Candidate | None:
+        """The next candidate of the current round, in round order."""
         if not self._pending:
             self._advance()
-        batch = self._pending[:limit]
-        del self._pending[:limit]
-        return batch
+        return self._pending.popleft() if self._pending else None
 
     def observe(
         self, candidate: Candidate, assessment: GoalAssessment
@@ -582,17 +576,14 @@ def frontier_search(
     restarts: int = 4,
     seed: int = 0,
     prefix: int | None = None,
-    executor: CandidateEvaluator | None = None,
     stop_check: Callable[[], bool] | None = None,
 ) -> FrontierResult:
     """Multi-objective configuration search over the goal bounds.
 
     Runs :class:`FrontierStrategy` through the shared
-    :class:`~repro.core.search.SearchEngine` — pass a
-    :class:`~repro.core.search.ProcessPoolEvaluator` as ``executor``
-    for parallel candidate evaluation with byte-identical results.
-    ``goals`` act as hard bounds (axes without a bound are free
-    objectives; assessments still expose all four metrics via
+    :class:`~repro.core.search.SearchEngine`.  ``goals`` act as hard
+    bounds (axes without a bound are free objectives; assessments still
+    expose all four metrics via
     :meth:`~repro.core.goals.PerformabilityGoals.requiring_all_metrics`).
     ``prefix`` overrides the cost-ordered seeding length (by default
     the enumeration runs until the first goal-satisfying candidate);
@@ -614,7 +605,7 @@ def frontier_search(
         prefix=prefix,
     )
     recommendation = SearchEngine(
-        evaluator, assess_goals, executor, stop_check=stop_check
+        evaluator, assess_goals, stop_check=stop_check
     ).run(strategy)
     return FrontierResult(
         points=strategy.frontier.points,

@@ -1,26 +1,17 @@
 """Candidate-proposal strategies of the configuration search engine.
 
 Each of the paper's search algorithms (Section 7.2) is expressed as a
-:class:`SearchStrategy`: a stateful proposer that hands the engine
-batches of candidate configurations and consumes their goal assessments
-*in proposal order*.  The engine owns evaluation (via a pluggable
-executor), trace recording, and observability; the strategy owns the
-search logic — what to propose next and when the search is finished.
-
-Strategies must be **batch-invariant**: the sequence of consumed
-(candidate, assessment) pairs up to termination may not depend on how
-many candidates the engine requested per round.  Greedy and simulated
-annealing are inherently sequential and propose one candidate at a
-time; exhaustive proposes any prefix of the cost-ordered enumeration;
-branch-and-bound limits each batch to frontier nodes that provably
-precede every still-unexpanded child in cost order.  This is what makes
-parallel evaluation bit-identical to serial.
+:class:`SearchStrategy`: a stateful proposer that hands the engine one
+candidate configuration at a time (:meth:`SearchStrategy.propose`) and
+receives its goal assessment before proposing the next
+(:meth:`SearchStrategy.observe`).  The engine owns evaluation, trace
+recording, and observability; the strategy owns the search logic — what
+to propose next and when the search is finished.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -71,21 +62,20 @@ class SearchStrategy:
     #: algorithms historically return an empty trace).
     record_trace: bool = False
 
-    def propose(self, limit: int) -> list[Candidate]:
-        """Up to ``limit`` candidates to evaluate next (may be fewer).
+    def propose(self) -> Candidate | None:
+        """The next candidate to evaluate.
 
-        An empty list means no candidate is currently proposable; the
-        engine then calls :meth:`exhausted`.
+        ``None`` means no candidate is left; the engine then calls
+        :meth:`exhausted`.
         """
         raise NotImplementedError
 
     def observe(
         self, candidate: Candidate, assessment: GoalAssessment
     ) -> GoalAssessment | None:
-        """Consume one assessment; non-``None`` ends the search with it.
+        """Consume the assessment of the candidate just proposed.
 
-        Called in proposal order.  Once a final assessment is returned
-        the engine discards any unconsumed candidates of the batch.
+        A non-``None`` return ends the search with that assessment.
         """
         raise NotImplementedError
 
@@ -166,9 +156,8 @@ class GreedyStrategy(SearchStrategy):
     evaluates the current candidate and adds one replica of the most
     critical server type for whichever goal is still violated — first
     the availability criterion, then (after re-evaluating) the
-    performability criterion — until both goals hold.  Strictly
-    sequential: every proposal depends on the previous assessment, so
-    batches are always of size one.
+    performability criterion — until both goals hold.  Every proposal
+    depends on the previous assessment.
     """
 
     name = "greedy"
@@ -193,9 +182,9 @@ class GreedyStrategy(SearchStrategy):
             )
         self._next: Candidate | None = Candidate(configuration)
 
-    def propose(self, limit: int) -> list[Candidate]:
-        """The single pending configuration, if any."""
-        return [self._next] if self._next is not None else []
+    def propose(self) -> Candidate | None:
+        """The pending configuration, if any."""
+        return self._next
 
     def observe(
         self, candidate: Candidate, assessment: GoalAssessment
@@ -236,11 +225,9 @@ class ExhaustiveStrategy(SearchStrategy):
     """Exact minimum-cost search by enumeration in cost order.
 
     Exponential in the number of server types, but exact — the oracle
-    against which the greedy heuristic's near-minimality is measured.
-    Any prefix of the cost-ordered enumeration may be evaluated ahead
-    of time, so this strategy parallelizes freely: the first satisfied
-    candidate *in enumeration order* is the minimum-cost answer no
-    matter how many candidates were evaluated speculatively.
+    against which the greedy heuristic's near-minimality is measured:
+    the first satisfied candidate in enumeration order is the
+    minimum-cost answer.
     """
 
     name = "exhaustive"
@@ -256,12 +243,10 @@ class ExhaustiveStrategy(SearchStrategy):
         )
         self._best: tuple[int, GoalAssessment] | None = None
 
-    def propose(self, limit: int) -> list[Candidate]:
-        """Next ``limit`` configurations in increasing-cost order."""
-        return [
-            Candidate(configuration)
-            for configuration in itertools.islice(self._candidates, limit)
-        ]
+    def propose(self) -> Candidate | None:
+        """The next configuration in increasing-cost order."""
+        configuration = next(self._candidates, None)
+        return Candidate(configuration) if configuration is not None else None
 
     def observe(
         self, candidate: Candidate, assessment: GoalAssessment
@@ -303,12 +288,7 @@ class BranchAndBoundStrategy(SearchStrategy):
        a provably minimum-cost one.
 
     Exact like :class:`ExhaustiveStrategy`, typically at a small
-    fraction of its model evaluations.  Batches are *cost-safe*: a
-    frontier node joins a batch only while its cost does not exceed the
-    first node's cost plus the cheapest possible replica addition, so
-    no yet-unexpanded child could precede any batch member in the
-    serial (cost, insertion) order — parallel evaluation therefore
-    consumes candidates in exactly the serial sequence.
+    fraction of its model evaluations.
     """
 
     name = "branch_and_bound"
@@ -340,29 +320,15 @@ class BranchAndBoundStrategy(SearchStrategy):
             self._frontier, (self._cost(start), self._counter, start)
         )
         self._seen = {tuple(sorted(start.replicas.items()))}
-        self._min_add_cost = min(
-            spec.cost for spec in evaluator.server_types.specs
-        )
 
     def _cost(self, configuration: SystemConfiguration) -> float:
         return configuration.cost(self._server_types)
 
-    def propose(self, limit: int) -> list[Candidate]:
-        """Pop a cost-safe batch off the best-first frontier."""
+    def propose(self) -> Candidate | None:
+        """The cheapest node of the best-first frontier (oldest on ties)."""
         if not self._frontier:
-            return []
-        first_cost, _, first = heapq.heappop(self._frontier)
-        batch = [Candidate(first)]
-        # Cost-safe batching: any child pushed while consuming this batch
-        # costs at least first_cost + min_add_cost, and insertion-order
-        # tie-breaking favours already-queued nodes, so every frontier
-        # node within that bound is consumed before any new child would
-        # be under serial best-first order.
-        while (self._frontier and len(batch) < limit
-               and self._frontier[0][0] <= first_cost + self._min_add_cost):
-            _, _, configuration = heapq.heappop(self._frontier)
-            batch.append(Candidate(configuration))
-        return batch
+            return None
+        return Candidate(heapq.heappop(self._frontier)[2])
 
     def observe(
         self, candidate: Candidate, assessment: GoalAssessment
@@ -391,10 +357,8 @@ class SimulatedAnnealingStrategy(SearchStrategy):
 
     The objective is ``cost + violation_penalty * (#violated goals)``;
     neighbour moves add or remove one replica of a random type within the
-    constraint bounds.  Deterministic for a fixed ``seed``.  Inherently
-    sequential — each move depends on the previous acceptance decision
-    and the random stream — so batches are always of size one and the
-    walk gains nothing from parallel evaluation.
+    constraint bounds.  Deterministic for a fixed ``seed``: each move
+    depends on the previous acceptance decision and the random stream.
     """
 
     name = "simulated_annealing"
@@ -429,10 +393,10 @@ class SimulatedAnnealingStrategy(SearchStrategy):
         return (assessment.configuration.cost(self._server_types)
                 + self._violation_penalty * len(assessment.violations))
 
-    def propose(self, limit: int) -> list[Candidate]:
+    def propose(self) -> Candidate | None:
         """The start point first, then one random in-bounds neighbour."""
         if not self._started:
-            return [Candidate(self._current)]
+            return Candidate(self._current)
         # Draw neighbour moves until one stays within the bounds; the
         # random stream consumption matches the historical loop exactly
         # (two draws per attempted move, cooling only after evaluations).
@@ -449,8 +413,8 @@ class SimulatedAnnealingStrategy(SearchStrategy):
             neighbour = SystemConfiguration(replicas)
             if neighbour.total_servers > self._constraints.max_total_servers:
                 continue
-            return [Candidate(neighbour)]
-        return []
+            return Candidate(neighbour)
+        return None
 
     def observe(
         self, candidate: Candidate, assessment: GoalAssessment

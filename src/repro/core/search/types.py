@@ -5,8 +5,8 @@ These dataclasses are the vocabulary every search component speaks:
 records one consumed candidate for traceability, and
 :class:`ConfigurationRecommendation` is the final answer.  They
 historically lived in :mod:`repro.core.configuration`, which still
-re-exports them for API compatibility; the search engine, the proposal
-strategies, and the executors all import them from here.
+re-exports them for API compatibility; the search engine and the
+proposal strategies import them from here.
 """
 
 from __future__ import annotations

@@ -110,20 +110,12 @@ DECLARED_METRICS: tuple[tuple[str, str, str], ...] = (
      "Per-(server type, replica count) term cache misses"),
     ("counter", "evaluation_cache.evictions",
      "Entries evicted from the bounded evaluation caches"),
-    ("counter", "evaluation_cache.merges",
-     "Worker cache snapshots merged back into a parent cache"),
     ("counter", "availability.steady_state_solves",
      "Availability CTMC steady-state solves"),
     ("counter", "performability.evaluations",
      "Section 6 performability expectations computed"),
     ("counter", "configuration.search.iterations",
      "Configuration-search loop iterations across all algorithms"),
-    ("counter", "configuration.search.batches",
-     "Candidate batches proposed by the search engine"),
-    ("counter", "configuration.search.speculative_evaluations",
-     "Parallel candidate evaluations discarded after early termination"),
-    ("gauge", "configuration.search.workers",
-     "Worker processes serving the most recent parallel search"),
     ("counter", "configuration.candidates_evaluated",
      "Candidate configurations evaluated against the goals"),
     ("counter", "configuration.goal_violations",
@@ -264,9 +256,7 @@ def event(kind: str, **fields: Any) -> None:
 # ----------------------------------------------------------------------
 # Cross-process propagation over the default instances
 # ----------------------------------------------------------------------
-def export_snapshot(
-    exclude_prefixes: tuple[str, ...] = ()
-) -> dict[str, Any]:
+def export_snapshot() -> dict[str, Any]:
     """Picklable snapshot of the default registry and tracer.
 
     Worker processes call this after finishing their share of a
@@ -275,9 +265,7 @@ def export_snapshot(
     same totals as serial ones.
     """
     return {
-        "metrics": _registry.export_snapshot(
-            exclude_prefixes=exclude_prefixes
-        ),
+        "metrics": _registry.export_snapshot(),
         "trace": _tracer.export_snapshot(),
     }
 

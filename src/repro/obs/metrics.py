@@ -379,23 +379,15 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Cross-process snapshots
     # ------------------------------------------------------------------
-    def export_snapshot(
-        self, exclude_prefixes: tuple[str, ...] = ()
-    ) -> dict[str, dict]:
+    def export_snapshot(self) -> dict[str, dict]:
         """Picklable snapshot of every metric that recorded anything.
 
         Zero-valued counters/gauges and empty histograms are skipped
         (worker processes re-declare the full well-known set, and
-        shipping dozens of zeros per chunk is pure IPC overhead).
-        ``exclude_prefixes`` drops metric families whose parent-side
-        accounting is replayed by a different protocol — the search
-        executors use it to keep adoption-replayed counters from being
-        double counted.
+        shipping dozens of zeros per replication is pure IPC overhead).
         """
         snapshot: dict[str, dict] = {}
         for name in sorted(self._metrics):
-            if any(name.startswith(prefix) for prefix in exclude_prefixes):
-                continue
             metric = self._metrics[name]
             if isinstance(metric, Histogram):
                 if metric.count == 0:

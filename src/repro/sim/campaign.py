@@ -11,8 +11,7 @@ module turns the one-shot simulator into a campaign runner:
   :func:`repro.sim.seeding.derive_seed`, so replications are mutually
   uncorrelated and the whole campaign is reproducible from one integer.
 * :func:`run_campaign` executes the replications serially or across a
-  spawn-started process pool (the executor pattern of
-  :mod:`repro.core.search.executors`).  Workers return trail-free
+  spawn-started process pool.  Workers return trail-free
   measurement reports; the parent folds them — **always in replication
   order** — so the aggregate is byte-identical for any worker count.
 * :class:`CampaignResult` aggregates every metric two ways: across

@@ -5,10 +5,7 @@ Pins the three contracts the frontier is sold on: dominance handling in
 tie-breaking, objective subsets), correctness of
 :func:`frontier_search` against an independent brute-force
 non-dominated set over the exhaustive candidate enumeration, and
-byte-identical determinism — same seed across repeated runs and across
-``SerialEvaluator`` / ``ProcessPoolEvaluator`` with 1, 2, and 4
-workers (mirroring the bit-identity tests in
-``tests/core/test_search_engine.py``).
+byte-identical determinism across repeated runs with the same seed.
 """
 
 import json
@@ -37,7 +34,6 @@ from repro.core.search import (
     OBJECTIVES,
     FrontierPoint,
     ParetoFrontier,
-    ProcessPoolEvaluator,
     frontier_search,
 )
 from repro.core.search.candidates import configurations_by_cost
@@ -390,29 +386,3 @@ class TestFrontierSearch:
         assert "Pareto frontier" in text
         assert "Recommended" in text
         assert len(text.splitlines()) == len(result.points) + 3
-
-
-class TestFrontierParallelDeterminism:
-    def test_workers_1_2_4_byte_identical_to_serial(self):
-        # Satellite: parallel frontier byte-identical to serial for
-        # N in {1, 2, 4}, as for the single-objective strategies.
-        performance = make_performance()
-        serial = json.dumps(
-            frontier_search(
-                GoalEvaluator(performance), GOALS, SMALL_CONSTRAINTS,
-                seed=3,
-            ).to_document(),
-            sort_keys=True,
-        )
-        for workers in (1, 2, 4):
-            with ProcessPoolEvaluator(
-                workers=workers, chunk_size=4
-            ) as executor:
-                parallel = frontier_search(
-                    GoalEvaluator(performance), GOALS, SMALL_CONSTRAINTS,
-                    seed=3, executor=executor,
-                )
-            assert (
-                json.dumps(parallel.to_document(), sort_keys=True)
-                == serial
-            ), workers

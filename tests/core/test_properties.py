@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on the core invariants."""
 
+import functools
 import math
 
 import numpy as np
@@ -12,15 +13,24 @@ from repro.core.availability import (
     RepairPolicy,
     ServerPoolAvailability,
 )
+from repro.core.configuration import (
+    ReplicationConstraints,
+    branch_and_bound_configuration,
+    exhaustive_configuration,
+)
 from repro.core.ctmc import AbsorbingCTMC
 from repro.core.dtmc import AbsorbingDTMC
+from repro.core.goals import GoalEvaluator, PerformabilityGoals
 from repro.core.model_types import ServerTypeIndex, ServerTypeSpec
-from repro.core.performance import SystemConfiguration
+from repro.core.performability import DegradedStatePolicy
+from repro.core.performance import PerformanceModel, SystemConfiguration
+from repro.exceptions import InfeasibleConfigurationError
 from repro.queueing import (
     mean_population,
     mg1_mean_waiting_time,
     pooled_service_moments,
 )
+from repro.scenarios import bundled_scenarios, generate_corpus, spec_to_project
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -200,6 +210,139 @@ class TestAvailabilityProperties:
         )
         for code in range(model.num_states):
             assert model.encode(model.decode(code)) == code
+
+
+# ----------------------------------------------------------------------
+# Replication monotonicity and branch-and-bound exactness
+# ----------------------------------------------------------------------
+#: The five registry scenarios plus 40 generated specs (seed 2000).
+CORPUS = tuple(
+    [entry.spec() for entry in bundled_scenarios()]
+    + list(generate_corpus(40, master_seed=2000))
+)
+
+#: The degraded-state policies under which adding a replica never hurts;
+#: PENALTY holds only when the penalty is at least every finite waiting
+#: time a type can reach (see :class:`DegradedStatePolicy`).
+MONOTONE_POLICIES = (
+    DegradedStatePolicy.CONDITIONAL,
+    DegradedStatePolicy.INFINITE,
+)
+
+
+@functools.lru_cache(maxsize=len(CORPUS))
+def corpus_model(index: int) -> PerformanceModel:
+    """The performance model of corpus spec ``index`` (built once)."""
+    project = spec_to_project([CORPUS[index]])
+    return PerformanceModel(project.server_types, project.workload())
+
+
+def corpus_evaluator(
+    index: int, repair: RepairPolicy, degraded: DegradedStatePolicy
+) -> GoalEvaluator:
+    """A fresh evaluator (and cache) over corpus spec ``index``."""
+    return GoalEvaluator(
+        corpus_model(index), repair_policy=repair, degraded_policy=degraded
+    )
+
+
+def no_higher(after: float, before: float) -> bool:
+    """``after <= before`` up to a relative 1e-12 (``inf`` allowed)."""
+    return after <= before + 1e-12 * abs(before)
+
+
+corpus_indices = st.integers(0, len(CORPUS) - 1)
+repair_policies = st.sampled_from(tuple(RepairPolicy))
+monotone_policies = st.sampled_from(MONOTONE_POLICIES)
+
+
+class TestReplicationMonotonicity:
+    """Adding a replica never raises unavailability or waiting time.
+
+    :func:`~repro.core.search.candidates.per_type_lower_bounds` and
+    branch-and-bound's claim of a provably minimum-cost answer rest on
+    exactly these premises.
+    """
+
+    @given(
+        index=corpus_indices,
+        counts=st.lists(st.integers(1, 4), min_size=5, max_size=5),
+        repair=repair_policies,
+        degraded=monotone_policies,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_more_replica_never_hurts(
+        self, index, counts, repair, degraded
+    ):
+        evaluator = corpus_evaluator(index, repair, degraded)
+        names = evaluator.server_types.names
+        # An unbounded waiting goal: every assessment carries the
+        # performability report, and no goal is ever violated.
+        goals = PerformabilityGoals(
+            max_unavailability=0.5
+        ).requiring_all_metrics()
+        configuration = SystemConfiguration(dict(zip(names, counts)))
+        before = evaluator.assess(configuration, goals)
+        for added in names:
+            after = evaluator.assess(
+                configuration.with_added_replica(added), goals
+            )
+            assert no_higher(after.unavailability, before.unavailability)
+            for name in names:
+                context = (CORPUS[index].name, dict(configuration.replicas),
+                           added, name)
+                assert no_higher(
+                    after.per_type_unavailability[name],
+                    before.per_type_unavailability[name],
+                ), context
+                assert no_higher(
+                    after.performability.failure_free_waiting_times[name],
+                    before.performability.failure_free_waiting_times[name],
+                ), context
+                assert no_higher(
+                    after.performability.expected_waiting_times[name],
+                    before.performability.expected_waiting_times[name],
+                ), context
+
+
+class TestBranchAndBoundExactness:
+    """Branch-and-bound finds the exhaustive optimum, or neither does."""
+
+    @given(
+        index=corpus_indices,
+        max_waiting=st.sampled_from((None, 0.05, 0.2, 1.0)),
+        max_unavailability=st.sampled_from((None, 1e-3, 1e-5, 1e-7)),
+        box=st.sampled_from(("total", "per_type")),
+        repair=repair_policies,
+        degraded=monotone_policies,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_same_cost_as_exhaustive(
+        self, index, max_waiting, max_unavailability, box, repair, degraded
+    ):
+        assume(max_waiting is not None or max_unavailability is not None)
+        goals = PerformabilityGoals(
+            max_waiting_time=max_waiting,
+            max_unavailability=max_unavailability,
+        )
+        evaluator = corpus_evaluator(index, repair, degraded)
+        constraints = (
+            ReplicationConstraints(max_total_servers=12)
+            if box == "total"
+            else ReplicationConstraints(
+                maximum=dict.fromkeys(evaluator.server_types.names, 4)
+            )
+        )
+
+        def cost(search):
+            try:
+                return search(evaluator, goals, constraints).cost
+            except InfeasibleConfigurationError:
+                return None
+
+        assert cost(branch_and_bound_configuration) == cost(
+            exhaustive_configuration
+        )
 
 
 # ----------------------------------------------------------------------

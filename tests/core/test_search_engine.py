@@ -1,26 +1,21 @@
-"""Tests for the unified search engine (strategies, executors, cache).
+"""Tests for the unified search engine (strategies and enumeration).
 
 The four public searches in :mod:`repro.core.configuration` are thin
 wrappers over :class:`repro.core.search.SearchEngine`; these tests pin
 the engine-level contracts the wrappers rely on: the lazy cost-ordered
-candidate enumeration, cross-algorithm agreement on the optimum, and —
-most importantly — that :class:`ProcessPoolEvaluator` is bit-identical
-to the default serial path for every algorithm (recommendation, trace,
-and evaluation accounting alike).
+candidate enumeration, cross-algorithm agreement on the optimum, and
+the JSON form of a recommendation.  The order in which each strategy
+consumes its candidates is pinned by ``test_search_goldens.py``.
 """
 
 import json
-
-import pytest
 
 from repro.core.configuration import (
     ReplicationConstraints,
     branch_and_bound_configuration,
     exhaustive_configuration,
     greedy_configuration,
-    simulated_annealing_configuration,
 )
-from repro.core.evaluation_cache import BoundedCache, EvaluationCache
 from repro.core.goals import GoalEvaluator, PerformabilityGoals
 from repro.core.model_types import (
     ActivitySpec,
@@ -33,10 +28,8 @@ from repro.core.performance import (
     Workload,
     WorkloadItem,
 )
-from repro.core.search import ProcessPoolEvaluator, SerialEvaluator
 from repro.core.search.candidates import configurations_by_cost
 from repro.core.workflow_model import WorkflowDefinition, WorkflowState
-from repro.exceptions import ValidationError
 
 GOALS = PerformabilityGoals(max_waiting_time=0.2, max_unavailability=1e-5)
 
@@ -144,216 +137,6 @@ class TestCrossAlgorithmAgreement:
         )
         assert greedy.cost >= exhaustive.cost
         assert greedy.assessment.satisfied
-
-
-class TestProcessPoolBitIdentity:
-    def test_all_algorithms_identical_to_serial(self):
-        # One pool (2 spawn workers, small chunks so several futures fly
-        # per batch) serves all four algorithms back to back; every
-        # recommendation must equal the serial one as a whole dataclass
-        # — configuration, cost, assessment numerics, trace, and the
-        # evaluation count.
-        performance = make_performance()
-        searches = (
-            ("greedy", greedy_configuration, {}),
-            ("exhaustive", exhaustive_configuration, {}),
-            ("branch_and_bound", branch_and_bound_configuration, {}),
-            ("simulated_annealing", simulated_annealing_configuration,
-             {"iterations": 60, "seed": 7}),
-        )
-        with ProcessPoolEvaluator(workers=2, chunk_size=4) as executor:
-            for name, search, kwargs in searches:
-                serial = search(
-                    GoalEvaluator(performance), GOALS,
-                    SMALL_CONSTRAINTS, **kwargs,
-                )
-                parallel = search(
-                    GoalEvaluator(performance), GOALS,
-                    SMALL_CONSTRAINTS, executor=executor, **kwargs,
-                )
-                assert parallel == serial, name
-
-    def test_observed_parallel_search_propagates_worker_metrics(self):
-        from repro import obs
-
-        def counters():
-            return {
-                name: state["value"]
-                for name, state in (
-                    obs.registry().export_snapshot().items()
-                )
-                if state["kind"] == "counter"
-            }
-
-        performance = make_performance()
-        obs.reset()
-        obs.enable()
-        try:
-            serial = exhaustive_configuration(
-                GoalEvaluator(make_performance()), GOALS, SMALL_CONSTRAINTS
-            )
-            serial_counters = counters()
-            obs.reset()
-            with ProcessPoolEvaluator(workers=2, chunk_size=4) as executor:
-                parallel = exhaustive_configuration(
-                    GoalEvaluator(performance), GOALS,
-                    SMALL_CONSTRAINTS, executor=executor,
-                )
-            parallel_counters = counters()
-        finally:
-            obs.disable()
-            obs.reset()
-        assert parallel == serial
-        # Adoption-replayed families match the serial run exactly —
-        # worker exports exclude them, the parent replays them.
-        for name in (
-            "configuration.candidates_evaluated",
-            "configuration.goal_violations",
-            "configuration.search.iterations",
-            "evaluation_cache.assessments.misses",
-        ):
-            assert parallel_counters.get(name) == serial_counters.get(
-                name
-            ), name
-        # Worker model work is merged home: at least the serial amount
-        # (speculative evaluations can only add work, never hide it).
-        assert parallel_counters.get(
-            "performability.evaluations", 0.0
-        ) >= serial_counters["performability.evaluations"]
-        assert parallel_counters.get("obs.snapshots_merged", 0.0) > 0
-
-    def test_warm_up_reports_ready_workers(self):
-        evaluator = make_evaluator()
-        with ProcessPoolEvaluator(workers=2, chunk_size=4) as executor:
-            assert executor.warm_up(evaluator) == 2
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValidationError):
-            ProcessPoolEvaluator(workers=0)
-        with pytest.raises(ValidationError):
-            ProcessPoolEvaluator(chunk_size=0)
-
-
-class TestSerialEvaluator:
-    def test_slots_are_lazy(self):
-        evaluator = make_evaluator()
-        executor = SerialEvaluator()
-        configuration = SystemConfiguration(
-            {"comm": 1, "engine": 1, "app": 1}
-        )
-        from repro.core.search import Candidate
-
-        slots = executor.evaluate_batch(
-            evaluator, GOALS, [Candidate(configuration)]
-        )
-        assert evaluator.evaluation_count == 0
-        assessment = slots[0]()
-        assert evaluator.evaluation_count == 1
-        assert assessment.configuration == configuration
-
-
-class TestAdoption:
-    def test_adopt_matches_assess_and_counts_once(self):
-        performance = make_performance()
-        source = GoalEvaluator(performance)
-        configuration = SystemConfiguration(
-            {"comm": 1, "engine": 2, "app": 2}
-        )
-        assessment = source.assess(configuration, GOALS)
-
-        adopter = GoalEvaluator(performance)
-        adopted = adopter.adopt_assessment(assessment)
-        assert adopted == assessment
-        assert adopter.evaluation_count == 1
-        # A second adoption is an assessment-cache hit, not a new
-        # evaluation — exactly what a repeated serial assess would do.
-        assert adopter.adopt_assessment(assessment) == assessment
-        assert adopter.evaluation_count == 1
-
-    def test_assess_many_equals_individual_assess(self):
-        performance = make_performance()
-        configurations = [
-            SystemConfiguration({"comm": 1, "engine": 1, "app": count})
-            for count in (1, 2, 3)
-        ]
-        batched = GoalEvaluator(performance).assess_many(
-            configurations, GOALS
-        )
-        singles = [
-            GoalEvaluator(performance).assess(configuration, GOALS)
-            for configuration in configurations
-        ]
-        assert batched == singles
-
-
-class TestCacheSnapshots:
-    def test_export_merge_transfers_curves_and_pools(self):
-        performance = make_performance()
-        warm_cache = EvaluationCache()
-        warm = GoalEvaluator(performance, cache=warm_cache)
-        warm.assess(
-            SystemConfiguration({"comm": 2, "engine": 2, "app": 3}), GOALS
-        )
-        snapshot = warm_cache.export_snapshot()
-        assert snapshot["curves"]
-        assert snapshot["pools"]
-
-        cold_cache = EvaluationCache()
-        merged = cold_cache.merge_snapshot(snapshot)
-        assert merged["curve_points"] > 0
-        assert merged["pools"] == len(snapshot["pools"])
-        # The merged entries make the next evaluation hit the value
-        # caches without recomputing a single curve point.
-        cold = GoalEvaluator(performance, cache=cold_cache)
-        cold.assess(
-            SystemConfiguration({"comm": 2, "engine": 2, "app": 3}), GOALS
-        )
-        assert cold_cache.stats()["waiting_curve.points_computed"] == 0
-
-    def test_snapshot_excludes_assessments(self):
-        performance = make_performance()
-        cache = EvaluationCache()
-        evaluator = GoalEvaluator(performance, cache=cache)
-        evaluator.assess(
-            SystemConfiguration({"comm": 1, "engine": 1, "app": 1}), GOALS
-        )
-        assert "assessments" not in cache.export_snapshot()
-
-    def test_merge_into_disabled_cache_is_noop(self):
-        performance = make_performance()
-        warm_cache = EvaluationCache()
-        GoalEvaluator(performance, cache=warm_cache).assess(
-            SystemConfiguration({"comm": 1, "engine": 1, "app": 1}), GOALS
-        )
-        disabled = EvaluationCache(enabled=False)
-        merged = disabled.merge_snapshot(warm_cache.export_snapshot())
-        assert merged == {"curve_points": 0, "pools": 0}
-        assert disabled.stats()["waiting_curve.types"] == 0
-
-    def test_snapshot_is_json_serializable(self):
-        performance = make_performance()
-        cache = EvaluationCache()
-        GoalEvaluator(performance, cache=cache).assess(
-            SystemConfiguration({"comm": 1, "engine": 1, "app": 1}), GOALS
-        )
-        snapshot = cache.export_snapshot()
-        json.dumps(snapshot["curves"])  # curves are plain float lists
-
-
-class TestBoundedCachePeek:
-    def test_peek_does_not_touch_counters_or_recency(self):
-        cache = BoundedCache("test", maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        hits, misses = cache.hits, cache.misses
-        assert cache.peek("a") == 1
-        assert cache.peek("missing") is None
-        assert (cache.hits, cache.misses) == (hits, misses)
-        # peek("a") must not refresh "a": inserting "c" evicts the
-        # least-recently *used* entry, which is still "a".
-        cache.put("c", 3)
-        assert cache.peek("a") is None
-        assert cache.peek("b") == 2
 
 
 class TestRecommendationDocument:

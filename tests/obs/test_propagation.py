@@ -81,15 +81,6 @@ class TestRegistrySnapshots:
         registry.inc("loud", 2.0)
         assert set(registry.export_snapshot()) == {"loud"}
 
-    def test_exclude_prefixes(self):
-        registry = MetricsRegistry()
-        registry.inc("configuration.candidates_evaluated", 5.0)
-        registry.inc("linalg.direct.solves", 2.0)
-        snapshot = registry.export_snapshot(
-            exclude_prefixes=("configuration.",)
-        )
-        assert set(snapshot) == {"linalg.direct.solves"}
-
     def test_merge_creates_missing_metrics_with_help_and_kind(self):
         source = MetricsRegistry()
         source.inc("new.counter", 3.0)

@@ -63,6 +63,21 @@ class TestAssess:
         assert status == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_server_type_is_a_usage_error(
+        self, project_path, capsys
+    ):
+        status = main(
+            [
+                "assess",
+                "--project", str(project_path),
+                "--config", "comm-server=1,wf-engine=2,app-server=3,bogus=4",
+            ]
+        )
+        assert status == 2
+        captured = capsys.readouterr()
+        assert "unknown server type 'bogus' in --config" in captured.err
+        assert "bogus" not in captured.out
+
     def test_missing_project_file(self, tmp_path, capsys):
         status = main(
             [
@@ -218,21 +233,46 @@ class TestRecommend:
         assert sum(document["configuration"].values()) <= 12
         assert document["trace"]
 
-    def test_parallel_workers_match_serial(self, project_path, capsys):
-        arguments = [
-            "recommend",
-            "--project", str(project_path),
-            "--max-waiting", "0.15",
-            "--max-unavailability", "1e-5",
-            "--algorithm", "exhaustive",
-            "--max-total-servers", "12",
-            "--json",
-        ]
-        assert main(arguments) == 0
-        serial = json.loads(capsys.readouterr().out)
-        assert main(arguments + ["--workers", "2"]) == 0
-        parallel = json.loads(capsys.readouterr().out)
-        assert parallel == serial
+    @pytest.mark.parametrize(
+        ("entry", "message"),
+        [
+            ("app-server", "bad --fix entry 'app-server'"),
+            ("app-server=x", "bad replica count in 'app-server=x'"),
+            ("app-sever=3", "unknown server type 'app-sever' in --fix"),
+        ],
+        ids=["no-count", "bad-count", "unknown-type"],
+    )
+    def test_bad_fix_is_a_usage_error(
+        self, project_path, capsys, entry, message
+    ):
+        # A malformed pin must not escape as a traceback, and a misspelt
+        # type name must not be dropped, leaving the type unpinned.
+        status = main(
+            [
+                "recommend",
+                "--project", str(project_path),
+                "--max-unavailability", "1e-5",
+                "--fix", entry,
+            ]
+        )
+        assert status == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_workers_is_a_usage_error(self, project_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "recommend",
+                    "--project", str(project_path),
+                    "--max-unavailability", "1e-5",
+                    "--workers", "2",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_infeasible_goals_exit_1_with_violations(
         self, project_path, capsys
@@ -314,17 +354,6 @@ class TestRecommendFrontier:
         costs = [p["cost"] for p in document["points"]]
         assert costs == sorted(costs)
         assert document["recommended"]["cost"] == costs[0]
-
-    def test_parallel_workers_match_serial(self, project_path, capsys):
-        arguments = (
-            ["recommend", "--project", str(project_path), "--frontier",
-             "--json"]
-            + self.ARGUMENTS
-        )
-        assert main(arguments) == 0
-        serial = capsys.readouterr().out
-        assert main(arguments + ["--workers", "2"]) == 0
-        assert capsys.readouterr().out == serial
 
     def test_objectives_subset(self, project_path, capsys):
         arguments = (
