@@ -45,7 +45,7 @@ CONSTRAINTS = ReplicationConstraints(
 )
 
 
-def make_evaluator():
+def make_performance():
     types = extended_server_types()
     workload = Workload(
         [
@@ -54,7 +54,11 @@ def make_evaluator():
             WorkloadItem(loan_workflow(), 0.1),
         ]
     )
-    return GoalEvaluator(PerformanceModel(types, workload))
+    return PerformanceModel(types, workload)
+
+
+def make_evaluator():
+    return GoalEvaluator(make_performance())
 
 
 def test_e10_algorithm_comparison(benchmark):
@@ -100,7 +104,7 @@ def test_e10_algorithm_comparison(benchmark):
 def test_e10_evaluation_cost_is_small(benchmark):
     """One goal evaluation on the 5-type landscape stays in the
     millisecond range thanks to the marginal performability path."""
-    evaluator = make_evaluator()
+    performance = make_performance()
     from repro.core.performance import SystemConfiguration
 
     configuration = SystemConfiguration(
@@ -111,9 +115,8 @@ def test_e10_evaluation_cost_is_small(benchmark):
     )
 
     def evaluate_fresh():
-        # Bypass the evaluator cache to time the real work.
-        evaluator.cache.clear()
-        return evaluator.assess(configuration, GOALS)
+        # A fresh evaluator has a cold cache: time the real work.
+        return GoalEvaluator(performance).assess(configuration, GOALS)
 
     assessment = benchmark(evaluate_fresh)
     emit(

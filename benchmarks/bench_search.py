@@ -6,14 +6,18 @@ simulated annealing) on the five-type extended landscape twice:
 * **uncached** — every evaluator gets ``EvaluationCache(enabled=False)``,
   so each candidate is assessed from scratch (the reference path);
 * **cached** — all evaluators share one :class:`EvaluationCache`, so
-  per-type waiting-time curves, pool marginals, and whole assessments
-  are reused within and across the searches.
+  each server type's row (its waiting-time curve and its terms by
+  replica count) is built once and reused within and across the
+  searches; each evaluator memoizes its own assessments.
 
 Work is measured with the observability counters (primarily
 ``performance.waiting_time_points``, the number of single-type M/G/1
 waiting-time evaluations — the innermost unit of performance-model
 work) plus wall-clock time, and the two paths are compared for exact
-numerical equality.  The record is written to ``BENCH_search.json``.
+numerical equality.  The record, written to ``BENCH_search.json``,
+states the commit (``git describe --always --dirty``), the mode, and
+the input shape: landscape, workload, constraints, goals and
+algorithms.
 
 Usage::
 
@@ -30,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -77,18 +82,20 @@ WORK_COUNTERS = (
     "configuration.candidates_evaluated",
     "availability.steady_state_solves",
     "evaluation_cache.assessments.hits",
-    "evaluation_cache.waiting_curve.hits",
-    "evaluation_cache.pool_marginals.hits",
+    "evaluation_cache.type_terms.hits",
+)
+
+#: The workflow mix: (workflow factory, arrival rate per minute).
+WORKLOAD = (
+    (ecommerce_workflow, 0.3),
+    (order_processing_workflow, 0.15),
+    (loan_workflow, 0.1),
 )
 
 
 def make_performance_model() -> PerformanceModel:
     workload = Workload(
-        [
-            WorkloadItem(ecommerce_workflow(), 0.3),
-            WorkloadItem(order_processing_workflow(), 0.15),
-            WorkloadItem(loan_workflow(), 0.1),
-        ]
+        [WorkloadItem(build(), rate) for build, rate in WORKLOAD]
     )
     return PerformanceModel(extended_server_types(), workload)
 
@@ -102,6 +109,37 @@ def make_constraints(quick: bool) -> ReplicationConstraints:
         )},
         max_total_servers=14 if quick else 20,
     )
+
+
+def commit() -> str | None:
+    """The checked-out commit, ``-dirty`` when the tree has changes."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def input_shape(
+    goals: PerformabilityGoals, constraints: ReplicationConstraints
+) -> dict:
+    """The inputs the record was measured on (besides its mode)."""
+    return {
+        "landscape": list(extended_server_types().names),
+        "workload": {build().name: rate for build, rate in WORKLOAD},
+        "constraints": {
+            "maximum": dict(sorted(constraints.maximum.items())),
+            "max_total_servers": constraints.max_total_servers,
+        },
+        "goals": {
+            "max_waiting_time": goals.max_waiting_time,
+            "max_unavailability": goals.max_unavailability,
+        },
+        "algorithms": [name for name, _, _ in ALGORITHMS],
+    }
 
 
 def assessment_numerics(recommendation) -> dict:
@@ -216,7 +254,9 @@ def main(argv: list[str] | None = None) -> int:
     ]
     record = {
         "benchmark": "bench_search",
+        "commit": commit(),
         "mode": "quick" if args.quick else "full",
+        "input": input_shape(goals, constraints),
         "uncached": uncached,
         "cached": cached,
         "evaluation_reduction": (

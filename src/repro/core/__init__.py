@@ -28,7 +28,7 @@ from repro.core.ctmc import (
     remove_self_loops,
 )
 from repro.core.dtmc import AbsorbingDTMC, ErgodicDTMC
-from repro.core.evaluation_cache import EvaluationCache, model_fingerprint
+from repro.core.evaluation_cache import EvaluationCache
 from repro.core.goals import (
     GoalAssessment,
     GoalEvaluator,
@@ -134,7 +134,6 @@ __all__ = [
     "greedy_configuration",
     "hyperexponential_phase",
     "minimum_replicas_for_availability",
-    "model_fingerprint",
     "poisson_weights",
     "remove_self_loops",
     "simulated_annealing_configuration",

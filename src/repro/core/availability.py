@@ -124,13 +124,17 @@ class ServerPoolAvailability:
         """Independent-repair closed form ``(lambda/(lambda+mu))**Y``.
 
         Only valid for :attr:`RepairPolicy.INDEPENDENT`, where the replicas
-        are independent two-state chains; used as a test oracle.
+        are independent two-state chains; used as a test oracle.  The
+        down probability is divided out directly rather than taken as
+        ``1 - mu/(lambda+mu)``, whose subtraction cancels the leading
+        digits when ``lambda << mu``.
         """
         if self.policy is not RepairPolicy.INDEPENDENT:
             raise ValidationError(
                 "closed form only exists for independent repairs"
             )
-        down = 1.0 - self.spec.single_server_availability
+        failure_rate = self.spec.failure_rate
+        down = failure_rate / (failure_rate + self.spec.repair_rate)
         return down**self.count
 
 

@@ -19,7 +19,11 @@ from typing import Mapping
 
 from repro import obs
 from repro.core.availability import RepairPolicy
-from repro.core.evaluation_cache import EvaluationCache, model_fingerprint
+from repro.core.evaluation_cache import (
+    MAX_ASSESSMENTS,
+    BoundedCache,
+    EvaluationCache,
+)
 from repro.core.model_types import ServerTypeIndex
 from repro.core.performance import PerformanceModel, SystemConfiguration
 from repro.core.performability import (
@@ -234,15 +238,20 @@ class GoalEvaluator:
     """Evaluates configurations against performability goals.
 
     Assesses a candidate as a fold over one
-    :class:`~repro.core.performability.TypeTerm` per server type, taken
-    from an :class:`~repro.core.evaluation_cache.EvaluationCache` that
-    computes each ``(type, replica count)`` term once from the
-    performance model (built once per workload).  Whole assessments are
-    cached too, keyed by the *values* of the configuration and the
-    goals, which the iterating search of Section 7.2 relies on; passing
-    a shared cache lets several evaluators (e.g. one per search
-    algorithm) reuse terms, waiting curves, pool marginals, and whole
-    assessments across searches.
+    :class:`~repro.core.performability.TypeTerm` per server type, read
+    from the ``k`` :class:`~repro.core.performability.TypeRow` objects
+    the evaluator resolves once from its
+    :class:`~repro.core.evaluation_cache.EvaluationCache`; each row is
+    keyed by the type's spec, its total request rate and the
+    evaluator's policies, so a cache shared by several evaluators (one
+    per search algorithm, or one per recalibrated model) reuses the
+    terms of every type whose inputs did not move.  Whole assessments
+    are memoized per evaluator (up to
+    :data:`~repro.core.evaluation_cache.MAX_ASSESSMENTS`), keyed by the
+    *values* of the configuration and the goals, which the iterating
+    search of Section 7.2 relies on; :attr:`evaluation_count` counts
+    this evaluator's assessments that were not memoized.  A disabled
+    cache memoizes neither.
     """
 
     def __init__(
@@ -259,7 +268,24 @@ class GoalEvaluator:
         self.degraded_policy = degraded_policy
         self.penalty_waiting_time = penalty_waiting_time
         self.cache = cache if cache is not None else EvaluationCache()
-        self.cache.bind(model_fingerprint(performance))
+        self._rows = [
+            self.cache.row(
+                spec,
+                float(total),
+                repair_policy,
+                degraded_policy,
+                penalty_waiting_time,
+            )
+            for spec, total in zip(
+                performance.server_types.specs,
+                performance.total_request_rates(),
+            )
+        ]
+        self._assessments = (
+            BoundedCache("assessments", MAX_ASSESSMENTS)
+            if self.cache.enabled
+            else None
+        )
         self.evaluation_count = 0
 
     @property
@@ -267,50 +293,8 @@ class GoalEvaluator:
         """Server-type index shared by the underlying models."""
         return self.performance.server_types
 
-    def _cache_key(
-        self, configuration: SystemConfiguration
-    ) -> tuple[tuple[str, int], ...]:
-        return tuple(sorted(configuration.replicas.items()))
-
-    def _policy_key(self) -> tuple:
-        """Evaluator parameters an assessment's numbers depend on."""
-        return (
-            self.repair_policy.value,
-            self.degraded_policy.value,
-            self.penalty_waiting_time,
-        )
-
-    def _assessment_key(
-        self,
-        configuration: SystemConfiguration,
-        goals: PerformabilityGoals,
-    ) -> tuple:
-        """Canonical cache key of one (configuration, goals) assessment."""
-        return (
-            self._cache_key(configuration),
-            goals.cache_key(),
-            self._policy_key(),
-        )
-
-    def assess(
-        self,
-        configuration: SystemConfiguration,
-        goals: PerformabilityGoals,
-    ) -> GoalAssessment:
-        """Check one configuration against the goals (cached).
-
-        The cache key combines the canonical configuration tuple, the
-        goals' *values* (never object identity), and the evaluator's
-        policy parameters, so equal-valued goals objects share an entry
-        and dropped-and-recreated objects can never alias a stale one.
-        """
-        key = self._assessment_key(configuration, goals)
-        cached = self.cache.assessment(key)
-        if cached is not None:
-            return cached
-
-        self.evaluation_count += 1
-        obs.count("configuration.candidates_evaluated")
+    def _counts(self, configuration: SystemConfiguration) -> list[int]:
+        """Replica counts in type order; rejects any other configuration."""
         names = self.server_types.names
         replicas = configuration.replicas
         counts = [replicas.get(name, 0) for name in names]
@@ -319,13 +303,40 @@ class GoalEvaluator:
                 "every server type needs at least one configured replica; "
                 f"got {configuration}"
             )
-        terms = self.cache.type_terms(
-            self.performance,
-            counts,
-            self.repair_policy,
-            self.degraded_policy,
-            self.penalty_waiting_time,
-        )
+        if len(replicas) != len(counts):
+            unknown = sorted(set(replicas) - set(names))
+            raise ValidationError(
+                f"unknown server type(s) {', '.join(unknown)} in "
+                f"{configuration}; the model has {', '.join(names)}"
+            )
+        return counts
+
+    def assess(
+        self,
+        configuration: SystemConfiguration,
+        goals: PerformabilityGoals,
+    ) -> GoalAssessment:
+        """Check one configuration against the goals (memoized).
+
+        A configuration without a replica of every model type, or with
+        a type the model does not know, raises
+        :class:`~repro.exceptions.ValidationError` before anything is
+        counted.  The memo key combines the replica counts in type order
+        with the goals' *values* (never object identity), so
+        equal-valued goals objects share an entry and
+        dropped-and-recreated objects can never alias a stale one.
+        """
+        counts = self._counts(configuration)
+        key = (tuple(counts), goals.cache_key())
+        if self._assessments is not None:
+            cached = self._assessments.get(key)
+            if cached is not None:
+                return cached
+
+        self.evaluation_count += 1
+        obs.count("configuration.candidates_evaluated")
+        names = self.server_types.names
+        terms = self.cache.terms(self._rows, counts)
         violations: list[GoalViolation] = []
 
         unavailability = system_unavailability(terms)
@@ -390,5 +401,6 @@ class GoalEvaluator:
                 name: term.utilization for name, term in zip(names, terms)
             },
         )
-        self.cache.store_assessment(key, assessment)
+        if self._assessments is not None:
+            self._assessments.put(key, assessment)
         return assessment

@@ -29,8 +29,17 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.availability import AvailabilityModel, ServerPoolAvailability
-from repro.core.performance import PerformanceModel, SystemConfiguration
+from repro.core.availability import (
+    AvailabilityModel,
+    RepairPolicy,
+    ServerPoolAvailability,
+)
+from repro.core.model_types import ServerTypeSpec
+from repro.core.performance import (
+    PerformanceModel,
+    SystemConfiguration,
+    waiting_time_point,
+)
 from repro.exceptions import ValidationError
 
 
@@ -144,48 +153,80 @@ class TypeTerm:
     utilization: float
 
 
-def type_term(
-    performance: PerformanceModel,
-    type_index: int,
-    pool: ServerPoolAvailability,
-    waits: np.ndarray,
-    policy: DegradedStatePolicy,
-    penalty_waiting_time: float | None,
-) -> TypeTerm:
-    """The term of one server type with ``pool.count`` replicas.
+class TypeRow:
+    """One server type's terms by replica count, built on first use.
 
-    ``pool`` is the type's birth-death chain and ``waits`` its
-    waiting-time curve ``w_x(n)`` for ``n = 0..pool.count``; both come
-    from an :class:`~repro.core.evaluation_cache.EvaluationCache` in a
-    configuration search and are built fresh by
-    :class:`PerformabilityModel`.  This is the only implementation of
-    the per-type expectation, so the search and the model agree
-    bitwise.
+    A term of type ``x`` depends on nothing but the row's inputs — the
+    type's spec, its total request rate ``l_x``, and the repair policy,
+    degraded policy and penalty — plus the replica count; :attr:`key`
+    is exactly those inputs.  The row grows the waiting-time curve
+    ``w_x(n)`` as a prefix (a term of ``Y_x`` replicas reads
+    ``n = 0..Y_x``) and keeps each :class:`TypeTerm` it builds.  This
+    is the only implementation of the per-type expectation, so the
+    search (on rows shared through an
+    :class:`~repro.core.evaluation_cache.EvaluationCache`) and
+    :class:`PerformabilityModel` (on fresh rows) agree bitwise.
     """
-    marginal = np.asarray(pool.state_probabilities, dtype=float)
-    finite = np.isfinite(waits)
-    finite_mass = float(marginal[finite].sum())
-    infinite_mass = 1.0 - finite_mass
-    weighted = float(marginal[finite] @ waits[finite])
-    if policy is DegradedStatePolicy.CONDITIONAL:
-        expected = math.inf if finite_mass <= 0.0 else weighted / finite_mass
-    elif policy is DegradedStatePolicy.PENALTY:
-        assert penalty_waiting_time is not None
-        expected = weighted + infinite_mass * penalty_waiting_time
-    elif bool(np.any(marginal[~finite] > 0.0)):  # INFINITE
-        expected = math.inf
-    else:
-        expected = weighted
-    total = performance.total_request_rates()[type_index]
-    mean = performance.server_types.specs[type_index].mean_service_time
-    return TypeTerm(
-        unavailability=pool.unavailability,
-        availability=pool.availability,
-        expected_waiting_time=float(expected),
-        finite_mass=finite_mass,
-        failure_free_waiting_time=float(waits[pool.count]),
-        utilization=float(total / pool.count * mean),
-    )
+
+    def __init__(
+        self,
+        spec: ServerTypeSpec,
+        total: float,
+        repair_policy: RepairPolicy,
+        degraded_policy: DegradedStatePolicy,
+        penalty_waiting_time: float | None,
+    ) -> None:
+        self.key = (
+            spec, total, repair_policy, degraded_policy, penalty_waiting_time
+        )
+        self._curve: list[float] = []
+        #: Terms built so far, by replica count.
+        self.terms: dict[int, TypeTerm] = {}
+
+    def waits(self, count: int) -> np.ndarray:
+        """The curve ``w_x(n)`` for ``n = 0..count``, as a fresh array."""
+        spec, total = self.key[:2]
+        for n in range(len(self._curve), count + 1):
+            self._curve.append(float(waiting_time_point(spec, total, n)))
+        return np.array(self._curve[: count + 1], dtype=float)
+
+    def term(self, count: int) -> TypeTerm:
+        """The term of ``count`` replicas (built and kept on first use)."""
+        term = self.terms.get(count)
+        if term is None:
+            term = self.terms[count] = self._build(count)
+        return term
+
+    def _build(self, count: int) -> TypeTerm:
+        spec, total, repair_policy, policy, penalty_waiting_time = self.key
+        pool = ServerPoolAvailability(
+            spec=spec, count=count, policy=repair_policy
+        )
+        waits = self.waits(count)
+        marginal = np.asarray(pool.state_probabilities, dtype=float)
+        finite = np.isfinite(waits)
+        finite_mass = float(marginal[finite].sum())
+        infinite_mass = 1.0 - finite_mass
+        weighted = float(marginal[finite] @ waits[finite])
+        if policy is DegradedStatePolicy.CONDITIONAL:
+            expected = (
+                math.inf if finite_mass <= 0.0 else weighted / finite_mass
+            )
+        elif policy is DegradedStatePolicy.PENALTY:
+            assert penalty_waiting_time is not None
+            expected = weighted + infinite_mass * penalty_waiting_time
+        elif bool(np.any(marginal[~finite] > 0.0)):  # INFINITE
+            expected = math.inf
+        else:
+            expected = weighted
+        return TypeTerm(
+            unavailability=pool.unavailability,
+            availability=pool.availability,
+            expected_waiting_time=float(expected),
+            finite_mass=finite_mass,
+            failure_free_waiting_time=float(waits[count]),
+            utilization=float(total / count * spec.mean_service_time),
+        )
 
 
 def system_unavailability(terms: Sequence[TypeTerm]) -> float:
@@ -286,9 +327,9 @@ class PerformabilityModel:
         type ``x`` depends on the system state only through ``X_x``; the
         expectation then separates into per-type birth-death marginals,
         turning an O(prod(Y_x + 1)) evaluation into O(sum(Y_x)).  It is
-        the :func:`type_term` fold that
-        :meth:`~repro.core.goals.GoalEvaluator.assess` runs on cached
-        terms, so both produce the same report bitwise.  Both methods
+        the :class:`TypeRow` term fold that
+        :meth:`~repro.core.goals.GoalEvaluator.assess` runs on shared
+        rows, so both produce the same report bitwise.  Both methods
         return identical values (cross-checked in the tests); the fast
         path is what makes configuration search over many server types
         practical.
@@ -304,30 +345,23 @@ class PerformabilityModel:
         raise ValidationError(f"unknown performability method {method!r}")
 
     def _expected_waiting_times_marginal(self) -> PerformabilityReport:
-        """The per-type term fold, on freshly built pools and curves."""
+        """The per-type term fold, on fresh :class:`TypeRow` objects."""
+        configuration = self.availability.configuration
+        names = self.performance.server_types.names
         terms = [
-            type_term(
-                self.performance,
-                i,
-                pool,
-                np.array(
-                    [
-                        self.performance.waiting_time_for_count(i, n)
-                        for n in range(pool.count + 1)
-                    ],
-                    dtype=float,
-                ),
+            TypeRow(
+                spec,
+                float(total),
+                self.availability.policy,
                 self.policy,
                 self.penalty_waiting_time,
+            ).term(configuration.count(spec.name))
+            for spec, total in zip(
+                self.performance.server_types.specs,
+                self.performance.total_request_rates(),
             )
-            for i, pool in enumerate(self.availability.pools().values())
         ]
-        return fold_report(
-            self.availability.configuration,
-            self.performance.server_types.names,
-            terms,
-            self.policy,
-        )
+        return fold_report(configuration, names, terms, self.policy)
 
     def _expected_waiting_times_joint(self) -> PerformabilityReport:
         probabilities = self.availability.state_probabilities()

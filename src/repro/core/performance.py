@@ -25,7 +25,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.ctmc import VisitMethod
-from repro.core.model_types import ServerTypeIndex
+from repro.core.model_types import ServerTypeIndex, ServerTypeSpec
 from repro.core.workflow_model import (
     WorkflowCTMC,
     WorkflowDefinition,
@@ -33,6 +33,42 @@ from repro.core.workflow_model import (
 )
 from repro.exceptions import SaturationError, ValidationError
 from repro.queueing import mg1_mean_waiting_time, pooled_service_moments
+
+
+def waiting_time_point(
+    spec: ServerTypeSpec, total: float, available: int, strict: bool = False
+) -> float:
+    """Waiting time ``w_x(n)`` of one type with ``n`` running replicas.
+
+    The Section 4.4 waiting time of a type depends on the system state
+    only through its *own* pool size, and on the workload only through
+    the type's total request rate ``l_x`` (``total``), so this
+    single-point evaluation is the unit a type's waiting-time curve
+    (:class:`~repro.core.performability.TypeRow`) grows by.  Follows
+    the uniform convention (0.0 for no load, ``inf`` only for
+    saturation); ``strict`` is forwarded to
+    :func:`mg1_mean_waiting_time`, so a saturated pool raises
+    :class:`~repro.exceptions.SaturationError` instead of returning
+    ``inf``.
+    """
+    obs.count("performance.waiting_time_points")
+    if available <= 0:
+        if total > 0.0:
+            if strict:
+                raise SaturationError(
+                    f"no running replica of {spec.name} for its "
+                    f"request rate {total:g}"
+                )
+            return math.inf
+        rate = 0.0
+    else:
+        rate = total / available
+    return mg1_mean_waiting_time(
+        rate,
+        spec.mean_service_time,
+        spec.second_moment_service_time,
+        strict=strict,
+    )
 
 
 @dataclass(frozen=True)
@@ -303,8 +339,9 @@ class PerformanceModel:
 
         Every configuration-evaluation path (utilizations, waiting
         times, goal assessment) depends on the workload only through the
-        per-type total request rates ``l_x`` — exactly the second half
-        of :func:`~repro.core.evaluation_cache.model_fingerprint`.  The
+        per-type total request rates ``l_x``, which with the server-type
+        specs key the evaluation cache's rows
+        (:class:`~repro.core.evaluation_cache.EvaluationCache`).  The
         recommendation service therefore builds its calibrated model
         from per-type totals alone instead of per-workflow CTMCs, and
         the model computes bitwise-identical results for the same
@@ -523,34 +560,13 @@ class PerformanceModel:
     ) -> float:
         """Waiting time ``w_x(n)`` of one type with ``n`` running replicas.
 
-        The Section 4.4 waiting time of a type depends on the system
-        state only through its *own* pool size, so this single-point
-        evaluation is the unit the shared waiting-time curve cache
-        (:class:`~repro.core.evaluation_cache.EvaluationCache`) stores
-        and reuses across search candidates.  Follows the uniform
-        convention (0.0 for no load, ``inf`` only for saturation);
-        ``strict`` is forwarded to :func:`mg1_mean_waiting_time`, so a
-        saturated pool raises :class:`~repro.exceptions.SaturationError`
-        instead of returning ``inf``.
+        :func:`waiting_time_point` on the type's spec and total request
+        rate ``l_x``.
         """
-        spec = self.server_types.specs[type_index]
-        total = float(self._total_request_rates[type_index])
-        obs.count("performance.waiting_time_points")
-        if available <= 0:
-            if total > 0.0:
-                if strict:
-                    raise SaturationError(
-                        f"no running replica of {spec.name} for its "
-                        f"request rate {total:g}"
-                    )
-                return math.inf
-            rate = 0.0
-        else:
-            rate = total / available
-        return mg1_mean_waiting_time(
-            rate,
-            spec.mean_service_time,
-            spec.second_moment_service_time,
+        return waiting_time_point(
+            self.server_types.specs[type_index],
+            float(self._total_request_rates[type_index]),
+            available,
             strict=strict,
         )
 

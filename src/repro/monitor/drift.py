@@ -16,11 +16,11 @@ Page–Hinkley / CUSUM-style sequential change detectors:
   families the paper calibrates (transition probabilities, residence
   times, arrival rates), feeds them from a
   :class:`~repro.monitor.stream.StreamingCalibrator`, emits
-  ``monitor.drift.*`` obs counters and structured trace events, and on
-  a confirmed drift invalidates attached
-  :class:`~repro.core.evaluation_cache.EvaluationCache` instances so
-  the next configuration search re-evaluates against freshly
-  calibrated models — closing the paper's reconfiguration loop.
+  ``monitor.drift.*`` obs counters and structured trace events, and
+  reports each confirmed drift to an optional callback — the trigger
+  of the re-search that closes the paper's reconfiguration loop.  No
+  evaluation cache needs telling: the next search evaluates a freshly
+  calibrated model, whose moved parameters key new cache rows.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro import obs
-from repro.core.evaluation_cache import EvaluationCache
 from repro.exceptions import ValidationError
 from repro.monitor.audit import (
     InstanceRecord,
@@ -261,7 +260,7 @@ class DriftEvent:
 
 
 class DriftMonitor:
-    """Watch a record stream for parameter drift; invalidate on hit.
+    """Watch a record stream for parameter drift; report each hit.
 
     Feeds every record to an internal (or shared) streaming calibrator
     and to lazily created Page–Hinkley detectors:
@@ -277,10 +276,9 @@ class DriftMonitor:
 
     On a confirmed drift the monitor records ``monitor.drift.confirmed``
     (plus a per-family counter), emits a structured ``monitor.drift``
-    trace event, invalidates every attached evaluation cache so the
-    next search re-evaluates with fresh parameters, resets the firing
-    detector to re-learn the new regime, and reports the
-    :class:`DriftEvent` to the caller and the optional callback.
+    trace event, resets the firing detector to re-learn the new
+    regime, and reports the :class:`DriftEvent` to the caller and the
+    optional ``on_drift`` callback.
     """
 
     def __init__(
@@ -291,7 +289,6 @@ class DriftMonitor:
         min_samples: int = 30,
         indicator_delta: float = 0.1,
         indicator_threshold: float = 8.0,
-        caches: Iterable[EvaluationCache] = (),
         on_drift: Callable[["DriftEvent"], None] | None = None,
     ) -> None:
         self.calibrator = (
@@ -303,7 +300,6 @@ class DriftMonitor:
         self.indicator_delta = indicator_delta
         self.indicator_threshold = indicator_threshold
         self.events: list[DriftEvent] = []
-        self._caches: list[EvaluationCache] = list(caches)
         self._on_drift = on_drift
         self._residence: dict[tuple[str, str], PageHinkleyDetector] = {}
         self._interarrival: dict[str, PageHinkleyDetector] = {}
@@ -313,12 +309,8 @@ class DriftMonitor:
         self._last_completion: dict[str, float] = {}
 
     # ------------------------------------------------------------------
-    # Wiring
+    # Verdict
     # ------------------------------------------------------------------
-    def attach_cache(self, cache: EvaluationCache) -> None:
-        """Invalidate ``cache`` whenever a drift is confirmed."""
-        self._caches.append(cache)
-
     @property
     def has_drift(self) -> bool:
         """Whether any drift has been confirmed so far."""
@@ -449,9 +441,6 @@ class DriftMonitor:
             threshold=event.threshold,
             records_seen=event.records_seen,
         )
-        for cache in self._caches:
-            cache.invalidate(reason=f"drift: {kind} {subject}")
-            obs.count("monitor.drift.cache_invalidations")
         detector.reset()
         if self._on_drift is not None:
             self._on_drift(event)
@@ -506,12 +495,11 @@ class DriftMonitor:
     def restore_state(
         cls,
         state: dict[str, Any],
-        caches: Iterable[EvaluationCache] = (),
         on_drift: Callable[["DriftEvent"], None] | None = None,
     ) -> "DriftMonitor":
         """Rebuild a monitor (and its calibrator) from a snapshot.
 
-        ``caches``/``on_drift`` re-attach the live wiring a snapshot
+        ``on_drift`` re-attaches the live callback a snapshot
         deliberately does not carry.  The restored monitor confirms
         future drifts on exactly the records the original would have.
         """
@@ -529,7 +517,6 @@ class DriftMonitor:
             min_samples=int(config["min_samples"]),
             indicator_delta=float(config["indicator_delta"]),
             indicator_threshold=float(config["indicator_threshold"]),
-            caches=caches,
             on_drift=on_drift,
         )
         monitor.events = [

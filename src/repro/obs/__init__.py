@@ -96,14 +96,10 @@ DECLARED_METRICS: tuple[tuple[str, str, str], ...] = (
      "Goal-assessment cache hits"),
     ("counter", "evaluation_cache.assessments.misses",
      "Goal-assessment cache misses"),
-    ("counter", "evaluation_cache.waiting_curve.hits",
-     "Per-type waiting-time curve cache hits"),
-    ("counter", "evaluation_cache.waiting_curve.misses",
-     "Per-type waiting-time curve cache misses"),
-    ("counter", "evaluation_cache.pool_marginals.hits",
-     "Per-pool birth-death marginal cache hits"),
-    ("counter", "evaluation_cache.pool_marginals.misses",
-     "Per-pool birth-death marginal cache misses"),
+    ("counter", "evaluation_cache.rows.hits",
+     "Per-type term rows found in the shared evaluation cache"),
+    ("counter", "evaluation_cache.rows.misses",
+     "Per-type term rows created in the shared evaluation cache"),
     ("counter", "evaluation_cache.type_terms.hits",
      "Per-(server type, replica count) term cache hits"),
     ("counter", "evaluation_cache.type_terms.misses",
@@ -150,10 +146,6 @@ DECLARED_METRICS: tuple[tuple[str, str, str], ...] = (
      "Audit-trail records ingested by the streaming calibrator"),
     ("counter", "monitor.drift.confirmed",
      "Confirmed parameter drifts across all drift detectors"),
-    ("counter", "monitor.drift.cache_invalidations",
-     "Evaluation caches invalidated after a confirmed drift"),
-    ("counter", "evaluation_cache.invalidations",
-     "Explicit evaluation-cache invalidations (drift or manual)"),
 )
 
 _registry = MetricsRegistry(enabled=False)

@@ -141,11 +141,11 @@ class _MetricsHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer carrying a back-reference to its owner.
 
     Shutdown is made deterministic for rapid stop/start cycles (the
-    test suite and the service's warm restart both rebind the same
-    port immediately):
+    test suite and the service's warm restart both bind the same port
+    again immediately):
 
     * ``allow_reuse_address`` (``SO_REUSEADDR``) lets a fresh server
-      rebind while the previous socket lingers in ``TIME_WAIT``;
+      bind again while the previous socket lingers in ``TIME_WAIT``;
     * ``block_on_close = False`` keeps :meth:`server_close` from
       joining handler threads — a client that connected and went
       silent would otherwise park ``stop()`` until its (daemon)
@@ -233,7 +233,7 @@ class MetricsServer:
 
         ``server_close()`` closes the listening socket immediately and
         — with ``block_on_close = False`` — never waits on handler
-        threads, so the port is free for rebinding the moment this
+        threads, so the port is free to bind again the moment this
         returns (``SO_REUSEADDR`` covers the ``TIME_WAIT`` tail).
         """
         if self._server is None:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core.configuration import SEARCHES
-from repro.core.evaluation_cache import EvaluationCache, model_fingerprint
+from repro.core.evaluation_cache import EvaluationCache
 from repro.core.goals import GoalEvaluator, PerformabilityGoals
 from repro.core.model_types import ServerTypeIndex, ServerTypeSpec
 from repro.core.performance import PerformanceModel
@@ -226,12 +226,13 @@ def recommend_from_calibration(
 ) -> dict[str, Any]:
     """Run the full §7 loop tail on the current calibration.
 
-    Builds the calibrated model, re-binds ``cache`` to its fingerprint
-    (:meth:`~repro.core.evaluation_cache.EvaluationCache.rebind` keeps
-    still-valid curves and pool marginals, drops the rest), clears the
-    assessment cache so the ``evaluations`` accounting matches a cold
-    run, executes the configured search, and returns the canonical
-    document.  An infeasible search is a *result*, not an error: the
+    Builds the calibrated model, evaluates it with a fresh
+    :class:`~repro.core.goals.GoalEvaluator` on ``cache`` (a warm cache
+    shares the rows of every server type whose spec and request rate
+    did not move; the evaluator's own assessment memo starts empty, so
+    the ``evaluations`` accounting matches a cold run), executes the
+    configured search, and returns the canonical document.  An
+    infeasible search is a *result*, not an error: the
     document carries ``"feasible": false`` plus the violations of the
     best configuration found.
 
@@ -242,11 +243,6 @@ def recommend_from_calibration(
     """
     settings = settings if settings is not None else SearchSettings()
     model = calibrated_model(calibrator, baseline, observation_period)
-    fingerprint = model_fingerprint(model)
-    if cache is None:
-        cache = EvaluationCache()
-    cache.rebind(fingerprint, reason="service recalibration")
-    cache.clear_assessments()
     evaluator = GoalEvaluator(model, cache=cache)
     constraints = ReplicationConstraints(
         fixed=dict(settings.fixed),

@@ -39,12 +39,10 @@ DEFAULT_TENANT = "default"
 class TenantState:
     """One tenant's calibration, drift, cache, and published result.
 
-    The evaluation cache is deliberately *not* attached to the drift
-    monitor: attachment would wipe the cache wholesale on every
-    confirmed drift, whereas the pipeline re-binds it incrementally at
-    search time
-    (:meth:`~repro.core.evaluation_cache.EvaluationCache.rebind`),
-    keeping every curve and pool marginal whose inputs did not move.
+    The evaluation cache outlives recalibrations and drift: its rows
+    are keyed by each server type's spec and request rate, so after a
+    drift the next search recomputes only the types whose calibrated
+    inputs moved and reuses the rest, with nothing to invalidate.
     """
 
     def __init__(

@@ -293,7 +293,7 @@ class SimulatedWFMS:
             }
             # Direct append handles into each pool's arrival buffers:
             # replay_until() empties the lists with clear(), never
-            # rebinds them, so the bound methods stay valid.
+            # replaces them, so the bound methods stay valid.
             self._pool_buffers = {
                 name: (
                     pool._pending_times.append,

@@ -13,6 +13,13 @@ from repro.core.availability import (
 from repro.core.model_types import ServerTypeIndex, ServerTypeSpec
 from repro.core.performance import SystemConfiguration
 from repro.exceptions import ValidationError
+from repro.workflows import extended_server_types, standard_server_types
+
+#: Every server type of both shipped landscapes.
+LANDSCAPE_SPECS = [
+    *standard_server_types().specs,
+    *extended_server_types().specs,
+]
 
 
 @pytest.fixture
@@ -136,12 +143,15 @@ class TestServerPool:
         assert pool.unavailability == pytest.approx(0.25)
 
     def test_independent_repair_product_form(self):
-        spec = ServerTypeSpec("x", 1.0, failure_rate=0.2, repair_rate=2.0)
-        for count in (1, 2, 4):
-            pool = ServerPoolAvailability(spec, count=count)
-            assert pool.unavailability == pytest.approx(
-                pool.unavailability_closed_form(), rel=1e-12
-            )
+        # At the landscapes' realistic rates (lambda << mu) both the
+        # birth-death chain and the closed form are within a few ulp of
+        # exact rational arithmetic.
+        for spec in LANDSCAPE_SPECS:
+            for count in range(1, 9):
+                pool = ServerPoolAvailability(spec, count=count)
+                assert pool.unavailability == pytest.approx(
+                    pool.unavailability_closed_form(), rel=1e-14, abs=0.0
+                )
 
     def test_unavailability_decreases_geometrically(self):
         spec = ServerTypeSpec("x", 1.0, failure_rate=0.1, repair_rate=1.0)
@@ -216,6 +226,27 @@ class TestModelQueries:
         model = AvailabilityModel(paper_types, config(paper_types, (1, 1, 1)))
         with pytest.raises(ValidationError):
             model.downtime_per_year("fortnights")
+
+
+#: Standard-landscape counts whose unavailability spans 1.4e-6 down to
+#: 1.6e-11.
+JOINT_COUNTS = [(2, 2, 3), (3, 3, 4), (4, 4, 4), (4, 4, 5), (5, 5, 5)]
+
+
+class TestJointNumerics:
+    @pytest.mark.parametrize("counts", JOINT_COUNTS, ids=str)
+    @pytest.mark.parametrize("method", ["direct", "gauss_seidel", "sparse"])
+    def test_joint_ctmc_matches_product_form(self, method, counts):
+        # Each solver's error stays near 1e-16 absolute, so its relative
+        # error grows as the unavailability falls (2e-5 at 1.6e-11).
+        types = standard_server_types()
+        model = AvailabilityModel(
+            types, SystemConfiguration(dict(zip(types.names, counts)))
+        )
+        joint = model.unavailability(method="joint", solve_method=method)
+        assert joint == pytest.approx(
+            model.unavailability(), rel=0.0, abs=1e-14
+        )
 
 
 class TestMinimumReplicas:

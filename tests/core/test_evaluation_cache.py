@@ -3,7 +3,12 @@
 import gc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import obs
+from repro.core import goals as goals_module
+from repro.core import performability
 from repro.core.availability import RepairPolicy
 from repro.core.configuration import (
     ReplicationConstraints,
@@ -12,18 +17,14 @@ from repro.core.configuration import (
     greedy_configuration,
     simulated_annealing_configuration,
 )
-from repro.core import evaluation_cache
-from repro.core.evaluation_cache import (
-    BoundedCache,
-    EvaluationCache,
-    model_fingerprint,
-)
+from repro.core.evaluation_cache import BoundedCache, EvaluationCache
 from repro.core.goals import GoalEvaluator, PerformabilityGoals
 from repro.core.model_types import (
     ActivitySpec,
     ServerTypeIndex,
     ServerTypeSpec,
 )
+from repro.core.performability import DegradedStatePolicy, TypeRow
 from repro.core.performance import (
     PerformanceModel,
     SystemConfiguration,
@@ -83,134 +84,213 @@ class TestBoundedCache:
         assert len(cache) == 2
 
 
-class TestFingerprintBinding:
-    def test_same_fingerprint_rebinds_quietly(self):
-        cache = EvaluationCache()
-        performance = make_performance()
-        GoalEvaluator(performance, cache=cache)
-        GoalEvaluator(make_performance(), cache=cache)  # equal values
+FAST = ServerTypeSpec("fast", 0.05, failure_rate=0.001, repair_rate=0.1)
 
-    def test_different_model_raises(self):
-        cache = EvaluationCache()
-        GoalEvaluator(make_performance(arrival_rate=0.8), cache=cache)
-        with pytest.raises(ValidationError):
-            GoalEvaluator(make_performance(arrival_rate=0.9), cache=cache)
 
-    def test_clear_drops_binding(self):
-        cache = EvaluationCache()
-        GoalEvaluator(make_performance(arrival_rate=0.8), cache=cache)
-        cache.clear()
-        GoalEvaluator(make_performance(arrival_rate=0.9), cache=cache)
+def fast_row():
+    """A row of the ``fast`` type under the default policies."""
+    return TypeRow(
+        FAST,
+        2.4,
+        RepairPolicy.INDEPENDENT,
+        DegradedStatePolicy.CONDITIONAL,
+        None,
+    )
 
-    def test_fingerprint_reflects_service_times(self):
-        first = model_fingerprint(make_performance(fast_service=0.05))
-        second = model_fingerprint(make_performance(fast_service=0.06))
-        assert first != second
-        assert first == model_fingerprint(make_performance(fast_service=0.05))
+
+@pytest.fixture
+def points(monkeypatch):
+    """Record every waiting-time point a row computes, returning ``n``."""
+    computed = []
+
+    def point(spec, total, n):
+        computed.append(n)
+        return float(n)
+
+    monkeypatch.setattr(performability, "waiting_time_point", point)
+    return computed
+
+
+@pytest.fixture
+def pools_built(monkeypatch):
+    """Record the ``(type, count)`` of every birth-death pool built."""
+    built = []
+    real = performability.ServerPoolAvailability
+
+    def pool(spec, count, policy):
+        built.append((spec.name, count))
+        return real(spec=spec, count=count, policy=policy)
+
+    monkeypatch.setattr(performability, "ServerPoolAvailability", pool)
+    return built
+
+
+@pytest.fixture
+def counters():
+    """Nonzero assessment counters recorded since the test started."""
+    obs.reset()
+    obs.enable()
+    names = (
+        "configuration.candidates_evaluated",
+        "evaluation_cache.assessments.hits",
+        "evaluation_cache.assessments.misses",
+        "evaluation_cache.type_terms.misses",
+    )
+    yield lambda: {
+        name: obs.registry().counter(name).value
+        for name in names
+        if obs.registry().counter(name).value
+    }
+    obs.disable()
+    obs.reset()
 
 
 class TestWaitingCurves:
-    def test_curve_grows_monotonically(self):
-        cache = EvaluationCache()
-        computed = []
-
-        def compute(n):
-            computed.append(n)
-            return float(n)
-
-        short = cache.waiting_curve("fast", 2, compute)
-        longer = cache.waiting_curve("fast", 4, compute)
+    def test_curve_grows_monotonically(self, points):
+        row = fast_row()
+        short = row.waits(2)
+        longer = row.waits(4)
         assert list(short) == [0.0, 1.0, 2.0]
         assert list(longer) == [0.0, 1.0, 2.0, 3.0, 4.0]
         # The prefix 0..2 was computed once, never recomputed.
-        assert computed == [0, 1, 2, 3, 4]
-        assert cache.curve_points_computed == 5
+        assert points == [0, 1, 2, 3, 4]
 
-    def test_prefix_request_is_a_pure_hit(self):
-        cache = EvaluationCache()
-        cache.waiting_curve("fast", 3, float)
-        again = cache.waiting_curve("fast", 1, pytest.fail)
+    def test_prefix_request_is_a_pure_hit(self, points):
+        row = fast_row()
+        row.waits(3)
+        again = row.waits(1)
         assert list(again) == [0.0, 1.0]
-        assert cache.curve_hits == 1
+        assert points == [0, 1, 2, 3]
 
-    def test_returned_array_is_a_copy(self):
-        cache = EvaluationCache()
-        first = cache.waiting_curve("fast", 2, float)
+    def test_returned_array_is_a_copy(self, points):
+        row = fast_row()
+        first = row.waits(2)
         first[0] = 99.0
-        second = cache.waiting_curve("fast", 2, float)
+        second = row.waits(2)
         assert second[0] == 0.0
 
-    def test_disabled_cache_always_computes(self, monkeypatch):
+    def test_disabled_cache_always_computes(self, points, pools_built):
         cache = EvaluationCache(enabled=False)
-        calls = []
-
-        def compute(n):
-            calls.append(n)
-            return float(n)
-
-        cache.waiting_curve("fast", 1, compute)
-        cache.waiting_curve("fast", 1, compute)
-        assert calls == [0, 1, 0, 1]
-        assert cache.curve_hits == 0
-
-        # Terms too: every candidate recomputes every type's term.
-        terms_built = []
-        real_type_term = evaluation_cache.type_term
-
-        def spy(performance, type_index, pool, waits, *policy):
-            terms_built.append((type_index, pool.count))
-            return real_type_term(performance, type_index, pool, waits, *policy)
-
-        monkeypatch.setattr(evaluation_cache, "type_term", spy)
         evaluator = GoalEvaluator(make_performance(), cache=cache)
         goals = PerformabilityGoals(max_waiting_time=10.0)
         first = SystemConfiguration({"fast": 2, "slow": 2})
         second = SystemConfiguration({"fast": 2, "slow": 3})
         for configuration in (first, first, second):
             evaluator.assess(configuration, goals)
-        assert terms_built == [
-            (0, 2), (1, 2), (0, 2), (1, 2), (0, 2), (1, 3)
+        # Every candidate rebuilds every type's term from a fresh row,
+        # whole curve included, and nothing is memoized.
+        assert pools_built == [
+            ("fast", 2), ("slow", 2), ("fast", 2), ("slow", 2),
+            ("fast", 2), ("slow", 3),
         ]
-        stats = cache.stats()
-        assert stats["type_terms.size"] == 0
-        assert stats["type_terms.hits"] == stats["type_terms.misses"] == 0
+        assert points == [0, 1, 2] * 5 + [0, 1, 2, 3]
+        assert evaluator.evaluation_count == 3
+        assert cache.stats() == {
+            "rows.size": 0, "rows.hits": 0, "rows.misses": 0,
+            "type_terms.hits": 0, "type_terms.misses": 0, "evictions": 0,
+        }
 
 
 class TestPoolSharing:
-    def test_same_spec_count_policy_shares_one_pool(self):
+    def test_same_spec_count_policy_shares_one_pool(self, pools_built):
         cache = EvaluationCache()
-        spec = ServerTypeSpec(
-            "fast", 0.05, failure_rate=0.001, repair_rate=0.1
-        )
-        first = cache.pool(spec, 3, RepairPolicy.INDEPENDENT)
-        second = cache.pool(spec, 3, RepairPolicy.INDEPENDENT)
-        assert first is second
-        third = cache.pool(spec, 2, RepairPolicy.INDEPENDENT)
-        assert third is not first
+        goals = PerformabilityGoals(max_waiting_time=10.0)
+        # Two evaluators of equal-valued but distinct models share rows.
+        for slow in (1, 2):
+            GoalEvaluator(make_performance(), cache=cache).assess(
+                SystemConfiguration({"fast": 3, "slow": slow}), goals
+            )
+        assert pools_built == [("fast", 3), ("slow", 1), ("slow", 2)]
+        assert cache.stats()["rows.size"] == 2
+        assert cache.stats()["rows.hits"] == 2
 
-    def test_disabled_cache_builds_fresh_pools(self):
+    def test_disabled_cache_builds_fresh_pools(self, pools_built):
         cache = EvaluationCache(enabled=False)
-        spec = ServerTypeSpec(
-            "fast", 0.05, failure_rate=0.001, repair_rate=0.1
-        )
-        first = cache.pool(spec, 3, RepairPolicy.INDEPENDENT)
-        second = cache.pool(spec, 3, RepairPolicy.INDEPENDENT)
-        assert first is not second
+        evaluator = GoalEvaluator(make_performance(), cache=cache)
+        goals = PerformabilityGoals(max_waiting_time=10.0)
+        for slow in (1, 2):
+            evaluator.assess(
+                SystemConfiguration({"fast": 3, "slow": slow}), goals
+            )
+        assert pools_built == [
+            ("fast", 3), ("slow", 1), ("fast", 3), ("slow", 2)
+        ]
 
 
 class TestAssessmentEviction:
-    def test_assessments_are_bounded(self):
-        cache = EvaluationCache(max_assessments=8)
-        evaluator = GoalEvaluator(make_performance(), cache=cache)
+    def test_assessments_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(goals_module, "MAX_ASSESSMENTS", 8)
+        evaluator = GoalEvaluator(make_performance())
         goals = PerformabilityGoals(max_waiting_time=1e6)
-        for fast in range(1, 5):
-            for slow in range(1, 5):
+        candidates = [
+            SystemConfiguration({"fast": fast, "slow": slow})
+            for fast in range(1, 5)
+            for slow in range(1, 5)
+        ]
+        for configuration in candidates:
+            evaluator.assess(configuration, goals)
+        assert evaluator.evaluation_count == 16
+        # The 8 most recent assessments are memoized ...
+        for configuration in candidates[8:]:
+            evaluator.assess(configuration, goals)
+        assert evaluator.evaluation_count == 16
+        # ... and the 8 oldest were evicted.
+        evaluator.assess(candidates[0], goals)
+        assert evaluator.evaluation_count == 17
+
+
+class TestRows:
+    def test_equal_inputs_share_one_row(self):
+        cache = EvaluationCache()
+        policies = (
+            RepairPolicy.INDEPENDENT, DegradedStatePolicy.CONDITIONAL, None
+        )
+        twin = ServerTypeSpec(
+            "fast", 0.05, failure_rate=0.001, repair_rate=0.1
+        )
+        row = cache.row(FAST, 2.4, *policies)
+        assert cache.row(twin, 2.4, *policies) is row
+        assert cache.row(FAST, 2.5, *policies) is not row
+        assert cache.row(
+            FAST, 2.4, RepairPolicy.SINGLE_CREW, *policies[1:]
+        ) is not row
+
+    def test_rows_are_bounded(self, monkeypatch):
+        from repro.core import evaluation_cache
+
+        monkeypatch.setattr(evaluation_cache, "MAX_ROWS", 2)
+        cache = EvaluationCache()
+        policies = (
+            RepairPolicy.INDEPENDENT, DegradedStatePolicy.CONDITIONAL, None
+        )
+        first = cache.row(FAST, 1.0, *policies)
+        cache.row(FAST, 2.0, *policies)
+        cache.row(FAST, 3.0, *policies)
+        assert cache.stats()["rows.size"] == 2
+        assert cache.stats()["evictions"] == 1
+        assert cache.row(FAST, 1.0, *policies) is not first
+
+    def test_evaluator_validates_before_it_counts(self, counters):
+        evaluator = GoalEvaluator(make_performance())
+        goals = PerformabilityGoals(max_waiting_time=10.0)
+        for _ in range(3):
+            with pytest.raises(ValidationError, match="at least one"):
                 evaluator.assess(
-                    SystemConfiguration({"fast": fast, "slow": slow}),
-                    goals,
+                    SystemConfiguration({"fast": 0, "slow": 1}), goals
                 )
-        assert cache.stats()["assessments.size"] == 8
-        assert cache.stats()["evictions"] == 8
+        assert evaluator.evaluation_count == 0
+        assert counters() == {}
+
+    def test_evaluator_rejects_unknown_types(self, counters):
+        evaluator = GoalEvaluator(make_performance())
+        goals = PerformabilityGoals(max_waiting_time=10.0)
+        with pytest.raises(ValidationError, match="bogus"):
+            evaluator.assess(
+                SystemConfiguration({"fast": 1, "slow": 1, "bogus": 7}),
+                goals,
+            )
+        assert evaluator.evaluation_count == 0
+        assert counters() == {}
 
 
 def assessment_values(assessment):
@@ -264,24 +344,26 @@ class TestCachedEqualsUncached:
         assert (assessment_values(cached.assessment)
                 == assessment_values(uncached.assessment))
 
-    def test_shared_cache_across_algorithms_reuses_assessments(self):
+    def test_shared_cache_across_algorithms_reuses_terms(self):
         cache = EvaluationCache()
         performance = make_performance()
         exhaustive = exhaustive_configuration(
             GoalEvaluator(performance, cache=cache),
             self.GOALS, self.CONSTRAINTS,
         )
-        before = cache.stats()["assessments.hits"]
+        before = cache.stats()
         bounded = branch_and_bound_configuration(
             GoalEvaluator(performance, cache=cache),
             self.GOALS, self.CONSTRAINTS,
         )
         assert bounded.cost == exhaustive.cost
         # Branch-and-bound re-visits configurations the exhaustive pass
-        # already assessed; with a shared cache it does no model work
-        # for them.
-        assert cache.stats()["assessments.hits"] > before
-        assert bounded.evaluations == 0
+        # already assessed; with a shared cache every term it reads was
+        # built by that pass, while its own evaluations are counted.
+        after = cache.stats()
+        assert after["type_terms.misses"] == before["type_terms.misses"]
+        assert after["type_terms.hits"] > before["type_terms.hits"]
+        assert bounded.evaluations > 0
 
 
 class TestGoalsIdentityAliasing:
@@ -318,108 +400,70 @@ class TestGoalsIdentityAliasing:
         assert evaluator.evaluation_count == count
 
 
-class TestRebind:
-    """Incremental re-binding after calibration drift."""
+#: Model variants a recalibration can produce: nothing moved, one
+#: type's service moments, one type's failure rate, the arrival rate
+#: (which moves every type's total request rate and no spec).
+VARIANTS = {
+    "unchanged": make_performance(),
+    "moments": make_performance(fast_service=0.07),
+    "failure": make_performance(slow_failure=0.02),
+    "arrival": make_performance(arrival_rate=1.1),
+}
 
-    def _warm(self, cache, arrival_rate=0.8, fast_service=0.05):
-        performance = make_performance(arrival_rate, fast_service)
-        evaluator = GoalEvaluator(performance, cache=cache)
-        goals = PerformabilityGoals(max_waiting_time=10.0)
-        evaluator.assess(SystemConfiguration({"fast": 2, "slow": 2}), goals)
-        return model_fingerprint(performance)
+#: Every repair x degraded policy, PENALTY at two penalties.
+EVALUATOR_POLICIES = [
+    (repair, degraded, penalty)
+    for repair in RepairPolicy
+    for degraded, penalty in (
+        (DegradedStatePolicy.CONDITIONAL, None),
+        (DegradedStatePolicy.INFINITE, None),
+        (DegradedStatePolicy.PENALTY, 50.0),
+        (DegradedStatePolicy.PENALTY, 80.0),
+    )
+]
 
-    def test_unbound_cache_just_binds(self):
+STEPS = [
+    (variant, policies)
+    for variant in VARIANTS
+    for policies in EVALUATOR_POLICIES
+]
+
+candidates = st.builds(
+    lambda fast, slow: SystemConfiguration({"fast": fast, "slow": slow}),
+    st.integers(1, 4), st.integers(1, 4),
+)
+
+
+class TestSharedAcrossModels:
+    """One cache serves every model variant and policy it meets.
+
+    Rows are keyed by every input of a term, so evaluators of moved
+    models and other policies interleaved through one shared cache
+    assess exactly like cold evaluators, with nothing invalidated.
+    """
+
+    GOALS = PerformabilityGoals(max_waiting_time=10.0, max_unavailability=1e-4)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        order=st.permutations(STEPS),
+        configurations=st.lists(candidates, min_size=1, max_size=3),
+    )
+    def test_interleaved_models_equal_cold(self, order, configurations):
         cache = EvaluationCache()
-        performance = make_performance()
-        report = cache.rebind(model_fingerprint(performance))
-        assert cache.fingerprint == model_fingerprint(performance)
-        assert report["curves_dropped"] == 0
-
-    def test_identical_fingerprint_keeps_everything(self):
-        cache = EvaluationCache()
-        fingerprint = self._warm(cache)
-        before = cache.stats()
-        report = cache.rebind(fingerprint)
-        assert report["curves_dropped"] == 0
-        assert report["assessments_dropped"] == 0
-        assert cache.stats()["waiting_curve.types"] == (
-            before["waiting_curve.types"]
-        )
-        assert cache.rebinds == 0  # degenerate rebind is not counted
-
-    def test_changed_service_time_drops_only_that_curve(self):
-        cache = EvaluationCache()
-        self._warm(cache, fast_service=0.05)
-        drifted = make_performance(fast_service=0.07)
-        report = cache.rebind(model_fingerprint(drifted))
-        # "fast" moved, "slow" did not -- but the workload totals also
-        # change for both types only if arrival rate moved; here only
-        # the fast type's moments changed, so slow's curve survives.
-        assert report["curves_dropped"] == 1
-        assert report["curves_kept"] == 1
-        # Failure/repair rates unchanged -> every pool marginal is
-        # re-keyed and survives.
-        assert report["pools_dropped"] == 0
-        assert report["pools_kept"] >= 1
-        assert report["assessments_dropped"] >= 1
-        assert cache.rebinds == 1
-        assert cache.stats()["rebinds"] == 1
-
-    def test_changed_arrival_rate_drops_all_curves_keeps_pools(self):
-        cache = EvaluationCache()
-        self._warm(cache, arrival_rate=0.8)
-        drifted = make_performance(arrival_rate=1.1)
-        report = cache.rebind(model_fingerprint(drifted))
-        assert report["curves_kept"] == 0
-        assert report["curves_dropped"] == 2
-        assert report["pools_dropped"] == 0
-
-    def test_rebound_cache_produces_cold_results(self):
-        """After a rebind the cache serves the drifted model correctly."""
-        cache = EvaluationCache()
-        self._warm(cache, fast_service=0.05)
-        drifted = make_performance(fast_service=0.07)
-        cache.rebind(model_fingerprint(drifted))
-        warm = GoalEvaluator(drifted, cache=cache)
-        cold = GoalEvaluator(make_performance(fast_service=0.07))
-        goals = PerformabilityGoals(max_waiting_time=10.0)
-        configuration = SystemConfiguration({"fast": 2, "slow": 2})
-        a = warm.assess(configuration, goals)
-        b = cold.assess(configuration, goals)
-        assert a.satisfied == b.satisfied
-        assert a.unavailability == b.unavailability
-        assert warm.evaluation_count == cold.evaluation_count
-
-        # Each step below leaves every cached term stale; the next
-        # assessment of the same candidates must equal a cold one bitwise.
-        def assert_cold(*model_args):
-            warm = GoalEvaluator(make_performance(*model_args), cache=cache)
-            cold = GoalEvaluator(make_performance(*model_args))
-            for fast, slow in ((2, 2), (3, 1)):
-                candidate = SystemConfiguration({"fast": fast, "slow": slow})
-                assert repr(warm.assess(candidate, goals)) == repr(
-                    cold.assess(candidate, goals)
+        for variant, (repair, degraded, penalty) in order:
+            warm, cold = (
+                GoalEvaluator(
+                    VARIANTS[variant],
+                    repair_policy=repair,
+                    degraded_policy=degraded,
+                    penalty_waiting_time=penalty,
+                    cache=shared,
                 )
-
-        # One type's failure rate and the other's service moments move.
-        cache.rebind(model_fingerprint(make_performance(0.8, 0.06, 0.02)))
-        assert_cold(0.8, 0.06, 0.02)
-        cache.clear()
-        assert_cold(0.8, 0.05, 0.03)
-        cache.invalidate("drift")
-        assert_cold(0.9, 0.05, 0.03)
-
-    def test_clear_assessments_keeps_curves(self):
-        cache = EvaluationCache()
-        self._warm(cache)
-        before = cache.stats()
-        dropped = cache.clear_assessments()
-        assert dropped == before["assessments.size"]
-        after = cache.stats()
-        assert after["assessments.size"] == 0
-        assert after["waiting_curve.types"] == (
-            before["waiting_curve.types"]
-        )
-        assert after["pool_marginals.size"] == (
-            before["pool_marginals.size"]
-        )
+                for shared in (cache, None)
+            )
+            for configuration in configurations:
+                # repr round-trips every float: equal reprs, equal bits.
+                assert repr(warm.assess(configuration, self.GOALS)) == repr(
+                    cold.assess(configuration, self.GOALS)
+                )

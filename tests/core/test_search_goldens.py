@@ -108,12 +108,8 @@ COUNTERS = (
     "configuration.search.iterations",
     "evaluation_cache.assessments.hits",
     "evaluation_cache.assessments.misses",
-    "evaluation_cache.pool_marginals.hits",
-    "evaluation_cache.pool_marginals.misses",
     "evaluation_cache.type_terms.hits",
     "evaluation_cache.type_terms.misses",
-    "evaluation_cache.waiting_curve.hits",
-    "evaluation_cache.waiting_curve.misses",
     "performability.evaluations",
     "performance.waiting_time_points",
     "search.frontier.dominated",

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro import obs
-from repro.core.evaluation_cache import EvaluationCache
 from repro.exceptions import ValidationError
 from repro.monitor.audit import InstanceRecord, StateVisitRecord
 from repro.monitor.drift import (
@@ -173,25 +172,17 @@ class TestDriftMonitor:
                 assert not confirmed
         assert any(event.kind == "arrival_rate" for event in confirmed)
 
-    def test_confirmed_drift_invalidates_attached_caches(self):
+    def test_confirmed_drift_reaches_on_drift_callback(self):
         rng = random.Random(21)
-        cache = EvaluationCache()
-        cache.bind(("model", "v1"))
         calibrator = StreamingCalibrator()
         seen = []
-        monitor = DriftMonitor(
-            calibrator=calibrator,
-            caches=(cache,),
-            on_drift=seen.append,
-        )
+        monitor = DriftMonitor(calibrator=calibrator, on_drift=seen.append)
         for i in range(200):
             monitor.observe(visit(i, rng.expovariate(1.0)))
-        assert cache.fingerprint == ("model", "v1")
+        assert seen == []
         for i in range(200, 400):
             monitor.observe(visit(i, rng.expovariate(0.25)))
         assert monitor.has_drift
-        assert cache.fingerprint is None
-        assert cache.invalidations >= 1
         assert seen == monitor.events
 
     def test_drift_emits_obs_counters_and_event(self):

@@ -155,7 +155,8 @@ class TestByteIdentity:
             calibrator, baseline, goals, cache=cache
         )
         # Same document bytes *and* the same evaluations accounting --
-        # clear_assessments() keeps the warm run's count cold.
+        # the warm cache shares rows, and each search's evaluator
+        # memoizes its own assessments.
         assert render_document(warm) == render_document(cold)
 
     def test_frontier_streaming_equals_batch(

@@ -1,6 +1,6 @@
 """Documentation drift gate: CLI reference and operations runbook.
 
-Two checks, run in CI's lint job:
+Three checks, run in CI's lint job:
 
 1. **CLI completeness** — walks the real argparse tree built by
    :func:`repro.cli.build_parser` (recursively, so nested subcommands
@@ -12,6 +12,13 @@ Two checks, run in CI's lint job:
    ``docs/OPERATIONS.md`` names every metric family the recommendation
    service exports (:data:`repro.service.server.SERVICE_METRICS`).
    A new service counter must land with its runbook entry.
+3. **No stale metric rows** — fails when a full metric name in the
+   first column of an OPERATIONS.md metric table (a table whose header
+   starts with ``| family |``) is neither a string literal under
+   ``src/repro`` nor matched by an f-string there that starts with a
+   literal prefix, each ``{...}`` standing for one dotted segment
+   (``f"monitor.drift.{kind}"`` covers ``monitor.drift.arrival_rate``).
+   A metric the code stops emitting must leave the runbook with it.
 
 Usage::
 
@@ -23,6 +30,8 @@ Exits non-zero listing every missing item (never just the first).
 from __future__ import annotations
 
 import argparse
+import ast
+import re
 import sys
 from pathlib import Path
 
@@ -34,6 +43,10 @@ from repro.service import SERVICE_METRICS  # noqa: E402
 
 CLI_DOC = REPO_ROOT / "docs" / "CLI.md"
 OPERATIONS_DOC = REPO_ROOT / "docs" / "OPERATIONS.md"
+SOURCE_DIR = REPO_ROOT / "src" / "repro"
+
+#: A full dotted metric name in backticks.
+METRIC_NAME = re.compile(r"`([A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)+)`")
 
 
 def iter_subcommands(
@@ -92,9 +105,61 @@ def check_metric_reference() -> list[str]:
     ]
 
 
+def documented_metric_names(text: str) -> list[str]:
+    """Full metric names in the first column of the metric tables."""
+    names: list[str] = []
+    in_table = False
+    for line in text.splitlines():
+        if line.startswith("| family |"):
+            in_table = True
+        elif not line.startswith("|"):
+            in_table = False
+        elif in_table:
+            names.extend(METRIC_NAME.findall(line.split("|")[1]))
+    return names
+
+
+def source_metric_names() -> tuple[set[str], list[re.Pattern[str]]]:
+    """String literals under ``src/repro`` and its prefixed f-strings."""
+    literals: set[str] = set()
+    patterns: list[re.Pattern[str]] = []
+    for path in sorted(SOURCE_DIR.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                literals.add(node.value)
+            elif isinstance(node, ast.JoinedStr) and node.values and (
+                isinstance(node.values[0], ast.Constant)
+            ):
+                patterns.append(re.compile("".join(
+                    re.escape(part.value)
+                    if isinstance(part, ast.Constant)
+                    else r"[A-Za-z0-9_]+"
+                    for part in node.values
+                )))
+    return literals, patterns
+
+
+def check_stale_metrics() -> list[str]:
+    """OPERATIONS.md metric rows the code no longer emits."""
+    if not OPERATIONS_DOC.exists():
+        return []
+    literals, patterns = source_metric_names()
+    return [
+        f"OPERATIONS.md documents a metric src/repro does not emit: {name}"
+        for name in documented_metric_names(
+            OPERATIONS_DOC.read_text(encoding="utf-8")
+        )
+        if name not in literals
+        and not any(pattern.fullmatch(name) for pattern in patterns)
+    ]
+
+
 def main() -> int:
-    """Run both drift checks; print every finding."""
-    problems = check_cli_reference() + check_metric_reference()
+    """Run every drift check; print every finding."""
+    problems = (
+        check_cli_reference() + check_metric_reference()
+        + check_stale_metrics()
+    )
     if problems:
         for problem in problems:
             print(f"DOC DRIFT: {problem}", file=sys.stderr)
@@ -106,9 +171,13 @@ def main() -> int:
         return 1
     subcommands = iter_subcommands(build_parser())
     flags = sum(len(long_flags(parser)) for _, parser in subcommands)
+    documented = documented_metric_names(
+        OPERATIONS_DOC.read_text(encoding="utf-8")
+    )
     print(
         f"documentation in sync: {len(subcommands)} subcommands, "
-        f"{flags} flags, {len(SERVICE_METRICS)} service metric families"
+        f"{flags} flags, {len(SERVICE_METRICS)} service metric families, "
+        f"{len(documented)} documented metrics emitted"
     )
     return 0
 
