@@ -21,7 +21,8 @@ generated corpus (100 specs in full mode):
    assumption — leaving per-workflow turnaround and per-server-type
    utilization, which must agree.
 
-Records throughputs (specs/sec generated and assessed), the corpus and
+Records the commit (``git describe --always --dirty``), the input
+shape, throughputs (specs/sec generated and assessed), the corpus and
 assessment SHA-256 hashes, and the campaign validation verdicts to
 ``BENCH_corpus.json``.  ``--check`` gates on determinism, round-trip
 fidelity, the campaign completing with finite positive turnarounds,
@@ -40,6 +41,7 @@ import argparse
 import hashlib
 import json
 import math
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -81,6 +83,46 @@ VALIDATION_FLOOR = 0.8
 
 CONFIGURATION = {"comm-server": 2, "wf-engine": 2, "app-server": 3}
 
+#: Generator settings of both corpora.  Heavy-ish tails but modest
+#: arrival rates: the campaign stage must stay stable (and fast) on the
+#: benchmark configuration.
+GENERATOR = {
+    "service_time_family": "lognormal",
+    "min_arrival_rate": 0.005,
+    "max_arrival_rate": 0.05,
+}
+
+
+def commit() -> str | None:
+    """The checked-out commit, ``-dirty`` when the tree has changes."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def input_shape(quick: bool) -> dict:
+    """The inputs the record was measured on (besides its mode)."""
+    count, campaign_specs, replications = (
+        QUICK_SHAPE if quick else FULL_SHAPE
+    )
+    return {
+        "corpus_size": count,
+        "master_seed": MASTER_SEED,
+        "generator": GENERATOR,
+        "validation_pool": VALIDATION_POOL,
+        "validation_pool_seed": MASTER_SEED + 1,
+        "campaign_specs": campaign_specs,
+        "campaign_replications": replications,
+        "campaign_configuration": CONFIGURATION,
+        "duration_turnarounds": DURATION_TURNAROUNDS,
+        "warmup_turnarounds": WARMUP_TURNAROUNDS,
+    }
+
 
 def corpus_hash(specs) -> str:
     """SHA-256 over the canonical JSON of every spec, in corpus order."""
@@ -115,13 +157,7 @@ def run_benchmark(quick: bool) -> dict:
     count, campaign_specs, replications = (
         QUICK_SHAPE if quick else FULL_SHAPE
     )
-    # Heavy-ish tails but modest arrival rates: the campaign stage must
-    # stay stable (and fast) on the benchmark configuration.
-    config = GeneratorConfig(
-        service_time_family="lognormal",
-        min_arrival_rate=0.005,
-        max_arrival_rate=0.05,
-    )
+    config = GeneratorConfig(**GENERATOR)
 
     start = time.perf_counter()
     specs = generate_corpus(count, master_seed=MASTER_SEED, config=config)
@@ -149,11 +185,7 @@ def run_benchmark(quick: bool) -> dict:
     # and the horizon must dwarf the workflow time scale for the
     # steady-state predictions to be reachable at all.
     validation_config = GeneratorConfig(
-        service_time_family="lognormal",
-        min_arrival_rate=0.005,
-        max_arrival_rate=0.05,
-        parallel_probability=0.0,
-        subworkflow_probability=0.0,
+        **GENERATOR, parallel_probability=0.0, subworkflow_probability=0.0
     )
     pool = generate_corpus(
         VALIDATION_POOL,
@@ -203,7 +235,10 @@ def run_benchmark(quick: bool) -> dict:
     verdicts = [row.verdict for row in validation.metrics]
     validation_floor = math.ceil(VALIDATION_FLOOR * len(verdicts))
     return {
+        "benchmark": "bench_corpus",
+        "commit": commit(),
         "mode": "quick" if quick else "full",
+        "input": input_shape(quick),
         "corpus_size": count,
         "master_seed": MASTER_SEED,
         "generate_seconds": generate_seconds,

@@ -94,12 +94,9 @@ class AbsorbingCTMC:
             )
         object.__setattr__(self, "jump_probabilities", p)
         object.__setattr__(self, "residence_times", h)
-        names = self.state_names or tuple(f"s{i}" for i in range(n))
-        if len(names) != n:
-            raise ValidationError(f"expected {n} state names, got {len(names)}")
-        object.__setattr__(self, "state_names", tuple(names))
-
+        # The embedded chain checks the state names and supplies defaults.
         embedded = AbsorbingDTMC(p, state_names=self.state_names)
+        object.__setattr__(self, "state_names", embedded.state_names)
         if len(embedded.absorbing_states) != 1:
             raise ModelError(
                 "workflow CTMC must have exactly one absorbing state, found "
@@ -153,9 +150,9 @@ class AbsorbingCTMC:
 
     def departure_rates(self) -> np.ndarray:
         """Rates ``v_i = 1 / H_i`` (0 for the absorbing state)."""
+        transient = list(self.transient_states)
         rates = np.zeros(self.num_states)
-        for i in self.transient_states:
-            rates[i] = 1.0 / self.residence_times[i]
+        rates[transient] = 1.0 / self.residence_times[transient]
         return rates
 
     def transition_rates(self) -> np.ndarray:
@@ -187,20 +184,14 @@ class AbsorbingCTMC:
         """
         transient = list(self.transient_states)
         v = self.departure_rates()
-        q = self.transition_rates()
+        a = self.transition_rates()[np.ix_(transient, transient)]
+        np.fill_diagonal(a, -v[transient])
         k = len(transient)
-        a = np.zeros((k, k))
-        for row, i in enumerate(transient):
-            a[row, row] = -v[i]
-            for column, j in enumerate(transient):
-                if j != i:
-                    a[row, column] += q[i, j]
         b = np.full(k, -1.0)
         with obs.span("ctmc.first_passage", size=k, method=method):
             m = linalg.solve_linear(a, b, method=method)
         result = np.zeros(self.num_states)
-        for row, i in enumerate(transient):
-            result[i] = m[row]
+        result[transient] = m
         return result
 
     def mean_turnaround_time(
@@ -223,16 +214,21 @@ class AbsorbingCTMC:
         rate = float(v_states.max())
         if rate <= 0.0:
             raise ModelError("cannot uniformize: no positive departure rate")
-        n = self.num_states
-        p_bar = np.zeros((n, n))
-        for a in range(n):
-            if a == self.absorbing_state:
-                p_bar[a, a] = 1.0
-                continue
-            scale = v_states[a] / rate
-            p_bar[a] = scale * self.jump_probabilities[a]
-            p_bar[a, a] = 1.0 - scale + scale * self.jump_probabilities[a, a]
+        scale = v_states / rate
+        p_bar = scale[:, None] * self.jump_probabilities
+        np.fill_diagonal(
+            p_bar, 1.0 - scale + scale * np.diagonal(self.jump_probabilities)
+        )
+        p_bar[self.absorbing_state] = 0.0
+        p_bar[self.absorbing_state, self.absorbing_state] = 1.0
         return Uniformization(rate=rate, transition_matrix=p_bar)
+
+    def _taboo_matrix(self) -> np.ndarray:
+        """Uniformized transitions into and out of ``s_A`` zeroed."""
+        p_bar = self.uniformize().transition_matrix
+        p_bar[:, self.absorbing_state] = 0.0
+        p_bar[self.absorbing_state, :] = 0.0
+        return p_bar
 
     def taboo_probabilities(self, num_steps: int) -> np.ndarray:
         """Taboo probabilities ``p_bar_{0a}(z)`` for ``z = 0 .. num_steps``.
@@ -244,11 +240,7 @@ class AbsorbingCTMC:
         """
         if num_steps < 0:
             raise ValidationError("num_steps must be non-negative")
-        p_bar = self.uniformize().transition_matrix.copy()
-        # Forbid the taboo state: zero its column (and row, for safety).
-        taboo = self.absorbing_state
-        p_bar[:, taboo] = 0.0
-        p_bar[taboo, :] = 0.0
+        p_bar = self._taboo_matrix()
         result = np.zeros((num_steps + 1, self.num_states))
         result[0, self.initial_state] = 1.0
         for z in range(1, num_steps + 1):
@@ -270,10 +262,7 @@ class AbsorbingCTMC:
         """
         if not 0.0 < confidence < 1.0:
             raise ValidationError("confidence must lie strictly in (0, 1)")
-        p_bar = self.uniformize().transition_matrix.copy()
-        taboo = self.absorbing_state
-        p_bar[:, taboo] = 0.0
-        p_bar[taboo, :] = 0.0
+        p_bar = self._taboo_matrix()
         row = np.zeros(self.num_states)
         row[self.initial_state] = 1.0
         surviving = 1.0
@@ -335,8 +324,7 @@ class AbsorbingCTMC:
             if num_steps is None:
                 num_steps = self.z_max(confidence)
             span.set("num_steps", num_steps)
-            uniformization = self.uniformize()
-            rate = uniformization.rate
+            rate = self.uniformize().rate
             q = self.transition_rates()
 
             taboo = self.taboo_probabilities(num_steps)
@@ -392,10 +380,11 @@ class AbsorbingCTMC:
         the mean turnaround time, which the tests cross-check against the
         first-passage solution of Section 4.1.
         """
-        visits = self.expected_visits()
+        transient = list(self.transient_states)
         times = np.zeros(self.num_states)
-        for i in self.transient_states:
-            times[i] = visits[i] * self.residence_times[i]
+        times[transient] = (
+            self.expected_visits()[transient] * self.residence_times[transient]
+        )
         return times
 
     # ------------------------------------------------------------------

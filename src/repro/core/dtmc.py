@@ -37,7 +37,8 @@ class AbsorbingDTMC:
     state_names:
         Optional labels; defaults to ``s0 .. s{n-1}``.
 
-    Absorbing states are detected as the states ``i`` with ``P[i, i] = 1``.
+    Absorbing states are detected as the states ``i`` with ``P[i, i] = 1``,
+    once, when the chain is built.
     """
 
     transition_matrix: np.ndarray
@@ -57,7 +58,14 @@ class AbsorbingDTMC:
         if len(set(names)) != len(names):
             raise ValidationError("state names must be unique")
         object.__setattr__(self, "state_names", tuple(names))
-        if not self.absorbing_states:
+        absorbing = np.diagonal(p) >= 1.0 - 1e-12
+        object.__setattr__(
+            self, "_absorbing", tuple(np.flatnonzero(absorbing).tolist())
+        )
+        object.__setattr__(
+            self, "_transient", tuple(np.flatnonzero(~absorbing).tolist())
+        )
+        if not self._absorbing:
             raise ModelError("chain has no absorbing state")
         self._validate_absorption_is_certain()
 
@@ -72,16 +80,12 @@ class AbsorbingDTMC:
     @property
     def absorbing_states(self) -> tuple[int, ...]:
         """Indices ``i`` with ``P[i, i] == 1`` (within tolerance)."""
-        p = self.transition_matrix
-        return tuple(
-            i for i in range(p.shape[0]) if p[i, i] >= 1.0 - 1e-12
-        )
+        return self._absorbing
 
     @property
     def transient_states(self) -> tuple[int, ...]:
         """Indices of the non-absorbing states."""
-        absorbing = set(self.absorbing_states)
-        return tuple(i for i in range(self.num_states) if i not in absorbing)
+        return self._transient
 
     def _validate_absorption_is_certain(self) -> None:
         """Check every transient state reaches some absorbing state.
@@ -89,21 +93,22 @@ class AbsorbingDTMC:
         The paper assumes first-passage probabilities into the absorbing
         state equal one; a workflow whose chain violates this (e.g. a loop
         with no exit) is a specification error that must be reported.
+        One backward search from the absorbing states over P's support
+        takes ``O(n + nnz)`` steps.
         """
-        p = self.transition_matrix
-        reachable = set(self.absorbing_states)
-        # Backward breadth-first search over P's support.
-        changed = True
-        while changed:
-            changed = False
-            for i in self.transient_states:
-                if i in reachable:
-                    continue
-                if any(p[i, j] > 0.0 for j in reachable):
-                    reachable.add(i)
-                    changed = True
-        trapped = [self.state_names[i] for i in self.transient_states
-                   if i not in reachable]
+        sources, targets = np.nonzero(self.transition_matrix > 0.0)
+        predecessors: list[list[int]] = [[] for _ in self.state_names]
+        for source, target in zip(sources.tolist(), targets.tolist()):
+            predecessors[target].append(source)
+        reached = set(self._absorbing)
+        frontier = list(self._absorbing)
+        while frontier:
+            for source in predecessors[frontier.pop()]:
+                if source not in reached:
+                    reached.add(source)
+                    frontier.append(source)
+        trapped = [self.state_names[i] for i in self._transient
+                   if i not in reached]
         if trapped:
             raise ModelError(
                 "absorption is not certain: states cannot reach an "
@@ -138,12 +143,10 @@ class AbsorbingDTMC:
         in which entering the initial state incurs its load once.
         """
         self._require_transient(start)
-        transient = list(self.transient_states)
-        n = self.fundamental_matrix()
         visits = np.zeros(self.num_states)
-        row = transient.index(start)
-        for column, state in enumerate(transient):
-            visits[state] = n[row, column]
+        visits[list(self._transient)] = (
+            self.fundamental_matrix()[self._transient.index(start)]
+        )
         return visits
 
     def expected_steps_to_absorption(self, start: int = 0) -> float:

@@ -14,6 +14,7 @@ default; the test suite cross-checks the two.
 
 from __future__ import annotations
 
+import math
 from typing import Literal
 
 import numpy as np
@@ -154,15 +155,18 @@ def solve_linear(
 def validate_generator_matrix(q: np.ndarray) -> np.ndarray:
     """Validate that ``q`` is an infinitesimal generator matrix.
 
-    Requires non-negative off-diagonal rates and rows summing to zero
-    (within floating-point tolerance).  Returns the validated array.
+    Requires finite entries, non-negative off-diagonal rates and rows
+    summing to zero (within tolerance).  Returns the validated array.
     """
     q = _as_square_matrix(q, "generator matrix")
+    largest = float(np.abs(q).max())
+    if not largest < math.inf:  # NaN fails too
+        raise ValidationError("generator matrix entries must be finite")
     off_diagonal = q - np.diag(np.diag(q))
     if np.any(off_diagonal < -1e-12):
         raise ValidationError("generator matrix has negative off-diagonal rates")
     row_sums = q.sum(axis=1)
-    scale = max(float(np.abs(q).max()), 1.0)
+    scale = max(largest, 1.0)
     if np.any(np.abs(row_sums) > 1e-9 * scale):
         worst = int(np.argmax(np.abs(row_sums)))
         raise ValidationError(
@@ -329,7 +333,7 @@ def _validated_distribution(pi: np.ndarray) -> np.ndarray:
 def validate_stochastic_matrix(p: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate that ``p`` is a row-stochastic matrix and return it."""
     p = _as_square_matrix(p, name)
-    if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
+    if not ((p >= -1e-12).all() and (p <= 1.0 + 1e-12).all()):  # NaN fails
         raise ValidationError(f"{name} entries must lie in [0, 1]")
     row_sums = p.sum(axis=1)
     if np.any(np.abs(row_sums - 1.0) > 1e-9):

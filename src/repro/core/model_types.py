@@ -62,9 +62,10 @@ class ServerTypeSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValidationError("server type name must be non-empty")
-        if self.mean_service_time <= 0.0:
+        # Each check is written so that NaN fails it.
+        if not 0.0 < self.mean_service_time < math.inf:
             raise ValidationError(
-                f"{self.name}: mean service time must be positive"
+                f"{self.name}: mean service time must be finite and > 0"
             )
         if self.second_moment_service_time is None:
             object.__setattr__(
@@ -72,17 +73,19 @@ class ServerTypeSpec:
                 "second_moment_service_time",
                 2.0 * self.mean_service_time**2,
             )
-        if self.second_moment_service_time < self.mean_service_time**2:
+        if not self.second_moment_service_time >= self.mean_service_time**2:
             raise ValidationError(
                 f"{self.name}: second moment must be at least the squared "
                 "mean (variance cannot be negative)"
             )
-        if self.failure_rate < 0.0:
-            raise ValidationError(f"{self.name}: failure rate must be >= 0")
-        if self.repair_rate <= 0.0:
+        if not 0.0 <= self.failure_rate < math.inf:
+            raise ValidationError(
+                f"{self.name}: failure rate must be finite and >= 0"
+            )
+        if not self.repair_rate > 0.0:
             raise ValidationError(f"{self.name}: repair rate must be > 0")
-        if self.cost <= 0.0:
-            raise ValidationError(f"{self.name}: cost must be positive")
+        if not 0.0 < self.cost < math.inf:
+            raise ValidationError(f"{self.name}: cost must be finite and > 0")
 
     @property
     def mean_time_to_failure(self) -> float:
@@ -130,15 +133,16 @@ class ActivitySpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValidationError("activity name must be non-empty")
-        if self.mean_duration <= 0.0:
+        if not 0.0 < self.mean_duration < math.inf:
             raise ValidationError(
-                f"{self.name}: mean duration must be positive"
+                f"{self.name}: mean duration must be positive and finite"
             )
         loads = dict(self.loads)
         for server_type, requests in loads.items():
-            if requests < 0.0:
+            if not 0.0 <= requests < math.inf:
                 raise ValidationError(
-                    f"{self.name}: load on {server_type} must be >= 0"
+                    f"{self.name}: load on {server_type} must be >= 0 "
+                    "and finite"
                 )
         object.__setattr__(self, "loads", loads)
 

@@ -79,9 +79,10 @@ class WorkloadItem:
     arrival_rate: float
 
     def __post_init__(self) -> None:
-        if self.arrival_rate < 0.0:
+        if not 0.0 <= self.arrival_rate < math.inf:  # NaN fails too
             raise ValidationError(
-                f"workflow {self.definition.name}: arrival rate must be >= 0"
+                f"workflow {self.definition.name}: arrival rate must be "
+                ">= 0 and finite"
             )
 
 

@@ -123,6 +123,8 @@ class WorkflowDefinition:
         transitions = dict(self.transitions)
         object.__setattr__(self, "transitions", transitions)
         known = set(names)
+        # Outgoing probabilities grouped by source, in one pass.
+        outgoing: dict[str, dict[str, float]] = {}
         for (source, target), probability in transitions.items():
             if source not in known or target not in known:
                 raise ValidationError(
@@ -134,30 +136,24 @@ class WorkflowDefinition:
                     f"workflow {self.name}: transition {source}->{target} "
                     f"probability {probability} must lie in (0, 1]"
                 )
+            outgoing.setdefault(source, {})[target] = probability
+        object.__setattr__(self, "_outgoing", outgoing)
         if self.initial_state not in known:
             raise ValidationError(
                 f"workflow {self.name}: unknown initial state "
                 f"{self.initial_state!r}"
             )
-        self._validate_outgoing_probabilities()
-        # Computing the final state validates its uniqueness.
-        _ = self.final_state
-
-    def _validate_outgoing_probabilities(self) -> None:
-        for state in self.states:
-            outgoing = [
-                probability
-                for (source, _), probability in self.transitions.items()
-                if source == state.name
-            ]
-            if not outgoing:
+        for name in names:
+            if name not in outgoing:
                 continue  # final state
-            total = sum(outgoing)
+            total = sum(outgoing[name].values())
             if abs(total - 1.0) > 1e-9:
                 raise ValidationError(
                     f"workflow {self.name}: outgoing probabilities of "
-                    f"{state.name} sum to {total}, expected 1"
+                    f"{name} sum to {total}, expected 1"
                 )
+        # Computing the final state validates its uniqueness.
+        _ = self.final_state
 
     @property
     def state_names(self) -> tuple[str, ...]:
@@ -167,8 +163,8 @@ class WorkflowDefinition:
     @property
     def final_state(self) -> str:
         """The unique state without outgoing transitions."""
-        sources = {source for source, _ in self.transitions}
-        finals = [name for name in self.state_names if name not in sources]
+        finals = [name for name in self.state_names
+                  if name not in self._outgoing]
         if len(finals) != 1:
             raise ValidationError(
                 f"workflow {self.name}: expected exactly one final state "
@@ -187,11 +183,7 @@ class WorkflowDefinition:
 
     def outgoing(self, name: str) -> dict[str, float]:
         """Outgoing transition probabilities of a state."""
-        return {
-            target: probability
-            for (source, target), probability in self.transitions.items()
-            if source == name
-        }
+        return dict(self._outgoing.get(name, {}))
 
 
 @dataclass(frozen=True)
@@ -329,8 +321,8 @@ def _state_parameters(
     state: WorkflowState, server_types: ServerTypeIndex
 ) -> tuple[float, np.ndarray]:
     """Residence time and load column of one workflow state."""
-    load = np.zeros(len(server_types))
     if state.is_subworkflow_state:
+        load = np.zeros(len(server_types))
         turnarounds = []
         for child in state.subworkflows:
             child_model = build_workflow_ctmc(child, server_types)
@@ -339,23 +331,24 @@ def _state_parameters(
         return max(turnarounds), load
 
     if state.activity is not None:
+        activity = state.activity
+        unknown = set(activity.loads).difference(server_types.names)
+        if unknown:
+            raise ModelError(
+                f"activity {activity.name} loads unknown server "
+                f"types {sorted(unknown)}"
+            )
         duration = (
             state.mean_duration
             if state.mean_duration is not None
-            else state.activity.mean_duration
+            else activity.mean_duration
         )
-        for name in server_types.names:
-            load[server_types.position(name)] = state.activity.load_on(name)
-        unknown = set(state.activity.loads) - set(server_types.names)
-        if unknown:
-            raise ModelError(
-                f"activity {state.activity.name} loads unknown server "
-                f"types {sorted(unknown)}"
-            )
-        return duration, load
+        return duration, np.array(
+            [activity.load_on(name) for name in server_types.names]
+        )
 
     assert state.mean_duration is not None  # enforced in __post_init__
-    return state.mean_duration, load
+    return state.mean_duration, np.zeros(len(server_types))
 
 
 def analyze_workflow(

@@ -48,7 +48,7 @@ from repro.io.serialization import Project
 from repro.spec.events import And, ECARule, Guard, TrueGuard, completion_event
 from repro.spec.statechart import ChartState, ChartTransition, StateChart
 from repro.spec.translator import ActivityRegistry, translate_chart
-from repro.spec.validation import ensure_valid
+from repro.spec.validation import _ensure_charts_valid
 from repro.scenarios.spec import (
     ActivityBlock,
     Arm,
@@ -264,7 +264,10 @@ class _Lowering:
     # Assembly
     # ------------------------------------------------------------------
     def build(self, validate: bool = True) -> StateChart:
-        """Run both phases and assemble the chart."""
+        """Run both phases and assemble the chart.
+
+        Phase A validated the regions; this validates the chart alone.
+        """
         self.validate_regions = validate
         self.collect(self.body)
         exits = self.wire(self.body, [])
@@ -287,7 +290,7 @@ class _Lowering:
             initial_state=_entry(self.body),
         )
         if validate:
-            ensure_valid(chart)
+            _ensure_charts_valid([chart])
         return chart
 
 
@@ -335,11 +338,14 @@ def spec_to_registry(spec: WorkflowSpec) -> ActivityRegistry:
 def spec_to_definition(
     spec: WorkflowSpec, validate: bool = True
 ) -> WorkflowDefinition:
-    """Lower a spec to the model-layer workflow definition."""
+    """Lower a spec to the model-layer workflow definition.
+
+    Lowering validated the chart; the translation does not repeat it.
+    """
     return translate_chart(
         spec_to_chart(spec, validate=validate),
         spec_to_registry(spec),
-        validate=validate,
+        validate=False,
     )
 
 

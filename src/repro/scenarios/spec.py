@@ -31,6 +31,7 @@ Everything round-trips through plain JSON (:func:`spec_to_dict` /
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -309,8 +310,8 @@ class ArrivalSpec:
                 f"unsupported arrival kind {self.kind!r}; only 'poisson' "
                 "arrivals are modelled"
             )
-        if self.rate < 0.0:
-            raise ValidationError("arrival rate must be >= 0")
+        if not 0.0 <= self.rate < math.inf:  # NaN fails too
+            raise ValidationError("arrival rate must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

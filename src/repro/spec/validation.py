@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.exceptions import ValidationError
 from repro.spec.events import SetCondition
@@ -55,9 +56,21 @@ def validate_chart(chart: StateChart) -> list[ChartIssue]:
 
 
 def ensure_valid(chart: StateChart) -> None:
-    """Raise :class:`ValidationError` if the chart has any error."""
-    issues = validate_chart(chart)
-    errors = [issue for issue in issues if issue.level is IssueLevel.ERROR]
+    """Raise :class:`ValidationError` if the chart has any error.
+
+    The guard-variable scan only produces warnings, so it is skipped.
+    """
+    _ensure_charts_valid(chart.walk_charts())
+
+
+def _ensure_charts_valid(charts: Iterable[StateChart]) -> None:
+    """Raise on the errors of ``charts``, each without its regions."""
+    errors = [
+        issue
+        for chart in charts
+        for issue in _validate_single_chart(chart)
+        if issue.level is IssueLevel.ERROR
+    ]
     if errors:
         raise ValidationError(
             "invalid state chart:\n"
@@ -65,27 +78,24 @@ def ensure_valid(chart: StateChart) -> None:
         )
 
 
+def _error(chart: StateChart, message: str) -> ChartIssue:
+    return ChartIssue(IssueLevel.ERROR, chart.name, message)
+
+
 def _validate_single_chart(chart: StateChart) -> list[ChartIssue]:
     issues: list[ChartIssue] = []
 
     finals = chart.final_states
     if len(finals) == 0:
-        issues.append(
-            ChartIssue(
-                IssueLevel.ERROR,
-                chart.name,
-                "no final state (every state has outgoing transitions)",
-            )
-        )
+        issues.append(_error(
+            chart, "no final state (every state has outgoing transitions)"
+        ))
     elif len(finals) > 1:
-        issues.append(
-            ChartIssue(
-                IssueLevel.ERROR,
-                chart.name,
-                f"multiple final states {list(finals)}; connect them to a "
-                "single termination state",
-            )
-        )
+        issues.append(_error(
+            chart,
+            f"multiple final states {list(finals)}; connect them to a "
+            "single termination state",
+        ))
 
     issues.extend(_validate_reachability(chart, finals))
     issues.extend(_validate_probabilities(chart))
@@ -99,26 +109,20 @@ def _validate_reachability(
     forward = _reachable_from(chart, chart.initial_state, reverse=False)
     unreachable = set(chart.state_names) - forward
     if unreachable:
-        issues.append(
-            ChartIssue(
-                IssueLevel.ERROR,
-                chart.name,
-                f"states unreachable from the initial state: "
-                f"{sorted(unreachable)}",
-            )
-        )
+        issues.append(_error(
+            chart,
+            f"states unreachable from the initial state: "
+            f"{sorted(unreachable)}",
+        ))
     if len(finals) == 1:
         backward = _reachable_from(chart, finals[0], reverse=True)
         trapped = forward - backward
         if trapped:
-            issues.append(
-                ChartIssue(
-                    IssueLevel.ERROR,
-                    chart.name,
-                    f"states from which the final state is unreachable "
-                    f"(workflow may never terminate): {sorted(trapped)}",
-                )
-            )
+            issues.append(_error(
+                chart,
+                f"states from which the final state is unreachable "
+                f"(workflow may never terminate): {sorted(trapped)}",
+            ))
     return issues
 
 
@@ -165,14 +169,11 @@ def _validate_probabilities(chart: StateChart) -> list[ChartIssue]:
                 )
             continue
         if len(annotated) != len(outgoing):
-            issues.append(
-                ChartIssue(
-                    IssueLevel.ERROR,
-                    chart.name,
-                    f"state {state_name}: only some outgoing transitions "
-                    "carry probability annotations",
-                )
-            )
+            issues.append(_error(
+                chart,
+                f"state {state_name}: only some outgoing transitions "
+                "carry probability annotations",
+            ))
             continue
         total = sum(
             transition.probability
@@ -180,14 +181,11 @@ def _validate_probabilities(chart: StateChart) -> list[ChartIssue]:
             if transition.probability is not None
         )
         if abs(total - 1.0) > 1e-9:
-            issues.append(
-                ChartIssue(
-                    IssueLevel.ERROR,
-                    chart.name,
-                    f"state {state_name}: outgoing probabilities sum to "
-                    f"{total}, expected 1",
-                )
-            )
+            issues.append(_error(
+                chart,
+                f"state {state_name}: outgoing probabilities sum to "
+                f"{total}, expected 1",
+            ))
     return issues
 
 
