@@ -41,7 +41,6 @@ import argparse
 import hashlib
 import json
 import math
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -62,6 +61,11 @@ from repro.sim.campaign import (
     validate_against_models,
 )
 from repro.workflows import standard_server_types
+
+# The repository root, so the script also runs as a file.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from benchmarks.provenance import commit  # noqa: E402
 
 MASTER_SEED = 2000
 
@@ -91,18 +95,6 @@ GENERATOR = {
     "min_arrival_rate": 0.005,
     "max_arrival_rate": 0.05,
 }
-
-
-def commit() -> str | None:
-    """The checked-out commit, ``-dirty`` when the tree has changes."""
-    try:
-        return subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return None
 
 
 def input_shape(quick: bool) -> dict:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -56,6 +55,11 @@ from repro.workflows import (
     loan_workflow,
     order_processing_workflow,
 )
+
+# The repository root, so the script also runs as a file.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from benchmarks.provenance import commit  # noqa: E402
 
 #: Full-mode goals match benchmark E10; quick mode loosens the
 #: waiting-time goal so the feasible region keeps some volume in the
@@ -109,18 +113,6 @@ def make_constraints(quick: bool) -> ReplicationConstraints:
         )},
         max_total_servers=14 if quick else 20,
     )
-
-
-def commit() -> str | None:
-    """The checked-out commit, ``-dirty`` when the tree has changes."""
-    try:
-        return subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return None
 
 
 def input_shape(

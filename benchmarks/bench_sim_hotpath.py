@@ -31,6 +31,11 @@ injected) and records to ``BENCH_sim.json``:
 * the top functions of a cProfile pass over a separate (never timed)
   run, so the recorded throughput is unaffected by instrumentation.
 
+The record states the commit it measured (``git describe --always
+--dirty``) and its input shape: the scenario, the measurement rounds,
+the parity replications, the identity worker counts and the baseline
+commit.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_sim_hotpath.py --check
@@ -58,6 +63,11 @@ import tempfile
 import time
 from pathlib import Path
 
+# The repository root, so the script also runs as a file.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from benchmarks.provenance import commit  # noqa: E402
+
 EP_RATE = 0.4
 OP_RATE = 0.2
 CONFIGURATION = {"comm-server": 1, "wf-engine": 2, "app-server": 3}
@@ -75,8 +85,10 @@ RUNS_PER_ROUND = 3
 #: Replications of the exact/fast parity campaigns.
 PARITY_REPLICATIONS = {"quick": 3, "full": 5}
 
-#: Campaign worker counts whose aggregate documents must be identical.
+#: Campaign worker counts whose aggregate documents must be identical,
+#: and the replications of that (quick-shaped) fast campaign.
 IDENTITY_WORKERS = {"quick": (1, 2), "full": (1, 2, 4)}
+IDENTITY_REPLICATIONS = 3
 
 #: Last commit before the hot-path optimization of the simulator.
 BASELINE_REF = "cb8431f"
@@ -88,6 +100,28 @@ BASELINE_REF = "cb8431f"
 PRE_PR_BASELINE = {"quick": 162319.0, "full": 166502.0}
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def input_shape(mode: str) -> dict:
+    """The inputs the record was measured on (besides its mode)."""
+    duration, warmup = QUICK_SHAPE if mode == "quick" else FULL_SHAPE
+    return {
+        "scenario": {
+            "configuration": CONFIGURATION,
+            "arrival_rates": {"EP": EP_RATE, "OrderProcessing": OP_RATE},
+            "seed": SEED,
+            "routing_policy": "round_robin",
+            "inject_failures": True,
+            "duration": duration,
+            "warmup": warmup,
+        },
+        "rounds": ROUNDS,
+        "runs_per_round": RUNS_PER_ROUND,
+        "parity_replications": PARITY_REPLICATIONS[mode],
+        "identity_workers": list(IDENTITY_WORKERS[mode]),
+        "identity_replications": IDENTITY_REPLICATIONS,
+        "baseline_ref": BASELINE_REF,
+    }
 
 
 def make_wfms(rng_mode: str = "exact"):
@@ -328,7 +362,9 @@ def fast_worker_identity(mode: str) -> dict:
     from repro.sim.campaign import run_campaign
 
     duration, warmup = QUICK_SHAPE  # identity is structural, keep cheap
-    plan = make_campaign_plan("fast", duration, warmup, replications=3)
+    plan = make_campaign_plan(
+        "fast", duration, warmup, replications=IDENTITY_REPLICATIONS
+    )
     workers = IDENTITY_WORKERS[mode]
     documents = {
         count: _render_document(run_campaign(plan, workers=count))
@@ -484,18 +520,10 @@ def run_benchmark(quick: bool) -> dict:
     )
 
     return {
+        "benchmark": "bench_sim_hotpath",
+        "commit": commit(),
         "mode": mode,
-        "scenario": {
-            "configuration": CONFIGURATION,
-            "arrival_rates": {"EP": EP_RATE, "OrderProcessing": OP_RATE},
-            "seed": SEED,
-            "routing_policy": "round_robin",
-            "inject_failures": True,
-            "duration": duration,
-            "warmup": warmup,
-        },
-        "rounds": ROUNDS,
-        "runs_per_round": RUNS_PER_ROUND,
+        "input": input_shape(mode),
         "events": events["exact"],
         "events_per_second": round(current_eps, 1),
         "baseline_events_per_second": round(baseline_eps, 1),
@@ -562,8 +590,8 @@ def main(argv: list[str] | None = None) -> int:
     parity = record["parity"]
     print(
         f"simulate: {record['events']} events in "
-        f"{record['scenario']['warmup']:g}+"
-        f"{record['scenario']['duration']:g} time units"
+        f"{record['input']['scenario']['warmup']:g}+"
+        f"{record['input']['scenario']['duration']:g} time units"
     )
     print(
         f"  events/sec {record['events_per_second']:12,.0f} "

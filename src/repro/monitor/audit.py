@@ -10,13 +10,15 @@ records natively, closing the map -> run -> calibrate -> remap loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterable, Iterator, TypeVar
 
 from repro.exceptions import ValidationError
 
 #: Pseudo state name recorded as the successor of a final state.
 TERMINATION = "__TERMINATED__"
+
+_Record = TypeVar("_Record")
 
 
 @dataclass(frozen=True)
@@ -78,46 +80,6 @@ class ServiceRequestRecord:
         return self.completed_at - self.started_at
 
 
-def service_records_block(
-    server_type: str,
-    server_name: str,
-    submitted: Iterable[float],
-    started: Iterable[float],
-    completed: Iterable[float],
-    instance_ids: Iterable[int],
-) -> list[ServiceRequestRecord]:
-    """Trusted bulk construction of :class:`ServiceRequestRecord` rows.
-
-    Bypasses the frozen-dataclass ``__init__`` (six guarded attribute
-    writes plus ``__post_init__`` validation per record) for callers
-    that already guarantee ``submitted <= started <= completed`` for
-    every row — the vectorized fast-RNG replay derives the three
-    timestamp columns from the Lindley recursion, which establishes the
-    ordering by construction.  The returned records are
-    indistinguishable from normally constructed ones.
-    """
-    new = ServiceRequestRecord.__new__
-    cls = ServiceRequestRecord
-    records = []
-    append = records.append
-    for submitted_at, started_at, completed_at, instance_id in zip(
-        submitted, started, completed, instance_ids
-    ):
-        record = new(cls)
-        # In-place __dict__ update sidesteps the frozen __setattr__
-        # guard (which also intercepts __dict__ assignment).
-        record.__dict__.update(
-            server_type=server_type,
-            server_name=server_name,
-            submitted_at=submitted_at,
-            started_at=started_at,
-            completed_at=completed_at,
-            instance_id=instance_id,
-        )
-        append(record)
-    return records
-
-
 @dataclass(frozen=True)
 class InstanceRecord:
     """Lifecycle of one workflow instance."""
@@ -139,13 +101,78 @@ class InstanceRecord:
         return self.completed_at - self.started_at
 
 
-@dataclass
 class AuditTrail:
-    """Container for monitoring records of one observation run."""
+    """Container for monitoring records of one observation run.
 
-    state_visits: list[StateVisitRecord] = field(default_factory=list)
-    service_requests: list[ServiceRequestRecord] = field(default_factory=list)
-    instances: list[InstanceRecord] = field(default_factory=list)
+    Records of each kind are kept in append order.  A producer that
+    emits many records — the simulator appends one per service request,
+    state visit and finished instance — appends *rows* instead: plain
+    tuples in record-field order, to :attr:`state_visit_rows`,
+    :attr:`service_request_rows` or :attr:`instance_rows`.  The frozen,
+    validated records are built from the pending rows only when
+    :attr:`state_visits`, :attr:`service_requests` or :attr:`instances`
+    is read, so a trail nobody reads costs one tuple per record.  A
+    malformed row raises its record's
+    :class:`~repro.exceptions.ValidationError` on that read and stays
+    pending.  The ``record_*`` methods first turn pending rows into
+    records, so rows and records keep one append order.  Producers may
+    bind the row lists' ``append``: :meth:`clear` and the reads empty
+    them in place.
+    """
+
+    def __init__(
+        self,
+        state_visits: Iterable[StateVisitRecord] = (),
+        service_requests: Iterable[ServiceRequestRecord] = (),
+        instances: Iterable[InstanceRecord] = (),
+    ) -> None:
+        #: Pending state-visit rows, in :class:`StateVisitRecord` order.
+        self.state_visit_rows: list[tuple] = []
+        #: Pending service-request rows, in
+        #: :class:`ServiceRequestRecord` order.
+        self.service_request_rows: list[tuple] = []
+        #: Pending instance rows, in :class:`InstanceRecord` order.
+        self.instance_rows: list[tuple] = []
+        self._state_visits = list(state_visits)
+        self._service_requests = list(service_requests)
+        self._instances = list(instances)
+
+    @property
+    def state_visits(self) -> list[StateVisitRecord]:
+        """Every state-visit record, in append order."""
+        return _records(
+            self.state_visit_rows, self._state_visits, StateVisitRecord
+        )
+
+    @property
+    def service_requests(self) -> list[ServiceRequestRecord]:
+        """Every service-request record, in append order."""
+        return _records(
+            self.service_request_rows,
+            self._service_requests,
+            ServiceRequestRecord,
+        )
+
+    @property
+    def instances(self) -> list[InstanceRecord]:
+        """Every completed-instance record, in append order."""
+        return _records(self.instance_rows, self._instances, InstanceRecord)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.state_visits == other.state_visits
+            and self.service_requests == other.service_requests
+            and self.instances == other.instances
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"AuditTrail(state_visits={self.state_visits!r}, "
+            f"service_requests={self.service_requests!r}, "
+            f"instances={self.instances!r})"
+        )
 
     # ------------------------------------------------------------------
     # Recording
@@ -161,6 +188,18 @@ class AuditTrail:
     def record_instance(self, record: InstanceRecord) -> None:
         """Append one completed-instance record."""
         self.instances.append(record)
+
+    def clear(self) -> None:
+        """Drop every record and pending row, emptying the lists in place."""
+        for kept in (
+            self.state_visit_rows,
+            self.service_request_rows,
+            self.instance_rows,
+            self._state_visits,
+            self._service_requests,
+            self._instances,
+        ):
+            kept.clear()
 
     # ------------------------------------------------------------------
     # Queries
@@ -197,12 +236,24 @@ class AuditTrail:
     def merge(self, others: Iterable["AuditTrail"]) -> "AuditTrail":
         """A new trail combining this one with the given trails."""
         merged = AuditTrail(
-            state_visits=list(self.state_visits),
-            service_requests=list(self.service_requests),
-            instances=list(self.instances),
+            self.state_visits, self.service_requests, self.instances
         )
         for other in others:
             merged.state_visits.extend(other.state_visits)
             merged.service_requests.extend(other.service_requests)
             merged.instances.extend(other.instances)
         return merged
+
+
+def _records(
+    rows: list[tuple], records: list[_Record], record_type: type[_Record]
+) -> list[_Record]:
+    """``records`` after appending the records built from ``rows``.
+
+    Every row is built before either list changes, so a malformed row
+    leaves both as they were.
+    """
+    if rows:
+        records.extend([record_type(*row) for row in rows])
+        rows.clear()
+    return records

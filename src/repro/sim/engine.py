@@ -16,10 +16,15 @@ cancelled entries dominate the calendar — and the dispatch loops are
 inlined with locally bound hot names.  None of this changes observable
 behaviour: event order, RNG draw order, and all statistics are
 byte-identical to the straightforward implementation.
+
+Every guard on a time is written so that NaN fails it (``not delay >=
+0.0`` rather than ``delay < 0.0``): a NaN entry would break the heap
+order, and the rewritten comparison costs nothing extra.
 """
 
 from __future__ import annotations
 
+import math
 from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import Any, Callable
@@ -120,7 +125,7 @@ class Simulator:
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` from now."""
-        if delay < 0.0:
+        if not delay >= 0.0:
             raise ValidationError(f"delay must be >= 0, got {delay}")
         calendar = self._calendar
         entry = [self.now + delay, self._sequence, callback, args]
@@ -141,7 +146,7 @@ class Simulator:
         requests, failure timers), so the hot paths use this variant and
         reserve :meth:`schedule` for events that may be cancelled.
         """
-        if delay < 0.0:
+        if not delay >= 0.0:
             raise ValidationError(f"delay must be >= 0, got {delay}")
         calendar = self._calendar
         heappush(
@@ -156,7 +161,7 @@ class Simulator:
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulation time."""
-        if time < self.now:
+        if not time >= self.now:
             raise ValidationError(
                 f"cannot schedule into the past: {time} < now {self.now}"
             )
@@ -212,7 +217,7 @@ class Simulator:
         The clock ends exactly at ``end_time`` even if the calendar holds
         later events (they remain scheduled).
         """
-        if end_time < self.now:
+        if not end_time >= self.now:
             raise ValidationError(
                 f"end_time {end_time} lies before now {self.now}"
             )
@@ -242,14 +247,26 @@ class Simulator:
             self._flush_obs(executed, perf_counter() - started_wall)
 
     def run(self, max_events: int | None = None) -> None:
-        """Dispatch events until the calendar drains (or a cap is hit)."""
+        """Dispatch events until the calendar drains or a cap is hit.
+
+        ``max_events`` caps the events dispatched (0 dispatches none);
+        a negative cap raises :class:`ValidationError`.
+        """
+        if max_events is None:
+            limit = math.inf
+        elif max_events >= 0:
+            limit = max_events
+        else:
+            raise ValidationError(
+                f"max_events must be >= 0, got {max_events}"
+            )
         observing = obs.is_enabled()
         started_wall = perf_counter() if observing else 0.0
         calendar = self._calendar
         pop = heappop
         executed = 0
         try:
-            while calendar:
+            while calendar and executed < limit:
                 entry = pop(calendar)
                 callback = entry[2]
                 if callback is None:
@@ -259,8 +276,6 @@ class Simulator:
                 self.now = entry[0]
                 executed += 1
                 callback(*entry[3])
-                if max_events is not None and executed >= max_events:
-                    break
         finally:
             self._executed_events += executed
             if observing:

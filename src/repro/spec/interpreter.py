@@ -24,13 +24,24 @@ for the paper's workflow charts):
 * Branching decisions are delegated to a :class:`BranchResolver` —
   probability-annotation-driven for simulation, guard-driven for
   deterministic replay.
+
+A chart is compiled once, on its first interpretation: every state at
+every position of the chart tree gets its :class:`ActiveState` (with
+its static path), its completion-event name, its outgoing transitions
+with their cumulative probabilities, and the leaf states are indexed by
+path.  An instance then only records the current state of each region,
+so :meth:`StateChartInterpreter.advance` is one index lookup and firing
+a transition allocates nothing.  When same-named orthogonal regions
+give two active leaves one path, the first region in chart order wins.
 """
 
 from __future__ import annotations
 
 import abc
 import random
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
 from repro.exceptions import ModelError, ValidationError
@@ -92,19 +103,39 @@ class ProbabilisticResolver(BranchResolver):
         event: str | None,
         environment: Mapping[str, bool],
     ) -> ChartTransition:
-        """Sample one transition by the probability annotations."""
+        """Sample one transition by the probability annotations.
+
+        One ``random()`` draw bisected into the cumulative weights,
+        exactly as ``random.choices`` samples; a compiled chart's
+        transitions bring their cumulative weights along.
+        """
         if len(transitions) == 1:
             return transitions[0]
-        weights = []
-        for transition in transitions:
-            if transition.probability is None:
-                raise ModelError(
-                    f"transition {transition} lacks a probability "
-                    "annotation; the probabilistic resolver needs one on "
-                    "every branching transition"
-                )
-            weights.append(transition.probability)
-        return self._rng.choices(list(transitions), weights=weights, k=1)[0]
+        cumulative = getattr(
+            transitions, "cumulative", None
+        ) or _cumulative_probabilities(transitions)
+        return transitions[
+            bisect(
+                cumulative,
+                self._rng.random() * (cumulative[-1] + 0.0),
+                0,
+                len(transitions) - 1,
+            )
+        ]
+
+
+def _cumulative_probabilities(
+    transitions: Sequence[ChartTransition],
+) -> list[float]:
+    """Running sums of the probability annotations of ``transitions``."""
+    for transition in transitions:
+        if transition.probability is None:
+            raise ModelError(
+                f"transition {transition} lacks a probability "
+                "annotation; the probabilistic resolver needs one on "
+                "every branching transition"
+            )
+    return list(accumulate(t.probability for t in transitions))
 
 
 class GuardedResolver(BranchResolver):
@@ -146,103 +177,92 @@ class InterpreterListener:
         """The root chart reached (and completed) its final state."""
 
 
-class _RegionRuntime:
-    """Execution state of one region (one chart) of a running instance."""
+class _Outgoing(tuple):
+    """A state's outgoing transitions, compiled.
 
-    def __init__(
-        self,
-        chart: StateChart,
-        path_prefix: StatePath,
-        interpreter: "StateChartInterpreter",
-    ) -> None:
-        self.chart = chart
-        self.path_prefix = path_prefix + (chart.name,)
-        self.interpreter = interpreter
-        self.current: str | None = None
-        self.completed = False
-        self.child_regions: list["_RegionRuntime"] = []
+    ``cumulative`` holds the running sums of the probability
+    annotations when there are two or more transitions and all are
+    annotated, else ``None``.
+    """
 
-    # ------------------------------------------------------------------
-    def enter_initial(self) -> None:
-        self._enter(self.chart.initial_state)
+    cumulative: list[float] | None
 
-    def _enter(self, state_name: str) -> None:
-        state = self.chart.state(state_name)
-        self.current = state_name
-        self.child_regions = []
-        active = ActiveState(self.path_prefix + (state_name,), state)
-        self.interpreter._notify_entered(active)
-        for action in state.all_entry_actions:
-            self.interpreter._execute_action(action, active.path)
-        if state.is_composite:
-            for region in state.regions:
-                child = _RegionRuntime(
-                    region, active.path, self.interpreter
-                )
-                self.child_regions.append(child)
-                child.enter_initial()
 
-    # ------------------------------------------------------------------
-    def active_states(self) -> list[ActiveState]:
-        if self.completed or self.current is None:
-            return []
-        state = self.chart.state(self.current)
-        if state.is_composite:
-            leaves: list[ActiveState] = []
-            for child in self.child_regions:
-                leaves.extend(child.active_states())
-            return leaves
-        return [ActiveState(self.path_prefix + (self.current,), state)]
+class _Node:
+    """One state at one position of a compiled chart tree.
 
-    # ------------------------------------------------------------------
-    def advance(self, path: StatePath) -> bool:
-        """Advance the leaf at ``path``; returns True when handled."""
-        if self.completed or self.current is None:
-            return False
-        own_path = self.path_prefix + (self.current,)
-        state = self.chart.state(self.current)
-        if state.is_composite:
-            if path[: len(own_path)] != own_path:
-                return False
-            for child in self.child_regions:
-                if child.advance(path):
-                    break
-            else:
-                return False
-            if all(child.completed for child in self.child_regions):
-                # Join: all orthogonal regions terminated; the composite
-                # completes like an activity would.
-                self._complete_current(state)
-            return True
-        if path != own_path:
-            return False
-        self._complete_current(state)
-        return True
+    ``siblings`` maps the state names of its region to their nodes,
+    ``slot`` numbers that region position, ``parent`` is the composite
+    state the region runs in (``None`` in the root chart) and
+    ``regions`` holds the initial states of its own nested regions.
+    """
 
-    def _complete_current(self, state: ChartState) -> None:
-        assert self.current is not None
-        active = ActiveState(self.path_prefix + (self.current,), state)
-        event: str | None = None
-        if state.activity is not None:
-            event = completion_event(state.activity)
-            self.interpreter._set_condition(event, True)
-        self.interpreter._notify_exited(active)
+    __slots__ = (
+        "active", "actions", "event", "outgoing", "siblings", "regions",
+        "slot", "parent",
+    )
 
-        outgoing = self.chart.outgoing(self.current)
-        if not outgoing:
-            self.current = None
-            self.completed = True
-            return
-        # The live condition dict is handed to the resolver directly (the
-        # public ``environment`` property copies it on every read, which
-        # is too expensive per fired transition); resolvers must treat it
-        # as read-only.
-        transition = self.interpreter._resolver.choose(
-            outgoing, event, self.interpreter._environment
-        )
-        for action in transition.rule.actions:
-            self.interpreter._execute_action(action, active.path)
-        self._enter(transition.target)
+
+class _Program:
+    """A chart compiled for interpretation (built once per chart)."""
+
+    __slots__ = ("initial", "regions", "leaves")
+
+    def __init__(self, chart: StateChart) -> None:
+        #: Number of region positions; each has a slot in an instance's
+        #: current-state list.
+        self.regions = 0
+        #: Leaf states by path; several only under same-named
+        #: orthogonal regions, then in chart (depth-first) order.
+        self.leaves: dict[StatePath, tuple[_Node, ...]] = {}
+        self.initial = self._region(chart, (), None)
+
+    def _region(
+        self, chart: StateChart, prefix: StatePath, parent: _Node | None
+    ) -> _Node:
+        """Compile one region position; returns its initial state."""
+        slot = self.regions
+        self.regions += 1
+        prefix = prefix + (chart.name,)
+        siblings: dict[str, _Node] = {}
+        for state in chart.states:
+            node = siblings[state.name] = _Node()
+            node.active = ActiveState(prefix + (state.name,), state)
+            node.actions = state.all_entry_actions
+            node.event = (
+                completion_event(state.activity)
+                if state.activity is not None
+                else None
+            )
+            outgoing = node.outgoing = _Outgoing(chart.outgoing(state.name))
+            annotated = all(t.probability is not None for t in outgoing)
+            outgoing.cumulative = (
+                _cumulative_probabilities(outgoing)
+                if len(outgoing) > 1 and annotated
+                else None
+            )
+            node.siblings = siblings
+            node.slot = slot
+            node.parent = parent
+            node.regions = tuple(
+                self._region(child, node.active.path, node)
+                for child in state.regions
+            )
+            if not node.regions:
+                path = node.active.path
+                self.leaves[path] = self.leaves.get(path, ()) + (node,)
+        return siblings[chart.initial_state]
+
+
+def _program(chart: StateChart) -> _Program:
+    """The compiled form of ``chart``, built on first use and kept."""
+    program = chart.__dict__.get("_program")
+    if program is None:
+        program = _Program(chart)
+        # Like the chart's own lookup indexes: not a field, so equality
+        # and repr are unchanged.
+        object.__setattr__(chart, "_program", program)
+    return program
 
 
 class StateChartInterpreter:
@@ -260,8 +280,13 @@ class StateChartInterpreter:
         self._listener = listener or InterpreterListener()
         self._activity_starter = activity_starter
         self._environment: dict[str, bool] = {}
-        self._root = _RegionRuntime(chart, (), self)
+        self._program = program = _program(chart)
+        #: Current state of each region slot (``None``: not running).
+        self._current: list[_Node | None] = [None] * program.regions
+        #: Per slot: regions still running in its composite state.
+        self._running: list[int] = [0] * program.regions
         self._started = False
+        self._completed = False
 
     # ------------------------------------------------------------------
     # Public API
@@ -274,19 +299,21 @@ class StateChartInterpreter:
     @property
     def is_completed(self) -> bool:
         """Whether the root chart has terminated."""
-        return self._root.completed
+        return self._completed
 
     def start(self) -> None:
         """Enter the initial state (and nested initial states)."""
         if self._started:
             raise ModelError("instance already started")
         self._started = True
-        self._root.enter_initial()
+        self._enter(self._program.initial)
 
     def active_states(self) -> tuple[ActiveState, ...]:
         """Currently entered leaf states, one per active region."""
         self._require_started()
-        return tuple(self._root.active_states())
+        leaves: list[ActiveState] = []
+        self._collect_leaves(0, leaves)
+        return tuple(leaves)
 
     def advance(self, path: StatePath) -> None:
         """Signal that the leaf state at ``path`` has finished.
@@ -295,14 +322,19 @@ class StateChartInterpreter:
         routing state, that its delay elapsed.
         """
         self._require_started()
-        if self.is_completed:
+        if self._completed:
             raise ModelError("instance already completed")
-        if not self._root.advance(tuple(path)):
+        current = self._current
+        for node in self._program.leaves.get(tuple(path), ()):
+            if current[node.slot] is node:
+                break
+        else:
             raise ValidationError(
                 f"no active leaf state at path {tuple(path)!r}; active: "
                 f"{[active.path for active in self.active_states()]}"
             )
-        if self.is_completed:
+        self._complete(node)
+        if self._completed:
             self._listener.on_workflow_completed()
 
     def set_condition(self, name: str, value: bool) -> None:
@@ -327,11 +359,61 @@ class StateChartInterpreter:
         return visited
 
     # ------------------------------------------------------------------
-    # Internal hooks used by region runtimes
+    # Execution
     # ------------------------------------------------------------------
     def _require_started(self) -> None:
         if not self._started:
             raise ModelError("call start() first")
+
+    def _collect_leaves(self, slot: int, leaves: list[ActiveState]) -> None:
+        node = self._current[slot]
+        if node is None:
+            return
+        if node.regions:
+            for initial in node.regions:
+                self._collect_leaves(initial.slot, leaves)
+        else:
+            leaves.append(node.active)
+
+    def _enter(self, node: _Node) -> None:
+        self._current[node.slot] = node
+        active = node.active
+        self._listener.on_state_entered(active)
+        for action in node.actions:
+            self._execute_action(action, active.path)
+        if node.regions:
+            self._running[node.slot] = len(node.regions)
+            for initial in node.regions:
+                self._enter(initial)
+
+    def _complete(self, node: _Node) -> None:
+        """Leave ``node``: take a transition, or end its region."""
+        event = node.event
+        if event is not None:
+            self._environment[event] = True
+        self._listener.on_state_exited(node.active)
+        outgoing = node.outgoing
+        if outgoing:
+            # The live condition dict is handed to the resolver directly
+            # (the public ``environment`` property copies it on every
+            # read); resolvers must treat it as read-only.
+            transition = self._resolver.choose(
+                outgoing, event, self._environment
+            )
+            for action in transition.rule.actions:
+                self._execute_action(action, node.active.path)
+            self._enter(node.siblings[transition.target])
+            return
+        self._current[node.slot] = None
+        composite = node.parent
+        if composite is None:
+            self._completed = True
+            return
+        # Join: the composite completes like an activity would once all
+        # its orthogonal regions have terminated.
+        self._running[composite.slot] -= 1
+        if not self._running[composite.slot]:
+            self._complete(composite)
 
     def _set_condition(self, name: str, value: bool) -> None:
         self._environment[name] = value
@@ -351,9 +433,3 @@ class StateChartInterpreter:
             self._set_condition(action.event_name, True)
             return
         raise ModelError(f"unknown action type {type(action).__name__}")
-
-    def _notify_entered(self, active: ActiveState) -> None:
-        self._listener.on_state_entered(active)
-
-    def _notify_exited(self, active: ActiveState) -> None:
-        self._listener.on_state_exited(active)

@@ -17,12 +17,7 @@ from repro.wfms.runtime import (
     SimulatedWFMS,
     SimulatedWorkflowType,
 )
-from repro.wfms.servers import (
-    FailureInjector,
-    Server,
-    ServerStatistics,
-    ServiceRequest,
-)
+from repro.wfms.servers import FailureInjector, Server, ServerStatistics
 
 __all__ = [
     "DurationSampling",
@@ -32,7 +27,6 @@ __all__ = [
     "ServerPool",
     "ServerStatistics",
     "ServerTypeMeasurement",
-    "ServiceRequest",
     "SimulatedWFMS",
     "SimulatedWorkflowType",
     "WFMSMeasurementReport",

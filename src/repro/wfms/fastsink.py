@@ -32,16 +32,13 @@ bookkeeping would have measured at that instant.
 from __future__ import annotations
 
 from collections import deque
+from itertools import repeat
 
 import numpy as np
 
 from repro.core.model_types import ServerTypeSpec
 from repro.exceptions import ValidationError
-from repro.monitor.audit import (
-    AuditTrail,
-    ServiceRequestRecord,
-    service_records_block,
-)
+from repro.monitor.audit import AuditTrail
 from repro.sim.distributions import Distribution
 from repro.sim.engine import Simulator
 from repro.sim.fastdraw import FastRng
@@ -82,7 +79,10 @@ class FastServer:
         #: scalar sampler).
         self._service_stream = rng.variate_stream(service_distribution)
         self._rng = rng
-        self._trail = trail
+        #: The trail's service-request rows (``None`` without a trail).
+        self._rows = (
+            trail.service_request_rows if trail is not None else None
+        )
         self.is_up = True
         self.statistics = ServerStatistics(
             busy=TimeWeightedStats(0.0, simulator.now),
@@ -211,16 +211,10 @@ class FastServer:
             self._service_buffer.append(service)
             self.statistics.completed_requests += 1
             self.completed_total += 1
-            if self._trail is not None:
-                self._trail.record_service_request(
-                    ServiceRequestRecord(
-                        server_type=self.spec.name,
-                        server_name=self.name,
-                        submitted_at=arrival,
-                        started_at=start,
-                        completed_at=end,
-                        instance_id=instance_id,
-                    )
+            if self._rows is not None:
+                self._rows.append(
+                    (self.spec.name, self.name, arrival, start, end,
+                     instance_id)
                 )
             self._t_free = end
             self._current = None
@@ -265,15 +259,11 @@ class FastServer:
             self._service_buffer.extend(services[:completed].tolist())
             self.statistics.completed_requests += completed
             self.completed_total += completed
-            if self._trail is not None:
-                # record_service_request is a bare append, so a bulk
-                # extend of the trail list is equivalent; the Lindley
-                # recursion guarantees the timestamp ordering, so the
-                # trusted block constructor applies.
-                self._trail.service_requests.extend(
-                    service_records_block(
-                        self.spec.name,
-                        self.name,
+            if self._rows is not None:
+                self._rows.extend(
+                    zip(
+                        repeat(self.spec.name),
+                        repeat(self.name),
                         arrivals[:completed].tolist(),
                         done_starts.tolist(),
                         done_ends.tolist(),
@@ -382,16 +372,10 @@ class FastServer:
             waiting.append(start - arrival)
             services.append(service)
             completed += 1
-            if self._trail is not None:
-                self._trail.record_service_request(
-                    ServiceRequestRecord(
-                        server_type=self.spec.name,
-                        server_name=self.name,
-                        submitted_at=arrival,
-                        started_at=start,
-                        completed_at=end,
-                        instance_id=instance_id,
-                    )
+            if self._rows is not None:
+                self._rows.append(
+                    (self.spec.name, self.name, arrival, start, end,
+                     instance_id)
                 )
             t_free = end
             current = None
@@ -442,11 +426,12 @@ class FastServer:
 class FastServerPool:
     """Routing replay over the replicas of one server type (fast mode).
 
-    Arrivals are buffered by :meth:`add_arrival` and routed in time
-    order by :meth:`replay_until`, interleaved with the recorded
-    up/down transitions so every routing decision sees exactly the
-    replica state the event-driven router would have seen at that
-    arrival time.  Policy semantics mirror
+    Arrivals are buffered in ``_pending_times`` / ``_pending_ids``
+    (the simulated WFMS appends to them as activities issue requests)
+    and routed in time order by :meth:`replay_until`, interleaved with
+    the recorded up/down transitions so every routing decision sees
+    exactly the replica state the event-driven router would have seen
+    at that arrival time.  Policy semantics mirror
     :class:`repro.wfms.routing.ServerPool._choose`: hash with ring
     failover, round-robin over the up replicas, uniformly random up
     replica, and parking while the whole type is down (parked requests
@@ -508,11 +493,6 @@ class FastServerPool:
     def completed_total(self) -> int:
         """Requests completed across all replicas since construction."""
         return sum(server.completed_total for server in self.servers)
-
-    def add_arrival(self, time: float, instance_id: int) -> None:
-        """Buffer one request arriving at ``time`` (replayed later)."""
-        self._pending_times.append(time)
-        self._pending_ids.append(instance_id)
 
     def notify_state_change(self) -> None:
         """Track pool availability after a failure or repair event.

@@ -19,7 +19,7 @@ from repro.core.model_types import ServerTypeSpec
 from repro.exceptions import ValidationError
 from repro.sim.engine import Simulator
 from repro.sim.statistics import TimeWeightedStats
-from repro.wfms.servers import Server, ServiceRequest
+from repro.wfms.servers import Server
 
 
 class RoutingPolicy(enum.Enum):
@@ -55,47 +55,75 @@ class ServerPool:
         self.policy = policy
         self._rng = rng if rng is not None else random.Random()
         self._round_robin_position = 0
-        self._parked: deque[ServiceRequest] = deque()
+        #: Requests waiting for any replica, ``(submitted at, instance id)``.
+        self._parked: deque[tuple[float, int]] = deque()
+        #: Replicas down, kept by their ``fail`` and ``repair``.
+        self._down = 0
+        for server in self.servers:
+            server._pool = self
+            self._down += not server.is_up
+        #: Requests routed through :meth:`arrive` so far.
+        self.arrivals = 0
         self.availability = TimeWeightedStats(1.0, simulator.now)
 
     # ------------------------------------------------------------------
     @property
     def any_up(self) -> bool:
         """Whether at least one replica is running."""
-        return any(server.is_up for server in self.servers)
+        return self._down < len(self.servers)
 
     @property
     def up_count(self) -> int:
         """Number of replicas currently up."""
-        return sum(1 for server in self.servers if server.is_up)
+        return len(self.servers) - self._down
 
-    def submit(self, request: ServiceRequest) -> None:
-        """Route a request to a running replica, or park it."""
-        server = self._choose(request)
-        if server is None:
-            self._parked.append(request)
+    def arrive(self, instance_id: int) -> None:
+        """Route a request that instance ``instance_id`` submits now.
+
+        The pool's one entry for requests: the simulated WFMS posts
+        this bound method as the calendar event of each service
+        request it issues.
+        """
+        self.arrivals += 1
+        now = self.simulator.now
+        if self._down:
+            self._route(now, instance_id)
             return
-        server.submit(request)
+        # Every replica up: each policy's choice is one index (the same
+        # one the general search of _choose finds).
+        servers = self.servers
+        policy = self.policy
+        if policy is RoutingPolicy.ROUND_ROBIN:
+            position = self._round_robin_position + 1
+            self._round_robin_position = position
+            servers[position % len(servers)].submit(now, instance_id)
+        elif policy is RoutingPolicy.HASH:
+            servers[instance_id % len(servers)].submit(now, instance_id)
+        else:
+            self._rng.choice(servers).submit(now, instance_id)
 
-    def _choose(self, request: ServiceRequest) -> Server | None:
+    def _route(self, submitted_at: float, instance_id: int) -> None:
+        server = self._choose(instance_id)
+        if server is None:
+            self._parked.append((submitted_at, instance_id))
+        else:
+            server.submit(submitted_at, instance_id)
+
+    def _choose(self, instance_id: int) -> Server | None:
         servers = self.servers
         policy = self.policy
         if policy is RoutingPolicy.HASH:
             # Prefer the instance's home replica; fail over to the next
-            # running one in ring order.  The common all-up case resolves
-            # without building an up-server list.
+            # running one in ring order.
             count = len(servers)
-            preferred = request.instance_id % count
+            preferred = instance_id % count
             for offset in range(count):
                 server = servers[(preferred + offset) % count]
                 if server.is_up:
                     return server
             return None
         if policy is RoutingPolicy.ROUND_ROBIN:
-            up_count = 0
-            for server in servers:
-                if server.is_up:
-                    up_count += 1
+            up_count = len(servers) - self._down
             if not up_count:
                 return None
             self._round_robin_position += 1
@@ -125,7 +153,7 @@ class ServerPool:
             1.0 if self.any_up else 0.0, self.simulator.now
         )
         while self._parked and self.any_up:
-            self.submit(self._parked.popleft())
+            self._route(*self._parked.popleft())
 
     def reset_statistics(self) -> None:
         """Drop warm-up measurements on the pool and all replicas."""

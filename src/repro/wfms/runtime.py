@@ -27,12 +27,7 @@ from repro import obs
 from repro.core.model_types import ServerTypeIndex
 from repro.core.performance import SystemConfiguration
 from repro.exceptions import ValidationError
-from repro.monitor.audit import (
-    TERMINATION,
-    AuditTrail,
-    InstanceRecord,
-    StateVisitRecord,
-)
+from repro.monitor.audit import TERMINATION, AuditTrail
 from repro.sim.distributions import (
     Deterministic,
     Distribution,
@@ -65,7 +60,7 @@ from repro.wfms.measurement import (
 )
 from repro.wfms.fastsink import FastServer, FastServerPool
 from repro.wfms.routing import RoutingPolicy, ServerPool
-from repro.wfms.servers import FailureInjector, Server, ServiceRequest
+from repro.wfms.servers import FailureInjector, Server
 
 #: Valid values of the ``rng_mode`` simulation parameter.
 RNG_MODES = ("exact", "fast")
@@ -275,8 +270,8 @@ class SimulatedWFMS:
         # Hot-path precomputation: the duration-sampler table (one
         # compiled closure per distinct mean, prepopulated from every
         # activity and chart state so steady-state runs never miss), the
-        # per-type submit table (one dict lookup instead of pool
-        # resolution per request), and the bound arrival sampler.
+        # per-type request sinks (one dict lookup per activity and type),
+        # the shared branch resolver, and the bound arrival sampler.
         self._duration_samplers: dict[float, Callable[[], float]] = {}
         for workflow_type in self.workflow_types:
             for activity in workflow_type.activities.activities.values():
@@ -287,10 +282,6 @@ class SimulatedWFMS:
                         self._duration_sampler(state.mean_duration)
         self._duration_sampler(self.default_routing_duration)
         if fast:
-            self._pool_add = {
-                name: pool.add_arrival
-                for name, pool in self.pools.items()
-            }
             # Direct append handles into each pool's arrival buffers:
             # replay_until() empties the lists with clear(), never
             # replaces them, so the bound methods stay valid.
@@ -302,9 +293,11 @@ class SimulatedWFMS:
                 for name, pool in self.pools.items()
             }
         else:
-            self._pool_submit = {
-                name: pool.submit for name, pool in self.pools.items()
+            # Each request's calendar event calls its pool directly.
+            self._pool_arrive = {
+                name: pool.arrive for name, pool in self.pools.items()
             }
+        self._resolver = ProbabilisticResolver(self._branch_rng)
         self._arrival_expovariate = self._arrival_rng.expovariate
 
         # Per-event observability is batched: plain-int tallies here,
@@ -314,6 +307,7 @@ class SimulatedWFMS:
         self._obs_instances_started = 0
         self._obs_instances_completed = 0
         self._obs_requests_submitted = 0
+        self._obs_arrivals_flushed = 0
         self._obs_blocks_flushed = 0
         self._obs_variates_flushed = 0
 
@@ -420,33 +414,6 @@ class SimulatedWFMS:
             sampler = self._duration_sampler(mean)
         return sampler()
 
-    def submit_request(self, server_type: str, instance_id: int) -> None:
-        """Issue one service request to a server type's pool."""
-        if self._fast_mode:
-            try:
-                add = self._pool_add[server_type]
-            except KeyError:
-                raise ValidationError(
-                    f"unknown server type {server_type!r}"
-                ) from None
-            self._obs_requests_submitted += 1
-            add(self.simulator.now, instance_id)
-            return
-        try:
-            submit = self._pool_submit[server_type]
-        except KeyError:
-            raise ValidationError(
-                f"unknown server type {server_type!r}"
-            ) from None
-        self._obs_requests_submitted += 1
-        submit(
-            ServiceRequest(
-                server_type=server_type,
-                instance_id=instance_id,
-                submitted_at=self.simulator.now,
-            )
-        )
-
     def integer_load(self, expected_requests: float) -> int:
         """Randomized rounding: the mean equals the fractional load."""
         whole = int(math.floor(expected_requests))
@@ -537,6 +504,14 @@ class SimulatedWFMS:
                 "wfms.instances_completed", self._obs_instances_completed
             )
             self._obs_instances_completed = 0
+        if not self._fast_mode:
+            # Exact-mode requests count when their calendar event
+            # reaches the pool.
+            arrivals = sum(pool.arrivals for pool in self.pools.values())
+            self._obs_requests_submitted += (
+                arrivals - self._obs_arrivals_flushed
+            )
+            self._obs_arrivals_flushed = arrivals
         if self._obs_requests_submitted:
             obs.count(
                 "wfms.requests_submitted", self._obs_requests_submitted
@@ -607,9 +582,7 @@ class SimulatedWFMS:
         self._system_up = TimeWeightedStats(
             1.0 if all(p.any_up for p in self.pools.values()) else 0.0, now
         )
-        self.trail.state_visits.clear()
-        self.trail.service_requests.clear()
-        self.trail.instances.clear()
+        self.trail.clear()
 
     def _measure_servers(
         self, now: float
@@ -706,13 +679,8 @@ class SimulatedWFMS:
             self._tracked_open -= 1
             self._turnarounds[workflow_name].add(now - started_at)
             self._completed[workflow_name] += 1
-            self.trail.record_instance(
-                InstanceRecord(
-                    instance_id=instance_id,
-                    workflow_type=workflow_name,
-                    started_at=started_at,
-                    completed_at=now,
-                )
+            self.trail.instance_rows.append(
+                (instance_id, workflow_name, started_at, now)
             )
 
 
@@ -730,9 +698,7 @@ class _InstanceRuntime(InterpreterListener):
         self.instance_id = instance_id
         self.started_at = wfms.simulator.now
         self.interpreter = StateChartInterpreter(
-            workflow_type.chart,
-            resolver=ProbabilisticResolver(wfms._branch_rng),
-            listener=self,
+            workflow_type.chart, resolver=wfms._resolver, listener=self
         )
         # Top-level audit tracking: (state name, entered at).
         self._top_level: tuple[str, float] | None = None
@@ -765,16 +731,10 @@ class _InstanceRuntime(InterpreterListener):
                 and self.wfms._in_window(self.started_at)
                 and self._top_level[1] >= self.wfms._collect_from):
             state, entered_at = self._top_level
-            self.wfms.trail.record_state_visit(
-                StateVisitRecord(
-                    instance_id=self.instance_id,
-                    workflow_type=self.workflow_type.chart.name,
-                    state=state,
-                    entered_at=entered_at,
-                    left_at=now,
-                    next_state=next_state,
-                )
-            )
+            self.wfms.trail.state_visit_rows.append((
+                self.instance_id, self.workflow_type.chart.name, state,
+                entered_at, now, next_state,
+            ))
         self._top_level = (
             None if next_state == TERMINATION else (next_state, now)
         )
@@ -850,15 +810,18 @@ class _InstanceRuntime(InterpreterListener):
             wfms._obs_requests_submitted += submitted
             return
         post = wfms.simulator.post
-        submit_request = wfms.submit_request
         for server_type, expected in loads.items():
-            for _ in range(wfms.integer_load(expected)):
-                post(
-                    uniform(0.0, duration),
-                    submit_request,
-                    server_type,
-                    instance_id,
-                )
+            count = wfms.integer_load(expected)
+            if not count:
+                continue
+            try:
+                arrive = wfms._pool_arrive[server_type]
+            except KeyError:
+                raise ValidationError(
+                    f"unknown server type {server_type!r}"
+                ) from None
+            for _ in range(count):
+                post(uniform(0.0, duration), arrive, instance_id)
 
     def _advance(self, path: StatePath) -> None:
         self.interpreter.advance(path)

@@ -17,24 +17,10 @@ from dataclasses import dataclass, field
 
 from repro.core.model_types import ServerTypeSpec
 from repro.exceptions import ValidationError
-from repro.monitor.audit import AuditTrail, ServiceRequestRecord
+from repro.monitor.audit import AuditTrail
 from repro.sim.distributions import Distribution, Exponential
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.statistics import RunningStats, TimeWeightedStats
-
-
-@dataclass(slots=True)
-class ServiceRequest:
-    """One service request travelling to a server replica."""
-
-    server_type: str
-    instance_id: int
-    submitted_at: float
-    started_at: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.submitted_at < 0.0:
-            raise ValidationError("submitted_at must be >= 0")
 
 
 @dataclass
@@ -53,7 +39,15 @@ class ServerStatistics:
 
 
 class Server:
-    """One replica of a server type: FCFS queue, one service unit."""
+    """One replica of a server type: FCFS queue, one service unit.
+
+    Requests travel as ``(submitted at, instance id)`` pairs.  A
+    request reaching an idle running replica starts without passing
+    the queue; a completion updates the statistics through bound
+    methods, appends its audit row (a
+    :class:`~repro.monitor.audit.ServiceRequestRecord` field tuple) and
+    starts the next queued request.
+    """
 
     def __init__(
         self,
@@ -72,16 +66,30 @@ class Server:
         # once instead of re-resolving distribution parameters per draw
         # (the closure consumes the rng identically to ``sample``).
         self._sample_service = service_distribution.sampler(rng)
+        self._schedule = simulator.schedule
         self._rng = rng
-        self._trail = trail
-        self._queue: deque[ServiceRequest] = deque()
-        self._current: ServiceRequest | None = None
+        self._append_row = (
+            trail.service_request_rows.append if trail is not None else None
+        )
+        self._queue: deque[tuple[float, int]] = deque()
+        #: The request in service, ``(submitted at, instance id)``.
+        self._current: tuple[float, int] | None = None
         self._completion: EventHandle | None = None
         self.is_up = True
-        self.statistics = ServerStatistics(
-            busy=TimeWeightedStats(0.0, simulator.now),
-            up=TimeWeightedStats(1.0, simulator.now),
+        #: The pool routing to this replica; it counts the replicas down.
+        self._pool = None
+        self._bind_statistics(
+            ServerStatistics(
+                busy=TimeWeightedStats(0.0, simulator.now),
+                up=TimeWeightedStats(1.0, simulator.now),
+            )
         )
+
+    def _bind_statistics(self, statistics: ServerStatistics) -> None:
+        self.statistics = statistics
+        self._busy_update = statistics.busy.update
+        self._add_waiting = statistics.waiting_times.add
+        self._add_service = statistics.service_times.add
 
     # ------------------------------------------------------------------
     # Request handling
@@ -96,50 +104,49 @@ class Server:
         """Whether a request is currently in service."""
         return self._current is not None
 
-    def submit(self, request: ServiceRequest) -> None:
-        """Enqueue a request; service starts immediately when idle."""
-        self._queue.append(request)
-        self._try_start_next()
+    def submit(self, submitted_at: float, instance_id: int) -> None:
+        """Accept a request that instance ``instance_id`` submitted.
 
-    def _try_start_next(self) -> None:
-        if not self.is_up or self._current is not None or not self._queue:
+        Service starts at once when the replica is idle and up; else
+        the request queues.  ``submitted_at`` is when the request was
+        first routed, so a parked or preempted request keeps its wait.
+        """
+        # An idle running replica has an empty queue: start right away.
+        if self._current is not None or not self.is_up:
+            self._queue.append((submitted_at, instance_id))
             return
-        request = self._queue.popleft()
         now = self.simulator.now
-        request.started_at = now
-        self._current = request
-        self.statistics.busy.update(1.0, now)
+        self._current = (submitted_at, instance_id)
+        self._busy_update(1.0, now)
         service_time = self._sample_service()
-        self._completion = self.simulator.schedule(
-            service_time, self._complete, request, service_time
+        self._completion = self._schedule(
+            service_time, self._complete,
+            submitted_at, instance_id, now, service_time,
         )
 
     def _complete(
-        self, request: ServiceRequest, service_time: float
+        self,
+        submitted_at: float,
+        instance_id: int,
+        started_at: float,
+        service_time: float,
     ) -> None:
         now = self.simulator.now
+        self._busy_update(0.0, now)
+        self._add_waiting(started_at - submitted_at)
+        self._add_service(service_time)
+        self.statistics.completed_requests += 1
+        append_row = self._append_row
+        if append_row is not None:
+            append_row((
+                self.spec.name, self.name,
+                submitted_at, started_at, now, instance_id,
+            ))
         self._current = None
         self._completion = None
-        statistics = self.statistics
-        statistics.busy.update(0.0, now)
-        assert request.started_at is not None
-        statistics.waiting_times.add(
-            request.started_at - request.submitted_at
-        )
-        statistics.service_times.add(service_time)
-        statistics.completed_requests += 1
-        if self._trail is not None:
-            self._trail.record_service_request(
-                ServiceRequestRecord(
-                    server_type=request.server_type,
-                    server_name=self.name,
-                    submitted_at=request.submitted_at,
-                    started_at=request.started_at,
-                    completed_at=now,
-                    instance_id=request.instance_id,
-                )
-            )
-        self._try_start_next()
+        if self._queue:
+            # A pending completion means the replica is up.
+            self.submit(*self._queue.popleft())
 
     # ------------------------------------------------------------------
     # Failure / repair
@@ -149,6 +156,8 @@ class Server:
         if not self.is_up:
             return
         self.is_up = False
+        if self._pool is not None:
+            self._pool._down += 1
         now = self.simulator.now
         self.statistics.up.update(0.0, now)
         if self._completion is not None:
@@ -157,27 +166,31 @@ class Server:
         if self._current is not None:
             # Retry semantics: the preempted request returns to the head
             # of the queue and is served from scratch after the repair.
-            self._current.started_at = None
             self._queue.appendleft(self._current)
             self._current = None
-            self.statistics.busy.update(0.0, now)
+            self._busy_update(0.0, now)
 
     def repair(self) -> None:
         """Bring the replica back up and resume service."""
         if self.is_up:
             return
         self.is_up = True
+        if self._pool is not None:
+            self._pool._down -= 1
         self.statistics.up.update(1.0, self.simulator.now)
-        self._try_start_next()
+        if self._queue:
+            self.submit(*self._queue.popleft())
 
     def reset_statistics(self) -> None:
         """Drop warm-up measurements; time-weighted stats restart now."""
         now = self.simulator.now
-        self.statistics = ServerStatistics(
-            busy=TimeWeightedStats(
-                1.0 if self.is_busy else 0.0, now
-            ),
-            up=TimeWeightedStats(1.0 if self.is_up else 0.0, now),
+        self._bind_statistics(
+            ServerStatistics(
+                busy=TimeWeightedStats(
+                    1.0 if self.is_busy else 0.0, now
+                ),
+                up=TimeWeightedStats(1.0 if self.is_up else 0.0, now),
+            )
         )
 
 

@@ -32,7 +32,7 @@ from repro.sim.campaign import (
 from repro.sim.distributions import Exponential, distribution_for_moments
 from repro.sim.engine import Simulator
 from repro.wfms import RoutingPolicy, SimulatedWFMS, SimulatedWorkflowType
-from repro.wfms.servers import Server, ServiceRequest
+from repro.wfms.servers import Server
 from repro.workflows import (
     ecommerce_activities,
     ecommerce_chart,
@@ -65,9 +65,7 @@ class TestMG1QueueAgainstFormula:
         rng = random.Random(2)
 
         def arrive():
-            server.submit(
-                ServiceRequest("srv", 0, submitted_at=simulator.now)
-            )
+            server.submit(simulator.now, 0)
             simulator.schedule(arrivals.sample(rng), arrive)
 
         simulator.schedule(arrivals.sample(rng), arrive)

@@ -83,3 +83,88 @@ class TestTrailQueries:
     def test_termination_marker_distinct_from_states(self):
         record = visit(next_state=TERMINATION)
         assert record.next_state == TERMINATION
+
+
+class TestRows:
+    """Producers append field tuples; records are built when read."""
+
+    def test_rows_and_records_keep_append_order(self):
+        trail = AuditTrail()
+        trail.state_visit_rows.append((1, "wf", "a", 0.0, 1.0, "b"))
+        trail.record_state_visit(visit(state="b", enter=1.0, leave=2.0))
+        trail.state_visit_rows.append((1, "wf", "c", 2.0, 3.0, "d"))
+        assert [r.state for r in trail.state_visits] == ["a", "b", "c"]
+        assert trail.state_visits[0] == visit()
+
+    def test_each_kind_builds_its_record(self):
+        trail = AuditTrail()
+        trail.service_request_rows.append(
+            ("srv", "srv#0", 0.0, 0.5, 1.5, 7)
+        )
+        trail.instance_rows.append((7, "wf", 0.0, 3.0))
+        assert trail.service_requests == [
+            ServiceRequestRecord("srv", "srv#0", 0.0, 0.5, 1.5, 7)
+        ]
+        assert trail.instances == [InstanceRecord(7, "wf", 0.0, 3.0)]
+        assert not trail.service_request_rows and not trail.instance_rows
+
+    @pytest.mark.parametrize(
+        ("rows", "read"),
+        [
+            ("state_visit_rows", "state_visits"),
+            ("service_request_rows", "service_requests"),
+            ("instance_rows", "instances"),
+        ],
+    )
+    def test_malformed_row_raises_when_read(self, rows, read):
+        trail = AuditTrail()
+        bad = {
+            "state_visit_rows": (1, "wf", "a", 5.0, 4.0, "b"),
+            "service_request_rows": ("s", "s#0", 2.0, 1.0, 3.0, 1),
+            "instance_rows": (1, "wf", 10.0, 5.0),
+        }[rows]
+        getattr(trail, rows).append(bad)  # appending never validates
+        with pytest.raises(ValidationError):
+            getattr(trail, read)
+        # The row stays pending: every read raises, nothing half-built.
+        with pytest.raises(ValidationError):
+            getattr(trail, read)
+
+    def test_clear_empties_rows_and_records_in_place(self):
+        trail = AuditTrail()
+        append = trail.instance_rows.append
+        append((1, "wf", 0.0, 1.0))
+        trail.record_instance(InstanceRecord(2, "wf", 0.0, 2.0))
+        append((3, "wf", 0.0, 3.0))
+        trail.clear()
+        assert trail == AuditTrail()
+        append((4, "wf", 0.0, 4.0))  # a bound append survives clear()
+        assert [r.instance_id for r in trail.instances] == [4]
+
+    def test_merge_includes_pending_rows(self):
+        first, second = AuditTrail(), AuditTrail()
+        first.state_visit_rows.append((1, "wf", "a", 0.0, 1.0, "b"))
+        second.state_visit_rows.append((2, "wf", "x", 0.0, 1.0, "y"))
+        merged = first.merge([second])
+        assert [r.instance_id for r in merged.state_visits] == [1, 2]
+        assert len(first.state_visits) == 1
+
+    def test_equality_is_by_records(self):
+        from_rows = AuditTrail()
+        from_rows.state_visit_rows.append((1, "wf", "a", 0.0, 1.0, "b"))
+        assert from_rows == AuditTrail(state_visits=[visit()])
+        assert from_rows != AuditTrail()
+        assert from_rows != AuditTrail(state_visits=[visit(), visit()])
+
+    def test_save_load_round_trip(self, tmp_path):
+        from repro.monitor.persistence import load_trail, save_trail
+
+        trail = AuditTrail()
+        trail.state_visit_rows.append((1, "wf", "a", 0.0, 1.0, "b"))
+        trail.service_request_rows.append(
+            ("srv", "srv#0", 0.25, 0.5, 0.75, 1)
+        )
+        trail.instance_rows.append((1, "wf", 0.0, 1.0))
+        path = tmp_path / "trail.jsonl"
+        assert save_trail(trail, path) == 3
+        assert load_trail(path) == trail

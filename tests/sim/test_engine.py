@@ -240,3 +240,51 @@ class TestAccounting:
             simulator.schedule(1.0, lambda: None)
         simulator.run(max_events=4)
         assert simulator.executed_events == 4
+
+    def test_zero_event_cap_dispatches_nothing(self):
+        simulator = Simulator()
+        fired = []
+        simulator.schedule(1.0, fired.append, "event")
+        simulator.run(max_events=0)
+        assert fired == []
+        assert simulator.executed_events == 0
+        assert simulator.pending_events == 1
+
+    def test_negative_event_cap_rejected(self):
+        simulator = Simulator()
+        fired = []
+        simulator.schedule(1.0, fired.append, "event")
+        with pytest.raises(ValidationError, match="max_events"):
+            simulator.run(max_events=-1)
+        assert fired == []
+
+
+class TestNaNGuards:
+    """A NaN time fails every guard instead of breaking heap order."""
+
+    def test_schedule_rejects_nan_delay(self):
+        simulator = Simulator()
+        with pytest.raises(ValidationError):
+            simulator.schedule(float("nan"), lambda: None)
+        assert simulator.pending_events == 0
+
+    def test_post_rejects_nan_delay(self):
+        simulator = Simulator()
+        with pytest.raises(ValidationError):
+            simulator.post(float("nan"), lambda: None)
+        assert simulator.pending_events == 0
+
+    def test_schedule_at_rejects_nan_time(self):
+        simulator = Simulator()
+        with pytest.raises(ValidationError):
+            simulator.schedule_at(float("nan"), lambda: None)
+        assert simulator.pending_events == 0
+
+    def test_run_until_rejects_nan_end_time(self):
+        simulator = Simulator()
+        fired = []
+        simulator.schedule(1.0, fired.append, "event")
+        with pytest.raises(ValidationError):
+            simulator.run_until(float("nan"))
+        assert fired == []
+        assert simulator.now == 0.0

@@ -222,3 +222,22 @@ class TestOptions:
                 SystemConfiguration({"engine": 1, "app": 1}),
                 [simple_workflow_type(), simple_workflow_type()],
             )
+
+    @pytest.mark.parametrize("rng_mode", ["exact", "fast"])
+    def test_load_on_unknown_server_type_rejected(self, rng_mode):
+        activities = ActivityRegistry(
+            {"work": ActivitySpec("work", 2.0, loads={"bogus": 1.0})}
+        )
+        chart = (
+            StateChartBuilder("simple")
+            .activity_state("work", activity="work")
+            .build()
+        )
+        wfms = SimulatedWFMS(
+            server_types=server_types(),
+            configuration=SystemConfiguration({"engine": 1, "app": 1}),
+            workflow_types=[SimulatedWorkflowType(chart, activities, 0.5)],
+            rng_mode=rng_mode,
+        )
+        with pytest.raises(ValidationError, match="unknown server type"):
+            wfms.run(duration=100.0)

@@ -8,7 +8,7 @@ from repro.core.model_types import ServerTypeSpec
 from repro.monitor.audit import AuditTrail
 from repro.sim.distributions import Deterministic, Exponential
 from repro.sim.engine import Simulator
-from repro.wfms.servers import FailureInjector, Server, ServiceRequest
+from repro.wfms.servers import FailureInjector, Server
 
 
 def make_server(simulator, service_time=1.0, trail=None, name="srv#0"):
@@ -26,18 +26,11 @@ def make_server(simulator, service_time=1.0, trail=None, name="srv#0"):
     )
 
 
-def request(simulator, instance_id=0):
-    return ServiceRequest(
-        server_type="srv", instance_id=instance_id,
-        submitted_at=simulator.now,
-    )
-
-
 class TestFCFSService:
     def test_single_request_served_immediately(self):
         simulator = Simulator()
         server = make_server(simulator)
-        server.submit(request(simulator))
+        server.submit(simulator.now, 0)
         simulator.run()
         assert server.statistics.completed_requests == 1
         assert server.statistics.waiting_times.mean == 0.0
@@ -46,9 +39,9 @@ class TestFCFSService:
     def test_queueing_waiting_times(self):
         simulator = Simulator()
         server = make_server(simulator, service_time=2.0)
-        server.submit(request(simulator))
-        server.submit(request(simulator))
-        server.submit(request(simulator))
+        server.submit(simulator.now, 0)
+        server.submit(simulator.now, 0)
+        server.submit(simulator.now, 0)
         simulator.run()
         # Waits: 0, 2, 4 -> mean 2.
         assert server.statistics.waiting_times.mean == pytest.approx(2.0)
@@ -57,7 +50,7 @@ class TestFCFSService:
     def test_utilization_tracking(self):
         simulator = Simulator()
         server = make_server(simulator, service_time=1.0)
-        server.submit(request(simulator))
+        server.submit(simulator.now, 0)
         simulator.run()
         simulator.schedule(1.0, lambda: None)  # idle period
         simulator.run()
@@ -68,7 +61,7 @@ class TestFCFSService:
         simulator = Simulator()
         trail = AuditTrail()
         server = make_server(simulator, trail=trail)
-        server.submit(request(simulator))
+        server.submit(simulator.now, 0)
         simulator.run()
         assert len(trail.service_requests) == 1
         record = trail.service_requests[0]
@@ -80,7 +73,7 @@ class TestFailures:
     def test_failure_preempts_and_retries(self):
         simulator = Simulator()
         server = make_server(simulator, service_time=2.0)
-        server.submit(request(simulator))
+        server.submit(simulator.now, 0)
         simulator.schedule(1.0, server.fail)
         simulator.schedule(3.0, server.repair)
         simulator.run()
@@ -92,7 +85,7 @@ class TestFailures:
         simulator = Simulator()
         server = make_server(simulator)
         server.fail()
-        server.submit(request(simulator))
+        server.submit(simulator.now, 0)
         simulator.run()
         assert server.statistics.completed_requests == 0
         assert server.queue_length == 1
@@ -123,7 +116,7 @@ class TestFailures:
     def test_reset_statistics_preserves_state(self):
         simulator = Simulator()
         server = make_server(simulator)
-        server.submit(request(simulator))
+        server.submit(simulator.now, 0)
         simulator.run()
         server.reset_statistics()
         assert server.statistics.completed_requests == 0
