@@ -21,7 +21,9 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_frontier.py --quick --check
 
 ``--quick`` shrinks the search space for CI smoke runs (well under the
-30 s budget).
+30 s budget).  The record states the commit (``git describe --always
+--dirty``), the mode, and the input shape: model (landscape and
+workload), seed, goals and replica limits.
 """
 
 from __future__ import annotations
@@ -48,6 +50,11 @@ from repro.workflows import (
     order_processing_workflow,
 )
 
+# The repository root, so the script also runs as a file.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from benchmarks.provenance import commit  # noqa: E402
+
 #: Full-mode goals trace a 7-point frontier; quick mode loosens both
 #: bounds so the shrunken space still yields a multi-point frontier
 #: with the seeded restarts exercised.
@@ -66,13 +73,17 @@ FRONTIER_COUNTERS = (
 )
 
 
+#: The workflow mix: (workflow factory, arrival rate per minute).
+WORKLOAD = (
+    (ecommerce_workflow, 0.3),
+    (order_processing_workflow, 0.15),
+    (loan_workflow, 0.1),
+)
+
+
 def make_performance_model() -> PerformanceModel:
     workload = Workload(
-        [
-            WorkloadItem(ecommerce_workflow(), 0.3),
-            WorkloadItem(order_processing_workflow(), 0.15),
-            WorkloadItem(loan_workflow(), 0.1),
-        ]
+        [WorkloadItem(build(), rate) for build, rate in WORKLOAD]
     )
     return PerformanceModel(extended_server_types(), workload)
 
@@ -86,6 +97,27 @@ def make_constraints(quick: bool) -> ReplicationConstraints:
         )},
         max_total_servers=12 if quick else 16,
     )
+
+
+def input_shape(
+    goals: PerformabilityGoals, constraints: ReplicationConstraints
+) -> dict:
+    """The inputs the record was measured on (besides its mode)."""
+    return {
+        "model": {
+            "landscape": list(extended_server_types().names),
+            "workload": {build().name: rate for build, rate in WORKLOAD},
+        },
+        "seed": SEED,
+        "goals": {
+            "max_waiting_time": goals.max_waiting_time,
+            "max_unavailability": goals.max_unavailability,
+        },
+        "constraints": {
+            "maximum": dict(sorted(constraints.maximum.items())),
+            "max_total_servers": constraints.max_total_servers,
+        },
+    }
 
 
 def run_sweep(
@@ -188,10 +220,9 @@ def main(argv: list[str] | None = None) -> int:
     ]
     record = {
         "benchmark": "bench_frontier",
+        "commit": commit(),
         "mode": "quick" if args.quick else "full",
-        "seed": SEED,
-        "max_waiting_time": goals.max_waiting_time,
-        "max_unavailability": goals.max_unavailability,
+        "input": input_shape(goals, constraints),
         "frontier_size": len(frontier_configurations),
         "evaluations": serial["document"]["evaluations"],
         "restarts": serial["document"]["restarts"],

@@ -12,7 +12,10 @@ a single bit.
 
 Also records ingestion throughput over HTTP (records/sec end to end,
 including parsing and drift detection) and the time-to-recommendation
-after the final chunk, to ``BENCH_service.json``.
+after the final chunk, to ``BENCH_service.json``.  The record states
+the commit (``git describe --always --dirty``), the mode, and the input
+shape: trail file, record count, chunk size, baseline project and
+goals.
 
 Usage::
 
@@ -41,6 +44,12 @@ from repro.service import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+# The repository root, so the script also runs as a file.
+sys.path.insert(0, str(REPO_ROOT))
+
+from benchmarks.provenance import commit  # noqa: E402
+
 TRAIL = REPO_ROOT / "examples" / "data" / "sample_trail.jsonl"
 BASELINE = REPO_ROOT / "examples" / "data" / "service_baseline.json"
 GOALS = "max-waiting=0.5,max-unavailability=1e-4"
@@ -63,6 +72,17 @@ def _post(url: str, body: bytes) -> dict:
 def _get(url: str) -> tuple[dict, bytes]:
     with urllib.request.urlopen(url, timeout=30.0) as response:
         return dict(response.headers), response.read()
+
+
+def input_shape(records: int, chunk_size: int) -> dict:
+    """The inputs the record was measured on (besides its mode)."""
+    return {
+        "trail": str(TRAIL.relative_to(REPO_ROOT)),
+        "records": records,
+        "chunk_size": chunk_size,
+        "baseline": str(BASELINE.relative_to(REPO_ROOT)),
+        "goals": GOALS,
+    }
 
 
 def run_benchmark(quick: bool) -> dict:
@@ -112,10 +132,12 @@ def run_benchmark(quick: bool) -> dict:
         batch_recommendation(str(TRAIL), baseline, goals)
     )
     return {
+        "benchmark": "bench_service",
+        "commit": commit(),
         "mode": "quick" if quick else "full",
+        "input": input_shape(len(lines), chunk_size),
         "records": ingested,
         "chunks": len(chunks),
-        "chunk_size": chunk_size,
         "searches_scheduled": searches_scheduled,
         "ingest_seconds": ingest_seconds,
         "ingest_records_per_second": ingested / ingest_seconds,

@@ -31,12 +31,6 @@ DEFAULT_TOLERANCE = 1e-12
 DEFAULT_MAX_ITERATIONS = 100_000
 
 
-try:  # scipy is a hard dependency, but keep a pure-numpy fallback
-    from scipy.linalg import solve_triangular as _solve_triangular
-except ImportError:  # pragma: no cover - scipy ships with the package
-    _solve_triangular = None
-
-
 def _as_square_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -57,14 +51,12 @@ def _forward_substitution(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     One Gauss-Seidel sweep is exactly this triangular solve with
     ``lower = D + L`` and ``rhs = b - U x_old``; routing it through
     LAPACK turns the pure-Python inner loop into one vectorized kernel.
+    scipy is imported here, where it is used, so that importing the
+    package does not load it.
     """
-    if _solve_triangular is not None:
-        return _solve_triangular(lower, rhs, lower=True,
-                                 check_finite=False)
-    x = np.zeros_like(rhs)  # pragma: no cover - scipy-less fallback
-    for i in range(rhs.shape[0]):  # pragma: no cover
-        x[i] = (rhs[i] - lower[i, :i] @ x[:i]) / lower[i, i]
-    return x  # pragma: no cover
+    from scipy.linalg import solve_triangular
+
+    return solve_triangular(lower, rhs, lower=True, check_finite=False)
 
 
 def gauss_seidel(

@@ -82,7 +82,8 @@ class BackgroundSearchExecutor:
         self._on_outcome = on_outcome
         self._lock = threading.Lock()
         self._keys: dict[str, _KeyState] = {}
-        self._threads: dict[tuple[str, int], threading.Thread] = {}
+        #: Each submitted task's done event, until the task finishes.
+        self._running: dict[tuple[str, int], threading.Event] = {}
         self._shutdown = False
 
     # ------------------------------------------------------------------
@@ -124,13 +125,17 @@ class BackgroundSearchExecutor:
             callback = on_outcome if on_outcome is not None else (
                 self._on_outcome
             )
+            done = threading.Event()
             thread = threading.Thread(
                 target=self._run,
-                args=(key, generation, task, cancel, callback),
+                args=(key, generation, task, cancel, callback, done),
                 name=f"repro-search-{key}-{generation}",
                 daemon=True,
             )
-            self._threads[(key, generation)] = thread
+            # join() waits on the event, not the thread: the thread starts
+            # only after the lock is released, and a thread that has not
+            # started cannot be joined.
+            self._running[(key, generation)] = done
         obs.count("search.background.submitted")
         thread.start()
         return generation
@@ -142,6 +147,7 @@ class BackgroundSearchExecutor:
         task: Callable[[Callable[[], bool]], Any],
         cancel: threading.Event,
         callback: Callable[[SearchOutcome], None] | None,
+        done: threading.Event,
     ) -> None:
         result: Any = None
         error: BaseException | None = None
@@ -155,7 +161,7 @@ class BackgroundSearchExecutor:
         with self._lock:
             state = self._keys.get(key)
             current = state is not None and state.generation == generation
-            self._threads.pop((key, generation), None)
+            self._running.pop((key, generation), None)
         if cancelled:
             obs.count("search.background.cancelled")
         elif error is not None:
@@ -164,17 +170,20 @@ class BackgroundSearchExecutor:
             obs.count("search.background.completed")
         else:
             obs.count("search.background.stale_results")
-        if callback is not None:
-            callback(
-                SearchOutcome(
-                    key=key,
-                    generation=generation,
-                    result=None if cancelled else result,
-                    error=error,
-                    cancelled=cancelled,
-                    current=current,
+        try:
+            if callback is not None:
+                callback(
+                    SearchOutcome(
+                        key=key,
+                        generation=generation,
+                        result=None if cancelled else result,
+                        error=error,
+                        cancelled=cancelled,
+                        current=current,
+                    )
                 )
-            )
+        finally:
+            done.set()
 
     # ------------------------------------------------------------------
     # Introspection and lifecycle
@@ -186,9 +195,9 @@ class BackgroundSearchExecutor:
             return state.generation if state is not None else 0
 
     def active_count(self) -> int:
-        """Number of tasks whose worker threads have not terminated."""
+        """Number of submitted tasks that have not finished."""
         with self._lock:
-            return len(self._threads)
+            return len(self._running)
 
     def cancel_all(self) -> None:
         """Set every key's cancellation event (tasks stop cooperatively)."""
@@ -199,19 +208,19 @@ class BackgroundSearchExecutor:
     def join(self, timeout: float | None = None) -> bool:
         """Wait for all in-flight tasks; true when none remain.
 
-        With a ``timeout`` the wait is split evenly across the threads
-        still alive; a false return means some task was still running
+        With a ``timeout`` the wait is split evenly across the tasks
+        still in flight; a false return means some task was still running
         when time ran out (it keeps running — workers are daemons).
         """
         with self._lock:
-            threads = list(self._threads.values())
-        if not threads:
+            pending = list(self._running.values())
+        if not pending:
             return True
-        per_thread = (
-            None if timeout is None else max(timeout / len(threads), 0.05)
+        per_task = (
+            None if timeout is None else max(timeout / len(pending), 0.05)
         )
-        for thread in threads:
-            thread.join(per_thread)
+        for done in pending:
+            done.wait(per_task)
         return self.active_count() == 0
 
     def shutdown(self, timeout: float | None = 10.0) -> bool:

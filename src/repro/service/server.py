@@ -13,18 +13,21 @@ Endpoints
     :mod:`repro.monitor.persistence`, so ``curl --data-binary
     @trail.jsonl`` replays a recorded trail.  Responds with an
     ingestion summary (records ingested, drifts confirmed, whether a
-    re-search was scheduled).
+    re-search was queued); the reply goes out before that re-search
+    starts.  Only this endpoint creates tenants.
 ``GET /recommendation[?tenant=NAME][&refresh=1]``
     The canonical recommendation document
     (:data:`repro.service.pipeline.SCHEMA`), byte-identical to the
     batch ``monitor`` → ``recommend`` pipeline over the same records.
     ``refresh=1`` recomputes synchronously against the *current*
     calibration before answering; otherwise the last published document
-    is served (404 until one exists).  Staleness metadata travels in
-    ``X-Recommendation-*`` headers so the body stays canonical.
+    is served (404 until one exists, and for a tenant nothing was
+    posted to).  Staleness metadata travels in ``X-Recommendation-*``
+    headers so the body stays canonical.
 ``GET /status[?tenant=NAME]``
     Staleness metadata as JSON (revision, age in records, drift since
-    publish) — per tenant, or for all tenants without the parameter.
+    publish) — per tenant (404 for an unknown one), or for all tenants
+    without the parameter.
 ``GET /metrics`` / ``GET /health`` / ``GET /report``
     The observability endpoints, rendered by the exact same functions
     as :class:`repro.obs.server.MetricsServer`.
@@ -35,11 +38,18 @@ The asyncio loop runs on a dedicated daemon thread behind a blocking
 :meth:`start`/:meth:`stop` facade (mirroring ``MetricsServer``).  All
 tenant state is touched only on the loop thread; background searches
 run on :class:`~repro.core.search.BackgroundSearchExecutor` worker
-threads against a *snapshot* of the calibrator (restored privately), so
-ingestion never blocks on a search and a search never races ingestion.
-A per-tenant lock serializes cache access between overlapping search
-generations; results are published back onto the loop thread and only
-if their generation is still current.
+threads, one per submitted search, against a *snapshot* of the
+calibrator (restored privately), so a search never races ingestion.
+``POST /events`` takes that snapshot but submits the search only after
+its reply is written: a search thread keeps the GIL for its whole run,
+so submitting inside the handler would hold the reply back until the
+search ends.  ``POST /events`` and plain reads take no lock; a
+background search and a ``refresh=1`` read hold the tenant's lock for
+their whole search, which serializes cache access between them.
+Results are published back onto the loop thread and only if their
+generation is still current.  :meth:`stop` shuts the executor down
+before it stops the loop, so a submission still queued then is
+dropped.
 """
 
 from __future__ import annotations
@@ -448,19 +458,19 @@ class RecommendationService:
                 obs.registry(), obs.tracer()
             )
             return 200, content_type, rendered, {}
-        return (
-            404, _JSON,
-            render_json_body(
-                {
-                    "error": f"unknown path {path!r}",
-                    "endpoints": [
-                        "/events", "/recommendation", "/status",
-                        "/metrics", "/health", "/report",
-                    ],
-                }
-            ),
-            {},
+        return self._not_found(
+            f"unknown path {path!r}",
+            endpoints=[
+                "/events", "/recommendation", "/status",
+                "/metrics", "/health", "/report",
+            ],
         )
+
+    @staticmethod
+    def _not_found(
+        error: str, **details: Any
+    ) -> tuple[int, str, bytes, dict[str, str]]:
+        return 404, _JSON, render_json_body({"error": error, **details}), {}
 
     @staticmethod
     def _method_not_allowed(
@@ -524,10 +534,14 @@ class RecommendationService:
     def _maybe_schedule_search(
         self, tenant: TenantState, drift_confirmed: bool
     ) -> bool:
-        """Submit a background re-search when the published document
+        """Queue a background re-search when the published document
         is missing, stale, built on drifted calibration, or
         goal-violating.
 
+        The calibrator snapshot and its position are taken here, so the
+        search covers exactly the records ingested up to this request;
+        only the submission waits until the reply is written.  A
+        submission that finds the executor shut down is dropped.
         Staleness (records ingested past the published calibration
         position) counts: the loop must converge on the freshest
         calibration, and each superseding submission carries the
@@ -574,8 +588,17 @@ class RecommendationService:
         def on_outcome(outcome: SearchOutcome) -> None:
             self._search_finished(name, records_seen, outcome)
 
-        self.executor.submit(name, task, on_outcome=on_outcome)
-        obs.count("service.searches.started")
+        def submit() -> None:
+            try:
+                self.executor.submit(name, task, on_outcome=on_outcome)
+            except ValidationError:
+                return  # stop() shut the executor down first
+            obs.count("service.searches.started")
+
+        # Submit once this request's reply is written: the search thread
+        # keeps the GIL for its whole run, so submitting here would hold
+        # the reply back until the search ends.
+        asyncio.get_running_loop().call_soon(submit)
         return True
 
     def _search_finished(
@@ -640,7 +663,13 @@ class RecommendationService:
     def _get_recommendation(
         self, query: dict[str, str]
     ) -> tuple[int, str, bytes, dict[str, str]]:
-        tenant = self.state.tenant(query.get("tenant", DEFAULT_TENANT))
+        name = query.get("tenant", DEFAULT_TENANT)
+        tenant = self.state.tenants.get(name)
+        if tenant is None:
+            return self._not_found(
+                f"no recommendation published yet for tenant {name!r}: "
+                f"no events were posted for it"
+            )
         if query.get("refresh") in ("1", "true", "yes"):
             records_seen = tenant.records_seen
             lock = self._search_locks.setdefault(
@@ -661,19 +690,11 @@ class RecommendationService:
             obs.count("service.recommendations.refreshed")
             self._publish_document(tenant, document, records_seen)
         if tenant.document is None:
-            return (
-                404, _JSON,
-                render_json_body(
-                    {
-                        "error": (
-                            f"no recommendation published yet for tenant "
-                            f"{tenant.name!r}; POST events and retry, or "
-                            f"request ?refresh=1"
-                        ),
-                        "staleness": tenant.staleness(),
-                    }
-                ),
-                {},
+            return self._not_found(
+                f"no recommendation published yet for tenant "
+                f"{tenant.name!r}; POST events and retry, or request "
+                f"?refresh=1",
+                staleness=tenant.staleness(),
             )
         meta = tenant.staleness()
         headers = {
@@ -693,7 +714,10 @@ class RecommendationService:
     ) -> tuple[int, str, bytes, dict[str, str]]:
         name = query.get("tenant")
         if name is not None:
-            document: dict[str, Any] = self.state.tenant(name).staleness()
+            tenant = self.state.tenants.get(name)
+            if tenant is None:
+                return self._not_found(f"unknown tenant {name!r}")
+            document: dict[str, Any] = tenant.staleness()
         else:
             document = {
                 "tenants": {

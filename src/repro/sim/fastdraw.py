@@ -38,6 +38,9 @@ from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
+# numpy loads its random module on first attribute access; importing it
+# with this module keeps that cost out of the first fast-mode campaign.
+import numpy.random  # noqa: F401
 
 from repro.exceptions import ValidationError
 from repro.sim.seeding import derive_seed

@@ -12,16 +12,22 @@ tooling and documentation:
   durations, a quick what-dominates-the-turnaround diagnostic;
 * dominator analysis: states every instance must pass through
   (synchronization/audit points).
+
+networkx is imported inside each analysis, so importing :mod:`repro.spec`
+(which re-exports them) does not load it.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.model_types import ActivitySpec
 from repro.exceptions import ValidationError
 from repro.spec.statechart import ChartState, StateChart
 from repro.spec.translator import ActivityRegistry
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def chart_to_graph(chart: StateChart) -> nx.DiGraph:
@@ -31,6 +37,8 @@ def chart_to_graph(chart: StateChart) -> nx.DiGraph:
     ``state`` attribute; edges carry ``probability`` (may be ``None``)
     and ``rule`` attributes.
     """
+    import networkx as nx
+
     graph = nx.DiGraph(name=chart.name)
     for state in chart.states:
         graph.add_node(state.name, state=state)
@@ -46,6 +54,8 @@ def chart_to_graph(chart: StateChart) -> nx.DiGraph:
 
 def control_flow_cycles(chart: StateChart) -> list[list[str]]:
     """All simple control-flow cycles (loops) of the top-level chart."""
+    import networkx as nx
+
     graph = chart_to_graph(chart)
     return [list(cycle) for cycle in nx.simple_cycles(graph)]
 
@@ -73,6 +83,8 @@ def critical_path(
     which chain of states dominates the turnaround time.  Composite
     states contribute the maximum of their regions' critical paths.
     """
+    import networkx as nx
+
     graph = chart_to_graph(chart)
     final = chart.final_state
 
@@ -108,6 +120,8 @@ def mandatory_states(chart: StateChart) -> list[str]:
     graph rooted at the initial state — natural audit/synchronization
     points.
     """
+    import networkx as nx
+
     graph = chart_to_graph(chart)
     final = chart.final_state
     initial = chart.initial_state

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.core.configuration import (
     ReplicationConstraints,
     greedy_configuration,
@@ -163,6 +164,39 @@ class TestExecutor:
         assert executor.shutdown(timeout=10.0)
         with pytest.raises(ValidationError):
             executor.submit("alpha", lambda stop: None)
+
+    def test_join_waits_for_a_task_whose_thread_has_not_started(
+        self, monkeypatch
+    ):
+        """submit() registers a task before it starts the thread; a join
+        or shutdown landing in between waits instead of raising."""
+        executor = BackgroundSearchExecutor()
+        inside = threading.Event()
+        resume = threading.Event()
+        count = obs.count
+
+        def pausing_count(name, *args, **kwargs):
+            if name == "search.background.submitted":
+                inside.set()
+                resume.wait(timeout=10.0)
+            return count(name, *args, **kwargs)
+
+        monkeypatch.setattr(obs, "count", pausing_count)
+        submitter = threading.Thread(
+            target=executor.submit, args=("alpha", lambda stop: 7)
+        )
+        submitter.start()
+        try:
+            assert inside.wait(timeout=10.0)
+            assert executor.active_count() == 1
+            assert not executor.join(timeout=0.1)
+            resume.set()
+            assert executor.shutdown(timeout=10.0)
+        finally:
+            resume.set()
+            submitter.join(timeout=10.0)
+        assert not submitter.is_alive()
+        assert executor.active_count() == 0
 
     def test_constructor_level_on_outcome(self):
         outcomes = []

@@ -1,6 +1,7 @@
 """Lifecycle tests for the always-on recommendation service."""
 
 import json
+import logging
 import socket
 import threading
 import time
@@ -14,6 +15,7 @@ from repro.monitor.audit import AuditTrail
 from repro.monitor.persistence import save_trail
 from repro.service import (
     RecommendationService,
+    ServiceState,
     batch_recommendation,
     render_document,
 )
@@ -31,10 +33,10 @@ def _get(url: str) -> tuple[int, dict, bytes]:
         return error.code, dict(error.headers), error.read()
 
 
-def _post(url: str, body: bytes) -> tuple[int, dict]:
+def _post(url: str, body: bytes, timeout: float = 30.0) -> tuple[int, dict]:
     request = urllib.request.Request(url, data=body, method="POST")
     try:
-        with urllib.request.urlopen(request, timeout=30.0) as response:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
             return response.status, json.load(response)
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read() or b"{}")
@@ -104,6 +106,40 @@ class TestEndpoints:
         assert summary["ingested"] == 0
         assert summary["rejected"] == 2
         assert len(summary["rejections"]) == 2
+
+
+class TestUnknownTenants:
+    """Reads never create a tenant; only POST /events does."""
+
+    def test_reads_of_unknown_tenants_are_404(self, service):
+        for query in (
+            "/status?tenant=ghost",
+            "/recommendation?tenant=ghost",
+            "/recommendation?tenant=ghost&refresh=1",
+        ):
+            status, _, body = _get(f"{service.url}{query}")
+            assert status == 404, query
+            assert "ghost" in json.loads(body)["error"]
+        status, _, body = _get(f"{service.url}/status")
+        assert json.loads(body)["tenants"] == {}
+        assert service.state.tenants == {}
+
+    def test_snapshot_names_only_posted_tenants(
+        self, baseline, goals, trail_lines, tmp_path
+    ):
+        snapshot = tmp_path / "snapshot.json"
+        service = RecommendationService(
+            baseline, goals, snapshot_path=str(snapshot)
+        )
+        service.start()
+        try:
+            _post(f"{service.url}/events?tenant=alpha", trail_lines)
+            _get(f"{service.url}/status?tenant=ghost")
+            _get(f"{service.url}/recommendation?tenant=ghost2")
+        finally:
+            service.stop()
+        tenants = json.loads(snapshot.read_text())["tenants"]
+        assert sorted(tenants) == ["alpha"]
 
 
 class TestBodyLimit:
@@ -259,6 +295,89 @@ class TestServeLoop:
         document = json.loads(body)
         assert "alpha" in document["tenants"]
         assert "searches_active" in document
+
+
+def _gate_submissions(service) -> threading.Event:
+    """Block the loop thread in every search submission until the
+    returned event is set."""
+    release = threading.Event()
+    submit = service.executor.submit
+
+    def gated_submit(*args, **kwargs):
+        release.wait(timeout=30.0)
+        return submit(*args, **kwargs)
+
+    service.executor.submit = gated_submit
+    return release
+
+
+class TestReplyBeforeSearch:
+    """POST /events is answered before its re-search is submitted."""
+
+    def test_post_is_answered_while_its_submission_waits(
+        self, service, baseline, goals, trail_lines
+    ):
+        release = _gate_submissions(service)
+        try:
+            status, summary = _post(
+                f"{service.url}/events", trail_lines, timeout=3.0
+            )
+            answered_first = not release.is_set()
+        finally:
+            release.set()
+        assert status == 200
+        assert answered_first
+        assert summary["search_scheduled"] is True
+
+        _wait_until_published(service)
+        status, _, served = _get(f"{service.url}/recommendation")
+        assert status == 200
+        batch = render_document(
+            batch_recommendation(str(TRAIL_PATH), baseline, goals)
+        )
+        assert served == batch
+
+    def test_stop_drops_a_queued_submission_quietly(
+        self, baseline, goals, trail_lines, tmp_path, caplog
+    ):
+        snapshot = tmp_path / "snapshot.json"
+        service = RecommendationService(
+            baseline, goals, snapshot_path=str(snapshot)
+        )
+        service.start()
+        release = _gate_submissions(service)
+        shutdown = service.executor.shutdown
+
+        def shutdown_then_release(*args, **kwargs):
+            done = shutdown(*args, **kwargs)
+            release.set()
+            return done
+
+        service.executor.shutdown = shutdown_then_release
+        obs.reset()
+        obs.enable()
+        try:
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                status, summary = _post(
+                    f"{service.url}/events", trail_lines, timeout=3.0
+                )
+                service.stop()
+            started = obs.registry().counter(
+                "service.searches.started"
+            ).value
+        finally:
+            release.set()
+            service.stop(snapshot=False)  # no-op once stopped
+            obs.disable()
+            obs.reset()
+        assert status == 200
+        assert summary["search_scheduled"] is True
+        assert not service.running
+        assert caplog.records == []
+        assert started == 0
+        tenant = ServiceState.load_snapshot(snapshot).tenants["default"]
+        assert tenant.document is None
+        assert tenant.records_seen == 745
 
 
 class TestSnapshotLifecycle:

@@ -10,8 +10,11 @@ operator deploys it — as a subprocess of the CLI:
 3. asserts ``GET /recommendation?refresh=1`` serves a canonical
    document with staleness headers, ``/status`` reports it fresh, and
    ``/metrics`` exposes the ``service.*`` counter families;
-4. sends SIGTERM and asserts a clean exit that wrote the snapshot;
-5. restarts from the snapshot and asserts the published document
+4. asserts reads of a tenant nothing was posted to (``ghost``) answer
+   404 on ``/status`` and ``/recommendation`` and create no tenant;
+5. sends SIGTERM and asserts a clean exit that wrote the snapshot,
+   which names no ``ghost`` tenant;
+6. restarts from the snapshot and asserts the published document
    survived the restart byte-for-byte.
 
 Exits non-zero with a one-line diagnosis on the first failure.
@@ -30,6 +33,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -77,8 +81,11 @@ def start_serve(snapshot: str) -> tuple[subprocess.Popen, str]:
 
 
 def get(url: str) -> tuple[int, dict, bytes]:
-    with urllib.request.urlopen(url, timeout=30.0) as response:
-        return response.status, dict(response.headers), response.read()
+    try:
+        with urllib.request.urlopen(url, timeout=30.0) as response:
+            return response.status, dict(response.headers), response.read()
+    except urllib.error.HTTPError as error:
+        return error.code, dict(error.headers), error.read()
 
 
 def post(url: str, body: bytes) -> dict:
@@ -134,11 +141,21 @@ def main() -> int:
             ):
                 if family not in text:
                     fail(f"/metrics is missing {family}")
+
+            for path in ("/status", "/recommendation"):
+                status, _, _ = get(f"{url}{path}?tenant=ghost")
+                if status != 404:
+                    fail(f"GET {path}?tenant=ghost returned {status}")
+            status, _, body = get(f"{url}/status")
+            if "ghost" in json.loads(body)["tenants"]:
+                fail("a read of an unknown tenant created it")
         finally:
             terminate(process)
 
         if not Path(snapshot).exists():
             fail("graceful shutdown did not write the snapshot")
+        if "ghost" in json.loads(Path(snapshot).read_text())["tenants"]:
+            fail("the snapshot names a tenant that was only read")
 
         # Warm restart: the published document must survive verbatim.
         process, url = start_serve(snapshot)
@@ -151,7 +168,10 @@ def main() -> int:
         finally:
             terminate(process)
 
-    print("serve smoke passed: ingest, refresh, metrics, snapshot, restart")
+    print(
+        "serve smoke passed: ingest, refresh, metrics, unknown tenant, "
+        "snapshot, restart"
+    )
     return 0
 
 
