@@ -31,10 +31,15 @@ injected) and records to ``BENCH_sim.json``:
 * the top functions of a cProfile pass over a separate (never timed)
   run, so the recorded throughput is unaffected by instrumentation.
 
+Before timing, the script pins itself to one CPU, as ``python -m
+bench`` does: the lowest CPU of its own affinity set, inherited by the
+subprocess rounds and campaign workers it starts.  Unpinned, the
+full-mode fast-over-exact gate swings with host noise.
+
 The record states the commit it measured (``git describe --always
 --dirty``) and its input shape: the scenario, the measurement rounds,
-the parity replications, the identity worker counts and the baseline
-commit.
+the parity replications, the identity worker counts, the baseline
+commit and the pinned CPU (``null`` where the platform cannot pin).
 
 Usage::
 
@@ -66,6 +71,7 @@ from pathlib import Path
 # The repository root, so the script also runs as a file.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
+from bench.stats import pin_to_one_cpu  # noqa: E402
 from benchmarks.provenance import commit  # noqa: E402
 
 EP_RATE = 0.4
@@ -102,7 +108,7 @@ PRE_PR_BASELINE = {"quick": 162319.0, "full": 166502.0}
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def input_shape(mode: str) -> dict:
+def input_shape(mode: str, cpu: int | None) -> dict:
     """The inputs the record was measured on (besides its mode)."""
     duration, warmup = QUICK_SHAPE if mode == "quick" else FULL_SHAPE
     return {
@@ -121,6 +127,7 @@ def input_shape(mode: str) -> dict:
         "identity_workers": list(IDENTITY_WORKERS[mode]),
         "identity_replications": IDENTITY_REPLICATIONS,
         "baseline_ref": BASELINE_REF,
+        "pinned_cpu": cpu,
     }
 
 
@@ -483,8 +490,11 @@ def profile_top(duration: float, warmup: float, rows: int = 10) -> list:
     return top
 
 
-def run_benchmark(quick: bool) -> dict:
-    """Interleaved throughputs, determinism and parity checks, profile."""
+def run_benchmark(quick: bool, cpu: int | None) -> dict:
+    """Interleaved throughputs, determinism and parity checks, profile.
+
+    ``cpu`` is the CPU the process was pinned to, for the record.
+    """
     mode = "quick" if quick else "full"
     duration, warmup = QUICK_SHAPE if quick else FULL_SHAPE
 
@@ -523,7 +533,7 @@ def run_benchmark(quick: bool) -> dict:
         "benchmark": "bench_sim_hotpath",
         "commit": commit(),
         "mode": mode,
-        "input": input_shape(mode),
+        "input": input_shape(mode, cpu),
         "events": events["exact"],
         "events_per_second": round(current_eps, 1),
         "baseline_events_per_second": round(baseline_eps, 1),
@@ -583,7 +593,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0
 
-    record = run_benchmark(quick=args.quick)
+    # Pin before anything is timed or started, so every subprocess
+    # round and campaign worker inherits the one CPU.
+    cpu = pin_to_one_cpu()
+    record = run_benchmark(quick=args.quick, cpu=cpu)
     Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
 
     fast = record["fast"]

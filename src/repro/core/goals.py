@@ -286,6 +286,11 @@ class GoalEvaluator:
             if self.cache.enabled
             else None
         )
+        #: What :meth:`assess` reads of the last goals object it saw:
+        #: ``(goals, cache_key, per-type unavailability thresholds,
+        #: per-type waiting-time thresholds or None)``.  Holding the
+        #: object keeps its identity from being reused.
+        self._goal_plan: tuple | None = None
         self.evaluation_count = 0
 
     @property
@@ -311,6 +316,20 @@ class GoalEvaluator:
             )
         return counts
 
+    def _plan(self, goals: PerformabilityGoals) -> tuple:
+        """The goals' memo key and per-type thresholds, once per object."""
+        plan = self._goal_plan
+        if plan is None or plan[0] is not goals:
+            names = self.server_types.names
+            plan = self._goal_plan = (
+                goals,
+                goals.cache_key(),
+                [goals.type_unavailability_threshold(name) for name in names],
+                [goals.waiting_time_threshold(name) for name in names]
+                if goals.has_performance_goal else None,
+            )
+        return plan
+
     def assess(
         self,
         configuration: SystemConfiguration,
@@ -327,7 +346,8 @@ class GoalEvaluator:
         dropped-and-recreated objects can never alias a stale one.
         """
         counts = self._counts(configuration)
-        key = (tuple(counts), goals.cache_key())
+        _, goals_key, type_thresholds, waiting_thresholds = self._plan(goals)
+        key = (tuple(counts), goals_key)
         if self._assessments is not None:
             cached = self._assessments.get(key)
             if cached is not None:
@@ -353,8 +373,7 @@ class GoalEvaluator:
                         threshold=goals.max_unavailability,
                     )
                 )
-        for name, value in per_type.items():
-            threshold = goals.type_unavailability_threshold(name)
+        for (name, value), threshold in zip(per_type.items(), type_thresholds):
             if value > threshold:
                 violations.append(
                     GoalViolation(
@@ -366,7 +385,7 @@ class GoalEvaluator:
                 )
 
         performability_report: PerformabilityReport | None = None
-        if goals.has_performance_goal:
+        if waiting_thresholds is not None:
             obs.count("performability.evaluations")
             with obs.span(
                 "performability.expected_waiting_times", method="marginal"
@@ -374,10 +393,10 @@ class GoalEvaluator:
                 performability_report = fold_report(
                     configuration, names, terms, self.degraded_policy
                 )
-            for name, value in (
-                performability_report.expected_waiting_times.items()
+            for (name, value), threshold in zip(
+                performability_report.expected_waiting_times.items(),
+                waiting_thresholds,
             ):
-                threshold = goals.waiting_time_threshold(name)
                 if value > threshold:
                     violations.append(
                         GoalViolation(

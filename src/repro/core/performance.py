@@ -17,7 +17,8 @@ module computes the paper's four performance stages:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -133,6 +134,25 @@ class Workload:
         )
 
 
+def _replica_count(name: str, count: object) -> int:
+    """``count`` as an ``int``; rejects anything but a non-negative integer.
+
+    Integral reals such as ``2.0`` are accepted; ``bool``, NaN,
+    infinities, fractions, strings and ``None`` are not.  Every
+    comparison is written so that NaN fails it.
+    """
+    if (isinstance(count, numbers.Real)
+            and not isinstance(count, (bool, np.bool_))
+            and count >= 0
+            and math.isfinite(count)
+            and count == int(count)):
+        return int(count)
+    raise ValidationError(
+        f"replica count of {name} must be a non-negative integer, "
+        f"got {count!r}"
+    )
+
+
 @dataclass(frozen=True)
 class SystemConfiguration:
     """Replication degrees ``Y = (Y_1, ..., Y_k)`` keyed by type name.
@@ -146,12 +166,8 @@ class SystemConfiguration:
     def __post_init__(self) -> None:
         replicas = dict(self.replicas)
         for name, count in replicas.items():
-            if int(count) != count or count < 0:
-                raise ValidationError(
-                    f"replica count of {name} must be a non-negative "
-                    f"integer, got {count!r}"
-                )
-            replicas[name] = int(count)
+            if type(count) is not int or count < 0:
+                replicas[name] = _replica_count(name, count)
         object.__setattr__(self, "replicas", replicas)
 
     def count(self, server_type: str) -> int:

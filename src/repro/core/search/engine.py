@@ -48,8 +48,8 @@ class SearchEngine:
         """Drive ``strategy`` to exhaustion or acceptance; recommend."""
         evaluator = self.evaluator
         evaluations_before = evaluator.evaluation_count
-        trace: list[SearchStep] = []
         record_trace = getattr(strategy, "record_trace", False)
+        trace: list[SearchStep] | None = [] if record_trace else None
 
         def recommendation(
             assessment: GoalAssessment,
@@ -60,7 +60,7 @@ class SearchEngine:
                 cost=configuration.cost(evaluator.server_types),
                 assessment=assessment,
                 evaluations=evaluator.evaluation_count - evaluations_before,
-                trace=tuple(trace) if record_trace else (),
+                trace=tuple(trace) if trace is not None else (),
                 algorithm=strategy.name,
             )
 
@@ -79,13 +79,18 @@ class SearchEngine:
                 "evaluations",
                 evaluator.evaluation_count - evaluations_before,
             )
-            if record_trace:
+            if trace is not None:
                 span.set("iterations", len(trace))
             return recommendation(final)
 
     def _loop(
-        self, strategy: SearchStrategy, trace: list[SearchStep]
+        self, strategy: SearchStrategy, trace: list[SearchStep] | None
     ) -> GoalAssessment:
+        """Propose, assess and observe until the strategy is done.
+
+        A :class:`SearchStep` is built for each candidate only when
+        ``trace`` is a list, i.e. when the strategy records its trace.
+        """
         evaluator, goals, stop_check = (
             self.evaluator, self.goals, self.stop_check
         )
@@ -101,15 +106,16 @@ class SearchEngine:
             obs.count("configuration.search.iterations")
             configuration = candidate.configuration
             assessment = evaluator.assess(configuration, goals)
-            trace.append(
-                SearchStep(
-                    configuration=configuration,
-                    cost=configuration.cost(evaluator.server_types),
-                    satisfied=assessment.satisfied,
-                    added_server_type=candidate.added_server_type,
-                    criterion=candidate.criterion,
+            if trace is not None:
+                trace.append(
+                    SearchStep(
+                        configuration=configuration,
+                        cost=configuration.cost(evaluator.server_types),
+                        satisfied=assessment.satisfied,
+                        added_server_type=candidate.added_server_type,
+                        criterion=candidate.criterion,
+                    )
                 )
-            )
             final = strategy.observe(candidate, assessment)
             if final is not None:
                 return final

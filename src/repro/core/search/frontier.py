@@ -34,7 +34,10 @@ Determinism: every proposal round is fixed before any of its
 assessments are consumed and then handed out one candidate at a time,
 and the only randomness flows from one seeded ``random.Random``
 consumed at round boundaries — so the frontier (and its JSON document)
-is byte-identical across repeated runs.
+is byte-identical across repeated runs.  Rounds are built, deduplicated
+and ordered on replica-count tuples
+(:class:`~repro.core.search.candidates.ReplicaLattice`); a configuration
+is built only when a candidate is proposed.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from repro import obs
 from repro.core.goals import GoalAssessment, GoalEvaluator, PerformabilityGoals
 from repro.core.model_types import ServerTypeIndex
 from repro.core.performance import SystemConfiguration
-from repro.core.search.candidates import configurations_by_cost
+from repro.core.search.candidates import Counts, ReplicaLattice
 from repro.core.search.engine import SearchEngine
 from repro.core.search.strategies import (
     Candidate,
@@ -284,53 +287,43 @@ class FrontierStrategy(SearchStrategy):
             raise ValidationError("prefix_round must be >= 1")
         self.frontier = ParetoFrontier(objectives)
         self._server_types = evaluator.server_types
-        self._names = list(evaluator.server_types.names)
-        self._goals = goals
-        self._constraints = constraints
+        self._lattice = ReplicaLattice(evaluator.server_types, constraints)
         self._shotgun = shotgun
         self._restarts = restarts
         self._prefix = prefix
         self._prefix_round = prefix_round
         self._max_rounds = max_rounds
         self._rng = random.Random(seed)
-        self._enumeration = configurations_by_cost(
-            evaluator.server_types, constraints
-        )
+        self._enumeration = self._lattice.by_cost()
         self._phase = "prefix"
-        self._pending: deque[Candidate] = deque()
-        self._seen: set[tuple[tuple[str, int], ...]] = set()
+        #: The current round: count tuples with their trace criterion.
+        self._pending: deque[tuple[Counts, str]] = deque()
+        self._seen: set[Counts] = set()
         self._rounds = 0
         self._prefix_emitted = 0
         self._satisfied_seen = False
         self.restarts_used = 0
-        self._restart_points: list[SystemConfiguration] = []
+        self._restart_points: list[Counts] = []
         self._best_infeasible: (
-            tuple[int, float, tuple, GoalAssessment] | None
+            tuple[int, float, Counts, GoalAssessment] | None
         ) = None
 
     # -- round construction -------------------------------------------
-    def _mark_seen(self, configuration: SystemConfiguration) -> bool:
-        key = _configuration_key(configuration)
-        if key in self._seen:
+    def _mark_seen(self, counts: Counts) -> bool:
+        if counts in self._seen:
             return False
-        self._seen.add(key)
+        self._seen.add(counts)
         return True
 
-    def _ordered(
-        self, configurations: list[SystemConfiguration]
-    ) -> list[Candidate]:
-        configurations.sort(
-            key=lambda c: (
-                c.cost(self._server_types), c.total_servers, str(c)
-            )
-        )
-        return [Candidate(c, criterion="frontier") for c in configurations]
+    def _ordered(self, round_counts: list[Counts]) -> list[tuple[Counts, str]]:
+        round_counts.sort(key=self._lattice.order_key)
+        return [(counts, "frontier") for counts in round_counts]
 
-    def _prefix_round_candidates(self) -> list[Candidate]:
-        batch: list[Candidate] = []
-        for configuration in self._enumeration:
-            if self._mark_seen(configuration):
-                batch.append(Candidate(configuration, criterion="prefix"))
+    def _prefix_round_candidates(self) -> list[tuple[Counts, str]]:
+        batch: list[tuple[Counts, str]] = []
+        for counts in self._enumeration:
+            if self._mark_seen(counts):
+                batch.append((counts, "prefix"))
                 self._prefix_emitted += 1
             if len(batch) >= self._prefix_round:
                 break
@@ -339,63 +332,59 @@ class FrontierStrategy(SearchStrategy):
                 break
         return batch
 
-    def _sample(self) -> SystemConfiguration | None:
-        """One unseen admissible configuration from the seeded RNG.
+    def _sample(self) -> Counts | None:
+        """One unseen admissible count tuple from the seeded RNG.
 
         Samples type by type against the remaining total-server budget,
         so every draw is admissible by construction; gives up (returns
         ``None``) after a bounded number of duplicate draws.
         """
-        lows = {
-            name: self._constraints.lower_bound(name)
-            for name in self._names
-        }
-        budget_base = self._constraints.max_total_servers - sum(
-            lows.values()
-        )
+        lattice = self._lattice
+        budget_base = lattice.max_total_servers - sum(lattice.lower)
         if budget_base < 0:
             return None
+        bounds = list(zip(lattice.lower, lattice.upper))
         for _ in range(32):
             budget = budget_base
-            replicas: dict[str, int] = {}
-            for name in self._names:
-                low = lows[name]
-                cap = min(self._constraints.upper_bound(name), low + budget)
+            drawn: list[int] = []
+            for low, high in bounds:
+                cap = min(high, low + budget)
                 count = self._rng.randint(low, cap) if cap > low else low
                 budget -= count - low
-                replicas[name] = count
-            configuration = SystemConfiguration(replicas)
-            if self._mark_seen(configuration):
-                return configuration
+                drawn.append(count)
+            counts = tuple(drawn)
+            if self._mark_seen(counts):
+                return counts
         return None
 
-    def _shotgun_round_candidates(self) -> list[Candidate]:
-        samples: list[SystemConfiguration] = []
+    def _shotgun_round_candidates(self) -> list[tuple[Counts, str]]:
+        samples: list[Counts] = []
         for _ in range(self._shotgun):
-            configuration = self._sample()
-            if configuration is None:
+            counts = self._sample()
+            if counts is None:
                 break
-            samples.append(configuration)
+            samples.append(counts)
         return self._ordered(samples)
 
-    def _neighbours(
-        self, configuration: SystemConfiguration
-    ) -> list[SystemConfiguration]:
-        out: list[SystemConfiguration] = []
-        for name in self._names:
-            if self._constraints.can_add(configuration, name):
-                out.append(configuration.with_added_replica(name))
-            reduced = configuration.count(name) - 1
-            if reduced >= self._constraints.lower_bound(name):
-                replicas = dict(configuration.replicas)
-                replicas[name] = reduced
-                out.append(SystemConfiguration(replicas))
+    def _neighbours(self, counts: Counts) -> list[Counts]:
+        """The admissible ±1-replica neighbours, type by type."""
+        lattice = self._lattice
+        can_add = sum(counts) < lattice.max_total_servers
+        out: list[Counts] = []
+        for j, count in enumerate(counts):
+            if can_add and count < lattice.upper[j]:
+                out.append(counts[:j] + (count + 1,) + counts[j + 1:])
+            if count - 1 >= lattice.lower[j]:
+                out.append(counts[:j] + (count - 1,) + counts[j + 1:])
         return out
 
-    def _climb_round_candidates(self) -> list[Candidate]:
-        anchors = [point.configuration for point in self.frontier.points]
+    def _climb_round_candidates(self) -> list[tuple[Counts, str]]:
+        anchors = [
+            self._lattice.counts(point.configuration)
+            for point in self.frontier.points
+        ]
         anchors.extend(self._restart_points)
-        fresh: list[SystemConfiguration] = []
+        fresh: list[Counts] = []
         for anchor in anchors:
             for neighbour in self._neighbours(anchor):
                 if self._mark_seen(neighbour):
@@ -434,9 +423,7 @@ class FrontierStrategy(SearchStrategy):
                         self.restarts_used += 1
                         obs.count("search.frontier.restarts")
                         self._restart_points.append(restart)
-                        self._pending.append(
-                            Candidate(restart, criterion="restart")
-                        )
+                        self._pending.append((restart, "restart"))
                         return
                 return
             else:  # pragma: no cover - defensive
@@ -447,7 +434,12 @@ class FrontierStrategy(SearchStrategy):
         """The next candidate of the current round, in round order."""
         if not self._pending:
             self._advance()
-        return self._pending.popleft() if self._pending else None
+            if not self._pending:
+                return None
+        counts, criterion = self._pending.popleft()
+        return Candidate(
+            self._lattice.configuration(counts), criterion=criterion
+        )
 
     def observe(
         self, candidate: Candidate, assessment: GoalAssessment
@@ -468,13 +460,18 @@ class FrontierStrategy(SearchStrategy):
             else:
                 obs.count("search.frontier.dominated")
         else:
-            rank = (
-                len(assessment.violations),
-                candidate.configuration.cost(self._server_types),
-                _configuration_key(candidate.configuration),
-            )
-            if self._best_infeasible is None or rank < self._best_infeasible[:3]:
-                self._best_infeasible = (*rank, assessment)
+            # Rank by (violations, cost, configuration); cost and key are
+            # only needed when the violation count can tie or win.
+            violations = len(assessment.violations)
+            best = self._best_infeasible
+            if best is None or violations <= best[0]:
+                lattice = self._lattice
+                counts = lattice.counts(candidate.configuration)
+                rank = (
+                    violations, lattice.cost(counts), lattice.name_key(counts)
+                )
+                if best is None or rank < best[:3]:
+                    self._best_infeasible = (*rank, assessment)
         return None
 
     def exhausted(self) -> GoalAssessment:

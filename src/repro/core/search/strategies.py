@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from repro.core.goals import GoalAssessment, GoalEvaluator, PerformabilityGoals
 from repro.core.performance import SystemConfiguration
 from repro.core.search.candidates import (
+    Counts,
+    ReplicaLattice,
     configurations_by_cost,
     initial_configuration,
     per_type_lower_bounds,
@@ -299,8 +301,6 @@ class BranchAndBoundStrategy(SearchStrategy):
         goals: PerformabilityGoals,
         constraints: ReplicationConstraints,
     ) -> None:
-        self._constraints = constraints
-        self._server_types = evaluator.server_types
         names = evaluator.server_types.names
         lower = per_type_lower_bounds(evaluator, goals, constraints)
         if any(lower[name] > constraints.upper_bound(name) for name in names):
@@ -308,27 +308,27 @@ class BranchAndBoundStrategy(SearchStrategy):
                 "analytic lower bounds already exceed the constraints; no "
                 "admissible configuration can satisfy the goals"
             )
-        start = SystemConfiguration({name: lower[name] for name in names})
-        if not constraints.admits(start):
+        self._lattice = lattice = ReplicaLattice(
+            evaluator.server_types, constraints
+        )
+        start = tuple(lower[name] for name in names)
+        if sum(start) > constraints.max_total_servers:
             raise InfeasibleConfigurationError(
-                f"lower-bound configuration {start} violates the "
-                "total-server constraint"
+                f"lower-bound configuration {lattice.text(start)} violates "
+                "the total-server constraint"
             )
         self._counter = 0
-        self._frontier: list[tuple[float, int, SystemConfiguration]] = []
-        heapq.heappush(
-            self._frontier, (self._cost(start), self._counter, start)
-        )
-        self._seen = {tuple(sorted(start.replicas.items()))}
-
-    def _cost(self, configuration: SystemConfiguration) -> float:
-        return configuration.cost(self._server_types)
+        self._frontier: list[tuple[float, int, Counts]] = [
+            (lattice.cost(start), self._counter, start)
+        ]
+        self._seen = {start}
 
     def propose(self) -> Candidate | None:
         """The cheapest node of the best-first frontier (oldest on ties)."""
         if not self._frontier:
             return None
-        return Candidate(heapq.heappop(self._frontier)[2])
+        counts = heapq.heappop(self._frontier)[2]
+        return Candidate(self._lattice.configuration(counts))
 
     def observe(
         self, candidate: Candidate, assessment: GoalAssessment
@@ -336,18 +336,20 @@ class BranchAndBoundStrategy(SearchStrategy):
         """Accept a satisfying node, otherwise expand its children."""
         if assessment.satisfied:
             return assessment
-        configuration = candidate.configuration
-        for name in self._server_types.names:
-            if not self._constraints.can_add(configuration, name):
+        lattice = self._lattice
+        counts = lattice.counts(candidate.configuration)
+        if sum(counts) >= lattice.max_total_servers:
+            return None
+        for j, upper in enumerate(lattice.upper):
+            if counts[j] >= upper:
                 continue
-            child = configuration.with_added_replica(name)
-            key = tuple(sorted(child.replicas.items()))
-            if key in self._seen:
+            child = counts[:j] + (counts[j] + 1,) + counts[j + 1:]
+            if child in self._seen:
                 continue
-            self._seen.add(key)
+            self._seen.add(child)
             self._counter += 1
             heapq.heappush(
-                self._frontier, (self._cost(child), self._counter, child)
+                self._frontier, (lattice.cost(child), self._counter, child)
             )
         return None
 
@@ -375,16 +377,17 @@ class SimulatedAnnealingStrategy(SearchStrategy):
         seed: int = 0,
     ) -> None:
         self._server_types = evaluator.server_types
-        self._constraints = constraints
-        self._names = list(evaluator.server_types.names)
+        self._lattice = lattice = ReplicaLattice(
+            evaluator.server_types, constraints
+        )
+        # ``choice`` over the type indices draws exactly as over the names.
+        self._indices = list(range(len(lattice.names)))
         self._rng = random.Random(seed)
         self._remaining = iterations
         self._temperature = initial_temperature
         self._cooling = cooling
         self._violation_penalty = violation_penalty
-        self._current = initial_configuration(
-            evaluator.server_types, constraints
-        )
+        self._current = lattice.lower
         self._current_assessment: GoalAssessment | None = None
         self._best_assessment: GoalAssessment | None = None
         self._started = False
@@ -395,25 +398,24 @@ class SimulatedAnnealingStrategy(SearchStrategy):
 
     def propose(self) -> Candidate | None:
         """The start point first, then one random in-bounds neighbour."""
+        lattice = self._lattice
         if not self._started:
-            return Candidate(self._current)
+            return Candidate(lattice.configuration(self._current))
         # Draw neighbour moves until one stays within the bounds; the
         # random stream consumption matches the historical loop exactly
         # (two draws per attempted move, cooling only after evaluations).
+        current = self._current
         while self._remaining > 0:
             self._remaining -= 1
-            name = self._rng.choice(self._names)
+            j = self._rng.choice(self._indices)
             delta = self._rng.choice((-1, 1))
-            count = self._current.count(name) + delta
-            if not (self._constraints.lower_bound(name) <= count
-                    <= self._constraints.upper_bound(name)):
+            count = current[j] + delta
+            if not lattice.lower[j] <= count <= lattice.upper[j]:
                 continue
-            replicas = dict(self._current.replicas)
-            replicas[name] = count
-            neighbour = SystemConfiguration(replicas)
-            if neighbour.total_servers > self._constraints.max_total_servers:
+            if sum(current) + delta > lattice.max_total_servers:
                 continue
-            return Candidate(neighbour)
+            neighbour = current[:j] + (count,) + current[j + 1:]
+            return Candidate(lattice.configuration(neighbour))
         return None
 
     def observe(
@@ -440,7 +442,7 @@ class SimulatedAnnealingStrategy(SearchStrategy):
         if difference <= 0.0 or self._rng.random() < math.exp(
             -difference / max(self._temperature, 1e-9)
         ):
-            self._current = candidate.configuration
+            self._current = self._lattice.counts(candidate.configuration)
             self._current_assessment = assessment
         self._temperature *= self._cooling
         return None

@@ -200,9 +200,14 @@ def configuration_to_dict(
 def configuration_from_dict(
     data: Mapping[str, Any],
 ) -> SystemConfiguration:
-    """Deserialize a system configuration."""
+    """Deserialize a system configuration.
+
+    Counts pass through unconverted, so a fractional, non-numeric or
+    boolean count raises :class:`~repro.exceptions.ValidationError`
+    instead of being truncated.
+    """
     return SystemConfiguration(
-        {str(name): int(count) for name, count in data.items()}
+        {str(name): count for name, count in data.items()}
     )
 
 

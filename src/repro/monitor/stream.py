@@ -31,7 +31,7 @@ pipeline, a future workflow-net evaluator, or the drift detectors in
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro import obs
 from repro.core.workflow_model import WorkflowDefinition
@@ -55,6 +55,18 @@ AuditRecord = StateVisitRecord | ServiceRequestRecord | InstanceRecord
 
 #: Schema identifier of :meth:`StreamingCalibrator.document`.
 SCHEMA = "repro.monitor.stream/v1"
+
+
+def _entry(mapping: dict, key: Any, factory: Callable[[], Any]) -> Any:
+    """``mapping[key]``, inserted from ``factory()`` on first use.
+
+    Unlike ``mapping.setdefault(key, factory())`` it builds nothing for
+    a key that is already present.
+    """
+    value = mapping.get(key)
+    if value is None:
+        value = mapping[key] = factory()
+    return value
 
 
 class StreamingCalibrator:
@@ -116,13 +128,13 @@ class StreamingCalibrator:
 
     def observe_state_visit(self, record: StateVisitRecord) -> None:
         """Update transition counts and residence-time moments."""
-        departures = self._departures.setdefault(record.workflow_type, {})
-        successors = departures.setdefault(record.state, {})
+        departures = _entry(self._departures, record.workflow_type, dict)
+        successors = _entry(departures, record.state, dict)
         successors[record.next_state] = (
             successors.get(record.next_state, 0) + 1
         )
-        residence = self._residence.setdefault(record.workflow_type, {})
-        residence.setdefault(record.state, RunningStats()).add(
+        residence = _entry(self._residence, record.workflow_type, dict)
+        _entry(residence, record.state, RunningStats).add(
             record.residence_time
         )
         self._advance_clock(record.entered_at, record.left_at)
@@ -130,16 +142,14 @@ class StreamingCalibrator:
 
     def observe_service_request(self, record: ServiceRequestRecord) -> None:
         """Update service-time/waiting moments and per-instance loads."""
-        self._service.setdefault(record.server_type, RunningStats()).add(
+        _entry(self._service, record.server_type, RunningStats).add(
             record.service_time
         )
-        self._waiting.setdefault(record.server_type, RunningStats()).add(
+        _entry(self._waiting, record.server_type, RunningStats).add(
             record.waiting_time
         )
         if record.instance_id >= 0:
-            counts = self._instance_requests.setdefault(
-                record.instance_id, {}
-            )
+            counts = _entry(self._instance_requests, record.instance_id, dict)
             counts[record.server_type] = (
                 counts.get(record.server_type, 0) + 1
             )
@@ -149,18 +159,18 @@ class StreamingCalibrator:
     def observe_instance(self, record: InstanceRecord) -> None:
         """Update turnaround moments and (windowed) arrival counts."""
         workflow_type = record.workflow_type
-        self._turnaround.setdefault(workflow_type, RunningStats()).add(
+        _entry(self._turnaround, workflow_type, RunningStats).add(
             record.turnaround_time
         )
         self._completions[workflow_type] = (
             self._completions.get(workflow_type, 0) + 1
         )
-        times = self._completion_times.setdefault(workflow_type, deque())
+        times = _entry(self._completion_times, workflow_type, deque)
         times.append(record.completed_at)
         cutoff = record.completed_at - self.window
         while times and times[0] <= cutoff:
             times.popleft()
-        self._completed_ids.setdefault(workflow_type, set()).add(
+        _entry(self._completed_ids, workflow_type, set).add(
             record.instance_id
         )
         self._advance_clock(record.started_at, record.completed_at)

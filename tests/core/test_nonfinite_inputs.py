@@ -20,6 +20,7 @@ from repro.core.linalg import (
     validate_stochastic_matrix,
 )
 from repro.core.model_types import ActivitySpec, ServerTypeSpec
+from repro.core.performance import SystemConfiguration
 from repro.exceptions import ValidationError
 from repro.scenarios import (
     ArrivalSpec,
@@ -133,3 +134,35 @@ class TestMatrices:
         q = np.array([[NAN, 1.0], [1.0, -1.0]])
         with pytest.raises(ValidationError, match="must be finite"):
             validate_generator_matrix(q)
+
+
+class TestReplicaCounts:
+    """Every non-integer count raises ``ValidationError``.
+
+    These used to leak a bare ``ValueError`` (NaN, ``"x"``),
+    ``OverflowError`` (infinities) or ``TypeError`` (``None``), or to be
+    accepted as a count (``True`` as 1, ``False`` as 0).
+    """
+
+    @pytest.mark.parametrize(
+        "count",
+        [NAN, np.float64(NAN), INF, -INF, None, True, False, np.True_, "x"],
+        ids=[
+            "nan", "numpy-nan", "inf", "-inf", "none", "true", "false",
+            "numpy-true", "text",
+        ],
+    )
+    def test_hostile_count_is_rejected(self, count):
+        with pytest.raises(
+            ValidationError, match="must be a non-negative integer"
+        ):
+            SystemConfiguration({"a": count})
+
+    def test_integral_counts_become_ints(self):
+        configuration = SystemConfiguration(
+            {"a": 2, "b": 2.0, "c": np.int64(3), "d": np.float64(4.0)}
+        )
+        assert configuration.replicas == {"a": 2, "b": 2, "c": 3, "d": 4}
+        assert all(
+            type(count) is int for count in configuration.replicas.values()
+        )

@@ -6,9 +6,17 @@ the engine-level contracts the wrappers rely on: the lazy cost-ordered
 candidate enumeration, cross-algorithm agreement on the optimum, and
 the JSON form of a recommendation.  The order in which each strategy
 consumes its candidates is pinned by ``test_search_goldens.py``.
+
+:class:`TestEnumerationOracle` checks the count-tuple enumeration
+against the heap over :class:`SystemConfiguration` objects it replaced,
+kept here as :func:`oracle_configurations_by_cost`.
 """
 
+import heapq
 import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.configuration import (
     ReplicationConstraints,
@@ -153,3 +161,121 @@ class TestRecommendationDocument:
             recommendation.configuration.replicas
         )
         assert len(encoded["trace"]) == len(recommendation.trace)
+
+
+def oracle_configurations_by_cost(server_types, constraints):
+    """The enumeration as it was before the search moved onto count tuples.
+
+    Each heap entry builds a :class:`SystemConfiguration` and orders it
+    by ``(cost(), total_servers, str())``; nothing here is shared with
+    :mod:`repro.core.search.candidates`.
+    """
+    names = server_types.names
+    lower = tuple(constraints.lower_bound(name) for name in names)
+    upper = tuple(constraints.upper_bound(name) for name in names)
+    if any(low > high for low, high in zip(lower, upper)):
+        return
+
+    def entry(counts, first_index):
+        configuration = SystemConfiguration(dict(zip(names, counts)))
+        return (
+            configuration.cost(server_types),
+            configuration.total_servers,
+            str(configuration),
+            counts,
+            first_index,
+            configuration,
+        )
+
+    frontier = [entry(lower, 0)]
+    while frontier:
+        _, total, _, counts, first_index, configuration = heapq.heappop(
+            frontier
+        )
+        if total > constraints.max_total_servers:
+            continue
+        yield configuration
+        for j in range(first_index, len(names)):
+            if counts[j] + 1 <= upper[j]:
+                child = counts[:j] + (counts[j] + 1,) + counts[j + 1:]
+                heapq.heappush(frontier, entry(child, j))
+
+
+#: Type names whose name order differs from any drawn type order and
+#: whose prefixes collide (``app`` < ``app-2``, ``x`` < ``x1``).
+ORACLE_NAMES = ("a", "b", "app", "app-2", "x", "x1", "wf", "z")
+
+#: Costs whose sums tie or nearly tie (0.1 + 0.2 != 0.3 in floats).
+ORACLE_COSTS = (0.1, 0.2, 0.3, 0.7, 1.0, 2.0)
+
+#: Largest count above the lower-bound corner, by number of types: up
+#: to three types reach counts of 10 and more, and no example
+#: enumerates more than about 800 configurations.
+ORACLE_SLACK = {1: 15, 2: 14, 3: 12, 4: 8, 5: 7}
+
+
+@st.composite
+def landscapes_with_bounds(draw):
+    """A 1–5 type landscape and replication bounds over it.
+
+    ``max_total_servers`` is drawn around the lower-bound corner, from
+    one below it (nothing admissible) up to :data:`ORACLE_SLACK`.
+    """
+    size = draw(st.integers(1, 5))
+    names = draw(
+        st.lists(
+            st.sampled_from(ORACLE_NAMES),
+            min_size=size, max_size=size, unique=True,
+        )
+    )
+    costs = draw(
+        st.lists(st.sampled_from(ORACLE_COSTS), min_size=size, max_size=size)
+    )
+    server_types = ServerTypeIndex(
+        [
+            ServerTypeSpec(name, 0.1, cost=cost)
+            for name, cost in zip(names, costs)
+        ]
+    )
+    minimum, maximum, fixed = {}, {}, {}
+    for name in names:
+        kind = draw(
+            st.sampled_from(("free", "minimum", "maximum", "both", "fixed"))
+        )
+        if kind in ("minimum", "both"):
+            minimum[name] = draw(st.integers(1, 3))
+        if kind in ("maximum", "both"):
+            maximum[name] = minimum.get(name, 1) + draw(st.integers(0, 12))
+        if kind == "fixed":
+            fixed[name] = draw(st.integers(1, 12))
+    corner = sum(
+        fixed.get(name, minimum.get(name, 1)) for name in names
+    )
+    constraints = ReplicationConstraints(
+        minimum=minimum,
+        maximum=maximum,
+        fixed=fixed,
+        max_total_servers=max(
+            1, corner + draw(st.integers(-1, ORACLE_SLACK[size]))
+        ),
+    )
+    return server_types, constraints
+
+
+class TestEnumerationOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(landscapes_with_bounds())
+    def test_matches_configuration_heap(self, case):
+        server_types, constraints = case
+
+        def sequence(configurations):
+            return [
+                (configuration.replicas, configuration.cost(server_types))
+                for configuration in configurations
+            ]
+
+        assert sequence(
+            configurations_by_cost(server_types, constraints)
+        ) == sequence(
+            oracle_configurations_by_cost(server_types, constraints)
+        )

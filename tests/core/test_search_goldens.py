@@ -12,12 +12,21 @@ as ``repro recommend --json`` prints them.
 Together they pin the order in which each strategy consumes its
 candidates: a change to proposal order, termination, or evaluation
 accounting moves a count, a trace step, or a best-found configuration.
+
+``frontier_digests.json`` in the same directory widens the frontier's
+guard beyond seed 13: the sha256 of the canonical JSON document of
+:func:`~repro.core.search.frontier_search` on both models (at most 16
+servers, loose goals) for seeds 0–19, over all four objective axes and
+over ``("cost", "unavailability")`` alone.
+
 Regenerate deliberately (only when a search is *meant* to change)::
 
     PYTHONPATH=src python tools/capture_search_goldens.py
 """
 
+import hashlib
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -26,7 +35,7 @@ from repro import obs
 from repro.core.configuration import SEARCHES, ReplicationConstraints
 from repro.core.goals import GoalEvaluator, PerformabilityGoals
 from repro.core.performance import PerformanceModel, Workload, WorkloadItem
-from repro.core.search import frontier_search
+from repro.core.search import OBJECTIVES, frontier_search
 from repro.exceptions import InfeasibleConfigurationError
 from repro.workflows import (
     ecommerce_workflow,
@@ -39,6 +48,17 @@ from repro.workflows import (
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens" / "search"
 
 FRONTIER_SEED = 13
+
+FRONTIER_DIGESTS = GOLDEN_DIR / "frontier_digests.json"
+
+#: Seeds of the frontier digests.
+DIGEST_SEEDS = range(20)
+
+#: Objective sets of the frontier digests, by the name used in their keys.
+DIGEST_OBJECTIVES = {
+    "all": OBJECTIVES,
+    "cost-unavailability": ("cost", "unavailability"),
+}
 
 
 def demo_model() -> PerformanceModel:
@@ -185,3 +205,61 @@ def test_search_documents_match_golden(model, box, goals):
             if actual[algorithm] != expected[algorithm]
         ]
         pytest.fail(f"search documents diverged from the golden: {diverged}")
+
+
+@lru_cache(maxsize=None)
+def _digest_model(model: str) -> PerformanceModel:
+    return MODELS[model]()
+
+
+def frontier_digests(model: str, objectives: str) -> dict[str, str]:
+    """sha256 of each seed's frontier document, keyed ``model/objectives/seed``.
+
+    Each search runs on a fresh evaluator, so no assessment carries
+    over from an earlier seed.
+    """
+    performance = _digest_model(model)
+    constraints = constraints_for("total16", performance.server_types.names)
+    digests = {}
+    for seed in DIGEST_SEEDS:
+        document = frontier_search(
+            GoalEvaluator(performance),
+            GOALS["loose"],
+            constraints,
+            objectives=DIGEST_OBJECTIVES[objectives],
+            seed=seed,
+        ).to_document()
+        text = json.dumps(document, sort_keys=True).encode()
+        digests[f"{model}/{objectives}/{seed}"] = (
+            hashlib.sha256(text).hexdigest()
+        )
+    return digests
+
+
+DIGEST_CASES = [
+    (model, objectives)
+    for model in MODELS
+    for objectives in DIGEST_OBJECTIVES
+]
+
+
+def frontier_digests_text() -> str:
+    """Canonical text of ``frontier_digests.json``."""
+    digests = {}
+    for case in DIGEST_CASES:
+        digests.update(frontier_digests(*case))
+    return json.dumps(digests, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    ("model", "objectives"),
+    DIGEST_CASES,
+    ids=["-".join(case) for case in DIGEST_CASES],
+)
+def test_frontier_documents_match_digests(model, objectives):
+    golden = json.loads(FRONTIER_DIGESTS.read_text())
+    rebuilt = frontier_digests(model, objectives)
+    diverged = [
+        key for key, digest in rebuilt.items() if golden.get(key) != digest
+    ]
+    assert not diverged, f"frontier documents diverged: {diverged}"

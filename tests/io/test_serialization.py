@@ -154,6 +154,23 @@ class TestConfigurationAndGoals:
         )
         assert restored == configuration
 
+    @pytest.mark.parametrize(
+        "count",
+        [2.7, "x", "3", True, None, math.nan],
+        ids=["fraction", "text", "numeric-text", "bool", "none", "nan"],
+    )
+    def test_non_integer_count_is_rejected(self, count):
+        # Counts pass through unconverted: 2.7 used to become 2, "3"
+        # became 3, "x" raised a bare ValueError.
+        with pytest.raises(
+            ValidationError, match="must be a non-negative integer"
+        ):
+            configuration_from_dict({"a": 1, "b": count})
+
+    def test_integral_float_count_is_accepted(self):
+        restored = configuration_from_dict({"a": 2.0, "b": 3})
+        assert restored == SystemConfiguration({"a": 2, "b": 3})
+
     def test_goals_round_trip(self):
         goals = PerformabilityGoals(
             max_waiting_time=0.5,
