@@ -445,12 +445,12 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     import json
 
     from repro.monitor.drift import DriftMonitor
-    from repro.monitor.persistence import iter_trail_records
+    from repro.monitor.persistence import iter_trail_rows
     from repro.monitor.stream import StreamingCalibrator
 
     calibrator = StreamingCalibrator(window=args.window)
     monitor = DriftMonitor(calibrator=calibrator)
-    monitor.observe_all(iter_trail_records(args.trail))
+    monitor.observe_rows(iter_trail_rows(args.trail))
     estimates = calibrator.document(args.observation_period)
     if args.json:
         print(

@@ -134,7 +134,7 @@ class Workload:
         )
 
 
-def _replica_count(name: str, count: object) -> int:
+def replica_count(name: str, count: object) -> int:
     """``count`` as an ``int``; rejects anything but a non-negative integer.
 
     Integral reals such as ``2.0`` are accepted; ``bool``, NaN,
@@ -167,7 +167,7 @@ class SystemConfiguration:
         replicas = dict(self.replicas)
         for name, count in replicas.items():
             if type(count) is not int or count < 0:
-                replicas[name] = _replica_count(name, count)
+                replicas[name] = replica_count(name, count)
         object.__setattr__(self, "replicas", replicas)
 
     def count(self, server_type: str) -> int:

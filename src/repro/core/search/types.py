@@ -16,8 +16,28 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.core.goals import GoalAssessment
-from repro.core.performance import SystemConfiguration
+from repro.core.performance import SystemConfiguration, replica_count
 from repro.exceptions import ValidationError
+
+
+def _positive_count(label: str, value: object) -> int:
+    """``value`` as a replica count of at least 1.
+
+    The rule of :func:`~repro.core.performance.replica_count` (an
+    integral, finite, non-negative real that is not a ``bool``) plus a
+    floor of 1: a zero maximum would make ``upper_bound <
+    lower_bound`` and surface only as a confusing downstream search
+    failure.
+    """
+    try:
+        count = replica_count(label, value)
+    except ValidationError:
+        count = 0
+    if count < 1:
+        raise ValidationError(
+            f"{label} must be a positive integer, got {value!r}"
+        )
+    return count
 
 
 @dataclass(frozen=True)
@@ -38,18 +58,16 @@ class ReplicationConstraints:
 
     def __post_init__(self) -> None:
         for mapping_name in ("minimum", "maximum", "fixed"):
-            mapping = dict(getattr(self, mapping_name))
-            for name, value in mapping.items():
-                # A zero maximum would make upper_bound < lower_bound and
-                # surface only as a confusing downstream search failure.
-                if int(value) != value or value < 1:
-                    raise ValidationError(
-                        f"{mapping_name}[{name}] must be a positive integer"
-                    )
-                mapping[name] = int(value)
+            mapping = {
+                name: _positive_count(f"{mapping_name}[{name}]", value)
+                for name, value in dict(getattr(self, mapping_name)).items()
+            }
             object.__setattr__(self, mapping_name, mapping)
-        if self.max_total_servers < 1:
-            raise ValidationError("max_total_servers must be >= 1")
+        object.__setattr__(
+            self,
+            "max_total_servers",
+            _positive_count("max_total_servers", self.max_total_servers),
+        )
         for name, value in self.fixed.items():
             low = self.minimum.get(name)
             high = self.maximum.get(name)

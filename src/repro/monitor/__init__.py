@@ -17,9 +17,11 @@ from repro.monitor.audit import (
 )
 from repro.monitor.persistence import (
     iter_trail_records,
+    iter_trail_rows,
     load_trail,
     merge_trail_files,
     parse_record_line,
+    parse_record_row,
     save_trail,
 )
 from repro.monitor.calibration import (
@@ -64,8 +66,10 @@ __all__ = [
     "estimate_transition_probabilities",
     "estimate_turnaround_time",
     "iter_trail_records",
+    "iter_trail_rows",
     "load_trail",
     "merge_trail_files",
     "parse_record_line",
+    "parse_record_row",
     "save_trail",
 ]

@@ -6,24 +6,94 @@ trails of previous workflow executions" and online monitoring statistics.
 This module defines the trail records; :mod:`repro.monitor.calibration`
 turns trails back into model parameters.  The simulated WFMS emits these
 records natively, closing the map -> run -> calibrate -> remap loop.
+
+Each record has a *row* form: the plain tuple of its fields in record
+order, tagged by its ``kind`` (:data:`STATE_VISIT`,
+:data:`SERVICE_REQUEST`, :data:`INSTANCE`).  Producers and the trail
+decoder hand rows around instead of records, and each record type's
+``check_row`` is the one validation of both forms: names are strings,
+ids integers (not ``bool``), timestamps finite numbers (``int`` or
+``float``, not ``bool``), in order.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import reprlib
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TypeVar
+from typing import Any, Callable, ClassVar, Iterable, Iterator, TypeVar
 
 from repro.exceptions import ValidationError
 
 #: Pseudo state name recorded as the successor of a final state.
 TERMINATION = "__TERMINATED__"
 
+#: The ``kind`` of a state-visit row (and of its trail line).
+STATE_VISIT = "state_visit"
+#: The ``kind`` of a service-request row.
+SERVICE_REQUEST = "service_request"
+#: The ``kind`` of an instance row.
+INSTANCE = "instance"
+
 _Record = TypeVar("_Record")
+
+#: Largest finite float: a timestamp lies in ``[-_MAX, _MAX]``, a test
+#: that NaN, the infinities and ints too large for a float all fail.
+_MAX = sys.float_info.max
+
+
+def _is_name(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+def _is_id(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_timestamp(value: Any) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and -_MAX <= value <= _MAX
+    )
+
+
+#: The rule a field meets, by its annotated type (a string, since this
+#: module defers annotations): names are strings, ids integers,
+#: timestamps finite numbers.
+_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "str": (_is_name, "a string"),
+    "int": (_is_id, "an integer"),
+    "float": (_is_timestamp, "a finite number"),
+}
+
+
+def _check_fields(
+    record_type: type, row: tuple, line_number: int | None
+) -> None:
+    """Raise for the first field of ``row`` that breaks its rule.
+
+    The slow path of every ``check_row``: it runs only when a row fails
+    the exact-type test (numpy ``float64`` timestamps pass here, since
+    they subclass ``float``), and names the offending field.
+    """
+    for field, value in zip(dataclasses.fields(record_type), row):
+        accepts, expected = _RULES[field.type]
+        if not accepts(value):
+            where = "" if line_number is None else f"line {line_number}: "
+            raise ValidationError(
+                f"{where}malformed {record_type.kind} record: "
+                f"{field.name} must be {expected}, "
+                f"got {reprlib.repr(value)}"
+            )
 
 
 @dataclass(frozen=True)
 class StateVisitRecord:
     """One visit of a workflow instance to an execution state."""
+
+    kind: ClassVar[str] = STATE_VISIT
 
     instance_id: int
     workflow_type: str
@@ -33,11 +103,39 @@ class StateVisitRecord:
     next_state: str
 
     def __post_init__(self) -> None:
-        if self.left_at < self.entered_at:
-            raise ValidationError(
-                f"instance {self.instance_id}: left_at {self.left_at} "
-                f"precedes entered_at {self.entered_at}"
-            )
+        self.check_row(self.row)
+
+    @property
+    def row(self) -> tuple:
+        """The fields as a tuple, in field order."""
+        return (
+            self.instance_id, self.workflow_type, self.state,
+            self.entered_at, self.left_at, self.next_state,
+        )
+
+    @staticmethod
+    def check_row(row: tuple, line_number: int | None = None) -> None:
+        """Raise :class:`~repro.exceptions.ValidationError` unless
+        ``row`` holds a valid state visit (typing, then ``entered_at <=
+        left_at``); typing errors name ``line_number`` when given."""
+        instance_id, workflow_type, state, entered_at, left_at, next_state = (
+            row
+        )
+        if not (
+            type(instance_id) is int
+            and type(workflow_type) is str
+            and type(state) is str
+            and type(next_state) is str
+            and (type(entered_at) is float or type(entered_at) is int)
+            and (type(left_at) is float or type(left_at) is int)
+            and -_MAX <= entered_at <= left_at <= _MAX
+        ):
+            _check_fields(StateVisitRecord, row, line_number)
+            if left_at < entered_at:
+                raise ValidationError(
+                    f"instance {instance_id}: left_at {left_at} "
+                    f"precedes entered_at {entered_at}"
+                )
 
     @property
     def residence_time(self) -> float:
@@ -55,6 +153,8 @@ class ServiceRequestRecord:
     request records with instance records.
     """
 
+    kind: ClassVar[str] = SERVICE_REQUEST
+
     server_type: str
     server_name: str
     submitted_at: float
@@ -63,11 +163,40 @@ class ServiceRequestRecord:
     instance_id: int = -1
 
     def __post_init__(self) -> None:
-        if not (self.submitted_at <= self.started_at <= self.completed_at):
-            raise ValidationError(
-                "request timestamps must be ordered "
-                "submitted <= started <= completed"
-            )
+        self.check_row(self.row)
+
+    @property
+    def row(self) -> tuple:
+        """The fields as a tuple, in field order."""
+        return (
+            self.server_type, self.server_name, self.submitted_at,
+            self.started_at, self.completed_at, self.instance_id,
+        )
+
+    @staticmethod
+    def check_row(row: tuple, line_number: int | None = None) -> None:
+        """Raise :class:`~repro.exceptions.ValidationError` unless
+        ``row`` holds a valid service request (typing, then
+        ``submitted_at <= started_at <= completed_at``); typing errors
+        name ``line_number`` when given."""
+        server_type, server_name, submitted, started, completed, instance = (
+            row
+        )
+        if not (
+            type(server_type) is str
+            and type(server_name) is str
+            and type(instance) is int
+            and (type(submitted) is float or type(submitted) is int)
+            and (type(started) is float or type(started) is int)
+            and (type(completed) is float or type(completed) is int)
+            and -_MAX <= submitted <= started <= completed <= _MAX
+        ):
+            _check_fields(ServiceRequestRecord, row, line_number)
+            if not (submitted <= started <= completed):
+                raise ValidationError(
+                    "request timestamps must be ordered "
+                    "submitted <= started <= completed"
+                )
 
     @property
     def waiting_time(self) -> float:
@@ -84,21 +213,68 @@ class ServiceRequestRecord:
 class InstanceRecord:
     """Lifecycle of one workflow instance."""
 
+    kind: ClassVar[str] = INSTANCE
+
     instance_id: int
     workflow_type: str
     started_at: float
     completed_at: float
 
     def __post_init__(self) -> None:
-        if self.completed_at < self.started_at:
-            raise ValidationError(
-                f"instance {self.instance_id}: completed before started"
-            )
+        self.check_row(self.row)
+
+    @property
+    def row(self) -> tuple:
+        """The fields as a tuple, in field order."""
+        return (
+            self.instance_id, self.workflow_type, self.started_at,
+            self.completed_at,
+        )
+
+    @staticmethod
+    def check_row(row: tuple, line_number: int | None = None) -> None:
+        """Raise :class:`~repro.exceptions.ValidationError` unless
+        ``row`` holds a valid instance (typing, then ``started_at <=
+        completed_at``); typing errors name ``line_number`` when
+        given."""
+        instance_id, workflow_type, started_at, completed_at = row
+        if not (
+            type(instance_id) is int
+            and type(workflow_type) is str
+            and (type(started_at) is float or type(started_at) is int)
+            and (type(completed_at) is float or type(completed_at) is int)
+            and -_MAX <= started_at <= completed_at <= _MAX
+        ):
+            _check_fields(InstanceRecord, row, line_number)
+            if completed_at < started_at:
+                raise ValidationError(
+                    f"instance {instance_id}: completed before started"
+                )
 
     @property
     def turnaround_time(self) -> float:
         """Wall-clock time from instance start to completion."""
         return self.completed_at - self.started_at
+
+
+AuditRecord = StateVisitRecord | ServiceRequestRecord | InstanceRecord
+
+#: Record type of each kind.
+RECORD_TYPES: dict[str, type[AuditRecord]] = {
+    record_type.kind: record_type
+    for record_type in (StateVisitRecord, ServiceRequestRecord, InstanceRecord)
+}
+
+
+def record_row(record: AuditRecord) -> tuple[str, tuple]:
+    """The ``(kind, row)`` of an audit record."""
+    if not isinstance(
+        record, (StateVisitRecord, ServiceRequestRecord, InstanceRecord)
+    ):
+        raise ValidationError(
+            f"unknown audit record type {type(record).__name__}"
+        )
+    return record.kind, record.row
 
 
 class AuditTrail:

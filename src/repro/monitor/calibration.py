@@ -19,12 +19,26 @@ estimators stay because they are its test oracle, the reference that
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.core.model_types import ServerTypeSpec
 from repro.core.workflow_model import WorkflowDefinition, WorkflowState
 from repro.exceptions import ValidationError
 from repro.monitor.audit import TERMINATION, AuditTrail
 from repro.sim.statistics import RunningStats
+
+
+def entry(mapping: dict, key: Any, factory: Callable[[], Any]) -> Any:
+    """``mapping[key]``, inserted from ``factory()`` on first use.
+
+    Unlike ``mapping.setdefault(key, factory())`` it builds nothing for
+    a key that is already present.  The batch estimators here and the
+    streaming calibrator build their accumulators with it.
+    """
+    value = mapping.get(key)
+    if value is None:
+        value = mapping[key] = factory()
+    return value
 
 
 @dataclass(frozen=True)
@@ -50,7 +64,7 @@ def estimate_transition_probabilities(
     """
     departures: dict[str, dict[str, int]] = {}
     for record in trail.visits_of(workflow_type):
-        successors = departures.setdefault(record.state, {})
+        successors = entry(departures, record.state, dict)
         successors[record.next_state] = successors.get(record.next_state, 0) + 1
     if not departures:
         raise ValidationError(
@@ -72,9 +86,7 @@ def estimate_residence_times(
     """Sample-mean residence time per execution state."""
     stats: dict[str, RunningStats] = {}
     for record in trail.visits_of(workflow_type):
-        stats.setdefault(record.state, RunningStats()).add(
-            record.residence_time
-        )
+        entry(stats, record.state, RunningStats).add(record.residence_time)
     if not stats:
         raise ValidationError(
             f"no state visits of workflow type {workflow_type!r} in trail"
@@ -111,10 +123,10 @@ def estimate_service_times(trail: AuditTrail) -> dict[str, ServiceTimeEstimate]:
     service: dict[str, RunningStats] = {}
     waiting: dict[str, RunningStats] = {}
     for record in trail.service_requests:
-        service.setdefault(record.server_type, RunningStats()).add(
+        entry(service, record.server_type, RunningStats).add(
             record.service_time
         )
-        waiting.setdefault(record.server_type, RunningStats()).add(
+        entry(waiting, record.server_type, RunningStats).add(
             record.waiting_time
         )
     return {

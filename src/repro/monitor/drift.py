@@ -31,11 +31,13 @@ from typing import Any, Callable, Iterable
 from repro import obs
 from repro.exceptions import ValidationError
 from repro.monitor.audit import (
-    InstanceRecord,
-    ServiceRequestRecord,
-    StateVisitRecord,
+    INSTANCE,
+    STATE_VISIT,
+    AuditRecord,
+    record_row,
 )
-from repro.monitor.stream import AuditRecord, StreamingCalibrator
+from repro.monitor.calibration import entry
+from repro.monitor.stream import StreamingCalibrator
 
 __all__ = [
     "CusumDetector",
@@ -327,32 +329,62 @@ class DriftMonitor:
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
+    def observe_row(self, kind: str, row: tuple) -> list[DriftEvent]:
+        """Feed one validated audit row; returns the drifts it confirmed.
+
+        The calibrator consumes the row
+        (:meth:`~repro.monitor.stream.StreamingCalibrator.observe_row`),
+        then the detectors read its fields: a state visit feeds its
+        residence time and transition indicators, an instance its
+        inter-completion gap.  Counts no ``monitor.stream.records``
+        (:meth:`observe_rows` does, once per batch).
+        """
+        confirmed: list[DriftEvent] = []
+        self._observe_row(kind, row, confirmed)
+        return confirmed
+
+    def observe_rows(
+        self, rows: Iterable[tuple[str, tuple]]
+    ) -> list[DriftEvent]:
+        """Feed ``(kind, row)`` pairs; returns every confirmed drift.
+
+        Counts the rows in ``monitor.stream.records`` once, also when a
+        row raises midway (then the rows consumed before it).
+        """
+        confirmed: list[DriftEvent] = []
+        observe_row = self._observe_row
+        before = self.calibrator.records_seen
+        try:
+            for kind, row in rows:
+                observe_row(kind, row, confirmed)
+        finally:
+            count = self.calibrator.records_seen - before
+            if count:
+                obs.count("monitor.stream.records", count)
+        return confirmed
+
     def observe(self, record: AuditRecord) -> list[DriftEvent]:
         """Feed one record; returns the drifts it confirmed (often [])."""
-        self.calibrator.observe(record)
-        confirmed: list[DriftEvent] = []
-        if isinstance(record, StateVisitRecord):
-            confirmed.extend(self._observe_visit(record))
-        elif isinstance(record, InstanceRecord):
-            confirmed.extend(self._observe_instance(record))
-        elif not isinstance(record, ServiceRequestRecord):
-            raise ValidationError(
-                f"unknown audit record type {type(record).__name__}"
-            )
-        return confirmed
+        return self.observe_rows((record_row(record),))
 
     def observe_all(self, records: Iterable[AuditRecord]) -> list[DriftEvent]:
         """Feed a record stream; returns every confirmed drift."""
-        confirmed: list[DriftEvent] = []
-        for record in records:
-            confirmed.extend(self.observe(record))
-        return confirmed
+        return self.observe_rows(map(record_row, records))
+
+    def _observe_row(
+        self, kind: str, row: tuple, confirmed: list[DriftEvent]
+    ) -> None:
+        self.calibrator.observe_row(kind, row)
+        if kind == STATE_VISIT:
+            self._observe_visit(row, confirmed)
+        elif kind == INSTANCE:
+            self._observe_instance(row, confirmed)
 
     def _observe_visit(
-        self, record: StateVisitRecord
-    ) -> list[DriftEvent]:
-        confirmed: list[DriftEvent] = []
-        key = (record.workflow_type, record.state)
+        self, row: tuple, confirmed: list[DriftEvent]
+    ) -> None:
+        _, workflow_type, state, entered_at, left_at, next_state = row
+        key = (workflow_type, state)
         detector = self._residence.get(key)
         if detector is None:
             detector = PageHinkleyDetector(
@@ -362,44 +394,39 @@ class DriftMonitor:
                 relative=True,
             )
             self._residence[key] = detector
-        if detector.update(record.residence_time):
+        if detector.update(left_at - entered_at):
             confirmed.append(
                 self._confirm(
-                    "residence_time",
-                    f"{record.workflow_type}/{record.state}",
-                    detector,
+                    "residence_time", f"{workflow_type}/{state}", detector
                 )
             )
-        indicators = self._transitions.setdefault(key, {})
-        if record.next_state not in indicators:
-            indicators[record.next_state] = PageHinkleyDetector(
+        indicators = entry(self._transitions, key, dict)
+        if next_state not in indicators:
+            indicators[next_state] = PageHinkleyDetector(
                 delta=self.indicator_delta,
                 threshold=self.indicator_threshold,
                 min_samples=self.min_samples,
                 relative=False,
             )
         for successor, indicator in indicators.items():
-            taken = 1.0 if successor == record.next_state else 0.0
+            taken = 1.0 if successor == next_state else 0.0
             if indicator.update(taken):
                 confirmed.append(
                     self._confirm(
                         "transition_probability",
-                        f"{record.workflow_type}/{record.state}"
-                        f"->{successor}",
+                        f"{workflow_type}/{state}->{successor}",
                         indicator,
                     )
                 )
-        return confirmed
 
     def _observe_instance(
-        self, record: InstanceRecord
-    ) -> list[DriftEvent]:
-        confirmed: list[DriftEvent] = []
-        workflow_type = record.workflow_type
+        self, row: tuple, confirmed: list[DriftEvent]
+    ) -> None:
+        _, workflow_type, _, completed_at = row
         last = self._last_completion.get(workflow_type)
-        self._last_completion[workflow_type] = record.completed_at
+        self._last_completion[workflow_type] = completed_at
         if last is None:
-            return confirmed
+            return
         detector = self._interarrival.get(workflow_type)
         if detector is None:
             detector = PageHinkleyDetector(
@@ -409,12 +436,11 @@ class DriftMonitor:
                 relative=True,
             )
             self._interarrival[workflow_type] = detector
-        gap = record.completed_at - last
+        gap = completed_at - last
         if gap >= 0.0 and detector.update(gap):
             confirmed.append(
                 self._confirm("arrival_rate", workflow_type, detector)
             )
-        return confirmed
 
     # ------------------------------------------------------------------
     # Confirmation protocol

@@ -4,10 +4,10 @@
 *complete* audit trail — fine for offline reconfiguration studies, but
 the paper's Section 7 tool loop (monitor -> calibrate -> evaluate ->
 recommend) wants a component that watches a *running* system.  This
-module provides it: a :class:`StreamingCalibrator` consumes
-:class:`~repro.monitor.audit.StateVisitRecord` /
+module provides it: a :class:`StreamingCalibrator` consumes audit
+rows (or :class:`~repro.monitor.audit.StateVisitRecord` /
 :class:`~repro.monitor.audit.ServiceRequestRecord` /
-:class:`~repro.monitor.audit.InstanceRecord` objects one at a time and
+:class:`~repro.monitor.audit.InstanceRecord` objects) one at a time and
 maintains exactly the sufficient statistics the batch estimators
 compute:
 
@@ -31,42 +31,32 @@ pipeline, a future workflow-net evaluator, or the drift detectors in
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Iterable
+from itertools import chain
+from typing import Any, Iterable
 
 from repro import obs
 from repro.core.workflow_model import WorkflowDefinition
 from repro.exceptions import ValidationError
 from repro.monitor.audit import (
+    INSTANCE,
+    SERVICE_REQUEST,
+    STATE_VISIT,
     TERMINATION,
+    AuditRecord,
     AuditTrail,
-    InstanceRecord,
-    ServiceRequestRecord,
-    StateVisitRecord,
+    record_row,
 )
 from repro.monitor.calibration import (
     ServiceTimeEstimate,
     build_flat_workflow,
+    entry,
 )
 from repro.sim.statistics import RunningStats
 
 __all__ = ["StreamingCalibrator"]
 
-AuditRecord = StateVisitRecord | ServiceRequestRecord | InstanceRecord
-
 #: Schema identifier of :meth:`StreamingCalibrator.document`.
 SCHEMA = "repro.monitor.stream/v1"
-
-
-def _entry(mapping: dict, key: Any, factory: Callable[[], Any]) -> Any:
-    """``mapping[key]``, inserted from ``factory()`` on first use.
-
-    Unlike ``mapping.setdefault(key, factory())`` it builds nothing for
-    a key that is already present.
-    """
-    value = mapping.get(key)
-    if value is None:
-        value = mapping[key] = factory()
-    return value
 
 
 class StreamingCalibrator:
@@ -113,68 +103,97 @@ class StreamingCalibrator:
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
+    def observe_row(self, kind: str, row: tuple) -> None:
+        """Consume one validated audit row: the Section 7.1 updates.
+
+        ``row`` holds a record's fields in record order (as
+        :func:`~repro.monitor.persistence.parse_record_row` returns
+        them); ``kind`` names its record type.  A state visit updates
+        transition counts and residence-time moments, a service request
+        service-time/waiting moments and per-instance loads, an
+        instance turnaround moments and (windowed) arrival counts.
+        Every update is the batch estimators' float operation in their
+        order.  Counts no ``monitor.stream.records``: the batch methods
+        (:meth:`observe_rows` and the record adapters) do, once each.
+        """
+        if kind == STATE_VISIT:
+            _, workflow_type, state, start, end, next_state = row
+            successors = entry(
+                entry(self._departures, workflow_type, dict), state, dict
+            )
+            successors[next_state] = successors.get(next_state, 0) + 1
+            entry(
+                entry(self._residence, workflow_type, dict),
+                state,
+                RunningStats,
+            ).add(end - start)
+        elif kind == SERVICE_REQUEST:
+            server_type, _, start, started_at, end, instance_id = row
+            entry(self._service, server_type, RunningStats).add(
+                end - started_at
+            )
+            entry(self._waiting, server_type, RunningStats).add(
+                started_at - start
+            )
+            if instance_id >= 0:
+                counts = entry(self._instance_requests, instance_id, dict)
+                counts[server_type] = counts.get(server_type, 0) + 1
+        elif kind == INSTANCE:
+            instance_id, workflow_type, start, end = row
+            entry(self._turnaround, workflow_type, RunningStats).add(
+                end - start
+            )
+            self._completions[workflow_type] = (
+                self._completions.get(workflow_type, 0) + 1
+            )
+            times = entry(self._completion_times, workflow_type, deque)
+            times.append(end)
+            cutoff = end - self.window
+            while times and times[0] <= cutoff:
+                times.popleft()
+            entry(self._completed_ids, workflow_type, set).add(instance_id)
+        else:
+            raise ValidationError(f"unknown audit record kind {kind!r}")
+        first = self._first_timestamp
+        if first is None or start < first:
+            self._first_timestamp = start
+        last = self._last_timestamp
+        if last is None or end > last:
+            self._last_timestamp = end
+        self.records_seen += 1
+
+    def observe_rows(self, rows: Iterable[tuple[str, tuple]]) -> int:
+        """Consume ``(kind, row)`` pairs; returns how many.
+
+        Counts them in ``monitor.stream.records`` once, also when a row
+        raises midway (then the rows consumed before it).
+        """
+        before = self.records_seen
+        observe_row = self.observe_row
+        try:
+            for kind, row in rows:
+                observe_row(kind, row)
+        finally:
+            count = self.records_seen - before
+            if count:
+                obs.count("monitor.stream.records", count)
+        return count
+
     def observe(self, record: AuditRecord) -> None:
         """Consume one audit record of any kind."""
-        if isinstance(record, StateVisitRecord):
-            self.observe_state_visit(record)
-        elif isinstance(record, ServiceRequestRecord):
-            self.observe_service_request(record)
-        elif isinstance(record, InstanceRecord):
-            self.observe_instance(record)
-        else:
-            raise ValidationError(
-                f"unknown audit record type {type(record).__name__}"
-            )
+        self.observe_rows((record_row(record),))
 
-    def observe_state_visit(self, record: StateVisitRecord) -> None:
-        """Update transition counts and residence-time moments."""
-        departures = _entry(self._departures, record.workflow_type, dict)
-        successors = _entry(departures, record.state, dict)
-        successors[record.next_state] = (
-            successors.get(record.next_state, 0) + 1
-        )
-        residence = _entry(self._residence, record.workflow_type, dict)
-        _entry(residence, record.state, RunningStats).add(
-            record.residence_time
-        )
-        self._advance_clock(record.entered_at, record.left_at)
-        self._count_record()
+    def observe_state_visit(self, record: AuditRecord) -> None:
+        """Consume a state-visit record (see :meth:`observe`)."""
+        self.observe(record)
 
-    def observe_service_request(self, record: ServiceRequestRecord) -> None:
-        """Update service-time/waiting moments and per-instance loads."""
-        _entry(self._service, record.server_type, RunningStats).add(
-            record.service_time
-        )
-        _entry(self._waiting, record.server_type, RunningStats).add(
-            record.waiting_time
-        )
-        if record.instance_id >= 0:
-            counts = _entry(self._instance_requests, record.instance_id, dict)
-            counts[record.server_type] = (
-                counts.get(record.server_type, 0) + 1
-            )
-        self._advance_clock(record.submitted_at, record.completed_at)
-        self._count_record()
+    def observe_service_request(self, record: AuditRecord) -> None:
+        """Consume a service-request record (see :meth:`observe`)."""
+        self.observe(record)
 
-    def observe_instance(self, record: InstanceRecord) -> None:
-        """Update turnaround moments and (windowed) arrival counts."""
-        workflow_type = record.workflow_type
-        _entry(self._turnaround, workflow_type, RunningStats).add(
-            record.turnaround_time
-        )
-        self._completions[workflow_type] = (
-            self._completions.get(workflow_type, 0) + 1
-        )
-        times = _entry(self._completion_times, workflow_type, deque)
-        times.append(record.completed_at)
-        cutoff = record.completed_at - self.window
-        while times and times[0] <= cutoff:
-            times.popleft()
-        _entry(self._completed_ids, workflow_type, set).add(
-            record.instance_id
-        )
-        self._advance_clock(record.started_at, record.completed_at)
-        self._count_record()
+    def observe_instance(self, record: AuditRecord) -> None:
+        """Consume an instance record (see :meth:`observe`)."""
+        self.observe(record)
 
     def replay(self, trail: AuditTrail) -> None:
         """Feed a whole trail in the batch estimators' traversal order.
@@ -186,34 +205,17 @@ class StreamingCalibrator:
         interleaving that preserves per-category order — e.g. a live
         feed or a JSONL file — gives the same result.)
         """
-        for visit in trail.state_visits:
-            self.observe_state_visit(visit)
-        for request in trail.service_requests:
-            self.observe_service_request(request)
-        for instance in trail.instances:
-            self.observe_instance(instance)
+        self.replay_records(
+            chain(trail.state_visits, trail.service_requests, trail.instances)
+        )
 
     def replay_records(self, records: Iterable[AuditRecord]) -> int:
         """Feed an arbitrary record stream; returns the record count.
 
-        The streaming companion to :meth:`replay`, typically fed from
+        The record companion of :meth:`observe_rows`, typically fed from
         :func:`repro.monitor.persistence.iter_trail_records`.
         """
-        count = 0
-        for record in records:
-            self.observe(record)
-            count += 1
-        return count
-
-    def _advance_clock(self, start: float, end: float) -> None:
-        if self._first_timestamp is None or start < self._first_timestamp:
-            self._first_timestamp = start
-        if self._last_timestamp is None or end > self._last_timestamp:
-            self._last_timestamp = end
-
-    def _count_record(self) -> None:
-        self.records_seen += 1
-        obs.count("monitor.stream.records")
+        return self.observe_rows(map(record_row, records))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -362,8 +364,10 @@ class StreamingCalibrator:
     def export_state(self) -> dict[str, Any]:
         """JSON-serializable snapshot of every accumulator, exactly.
 
-        Dictionaries are exported in insertion order (which the batch
-        parity depends on) and floats survive the JSON round-trip
+        The snapshot is a copy: records observed after the export leave
+        it unchanged, so a search can restore it later on another
+        thread.  Dictionaries are exported in insertion order (which the
+        batch parity depends on) and floats survive the JSON round-trip
         bit-for-bit, so a calibrator rebuilt by :meth:`restore_state`
         continues the stream exactly where this one stopped: feeding the
         remaining records produces estimates bitwise identical to never
@@ -375,7 +379,13 @@ class StreamingCalibrator:
             "schema": SCHEMA,
             "window": self.window,
             "records_seen": self.records_seen,
-            "departures": self._departures,
+            "departures": {
+                name: {
+                    state: dict(successors)
+                    for state, successors in per_state.items()
+                }
+                for name, per_state in self._departures.items()
+            },
             "residence": {
                 name: {
                     state: stats.export_state()
@@ -387,7 +397,7 @@ class StreamingCalibrator:
                 name: stats.export_state()
                 for name, stats in self._turnaround.items()
             },
-            "completions": self._completions,
+            "completions": dict(self._completions),
             "completion_times": {
                 name: list(times)
                 for name, times in self._completion_times.items()
@@ -401,7 +411,7 @@ class StreamingCalibrator:
                 for name, stats in self._waiting.items()
             },
             "instance_requests": {
-                str(instance_id): counts
+                str(instance_id): dict(counts)
                 for instance_id, counts in self._instance_requests.items()
             },
             "completed_ids": {

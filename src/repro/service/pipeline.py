@@ -320,14 +320,15 @@ def batch_recommendation(
 ) -> dict[str, Any]:
     """The batch ``monitor`` → ``recommend`` reference path.
 
-    Replays a complete trail file into a fresh streaming calibrator and
-    runs the shared pipeline — the document the always-on service must
-    reproduce byte-for-byte after ingesting the same records over HTTP.
+    Replays a complete trail file's rows into a fresh streaming
+    calibrator and runs the shared pipeline — the document the
+    always-on service must reproduce byte-for-byte after ingesting the
+    same records over HTTP.
     """
-    from repro.monitor.persistence import iter_trail_records
+    from repro.monitor.persistence import iter_trail_rows
 
     calibrator = StreamingCalibrator(window=window)
-    calibrator.replay_records(iter_trail_records(trail_path))
+    calibrator.observe_rows(iter_trail_rows(trail_path))
     return recommend_from_calibration(
         calibrator,
         baseline,

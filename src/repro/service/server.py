@@ -68,7 +68,7 @@ from repro.core.search.background import (
 from repro.exceptions import ReproError, ValidationError
 from repro.io import Project
 from repro.monitor.drift import DriftEvent
-from repro.monitor.persistence import parse_record_line
+from repro.monitor.persistence import parse_record_row
 from repro.monitor.stream import StreamingCalibrator
 from repro.obs.server import (
     render_health,
@@ -490,9 +490,9 @@ class RecommendationService:
     ) -> tuple[int, str, bytes, dict[str, str]]:
         tenant = self.state.tenant(query.get("tenant", DEFAULT_TENANT))
         obs.set_gauge("service.tenants", len(self.state.tenants))
-        ingested = 0
-        rejected: list[dict[str, Any]] = []
-        confirmed: list[DriftEvent] = []
+        rows: list[tuple[str, tuple]] = []
+        echoed: list[dict[str, Any]] = []
+        rejected = 0
         for line_number, raw in enumerate(
             body.decode("utf-8", errors="replace").splitlines(), start=1
         ):
@@ -500,16 +500,15 @@ class RecommendationService:
             if not line:
                 continue
             try:
-                record = parse_record_line(line, line_number)
-                confirmed.extend(tenant.monitor.observe(record))
+                rows.append(parse_record_row(line, line_number))
             except ValidationError as error:
-                obs.count("service.events.rejected")
-                if len(rejected) < 10:
-                    rejected.append(
-                        {"line": line_number, "error": str(error)}
-                    )
-                continue
-            ingested += 1
+                rejected += 1
+                if len(echoed) < 10:
+                    echoed.append({"line": line_number, "error": str(error)})
+        if rejected:
+            obs.count("service.events.rejected", rejected)
+        confirmed = tenant.monitor.observe_rows(rows)
+        ingested = len(rows)
         obs.count("service.events.ingested", ingested)
         tenant.drift_confirmations += len(confirmed)
         scheduled = self._maybe_schedule_search(
@@ -519,8 +518,8 @@ class RecommendationService:
         document = {
             "tenant": tenant.name,
             "ingested": ingested,
-            "rejected": len(rejected),
-            "rejections": rejected,
+            "rejected": rejected,
+            "rejections": echoed,
             "records_seen": tenant.records_seen,
             "drift_confirmed": len(confirmed),
             "search_scheduled": scheduled,

@@ -21,6 +21,7 @@ from repro.core.linalg import (
 )
 from repro.core.model_types import ActivitySpec, ServerTypeSpec
 from repro.core.performance import SystemConfiguration
+from repro.core.search import ReplicationConstraints
 from repro.exceptions import ValidationError
 from repro.scenarios import (
     ArrivalSpec,
@@ -165,4 +166,51 @@ class TestReplicaCounts:
         assert configuration.replicas == {"a": 2, "b": 2, "c": 3, "d": 4}
         assert all(
             type(count) is int for count in configuration.replicas.values()
+        )
+
+
+HOSTILE_BOUNDS = [NAN, np.float64(NAN), INF, -INF, None, True, False,
+                  np.True_, "x", 2.5, 0, -1]
+HOSTILE_IDS = ["nan", "numpy-nan", "inf", "-inf", "none", "true", "false",
+               "numpy-true", "text", "fraction", "zero", "negative"]
+
+
+class TestReplicationConstraints:
+    """Bounds follow the replica-count rule plus a floor of 1.
+
+    ``max_total_servers`` of NaN or 2.5 used to be accepted,
+    ``maximum={'a': True}`` was taken as 1, and NaN or ``None`` bounds
+    raised a bare ``ValueError`` or ``TypeError``.
+    """
+
+    @pytest.mark.parametrize("value", HOSTILE_BOUNDS, ids=HOSTILE_IDS)
+    @pytest.mark.parametrize("bound", ["minimum", "maximum", "fixed"])
+    def test_hostile_bound_is_rejected(self, bound, value):
+        with pytest.raises(
+            ValidationError, match=rf"{bound}\[a\] must be a positive integer"
+        ):
+            ReplicationConstraints(**{bound: {"a": value}})
+
+    @pytest.mark.parametrize("value", HOSTILE_BOUNDS, ids=HOSTILE_IDS)
+    def test_hostile_total_is_rejected(self, value):
+        with pytest.raises(
+            ValidationError, match="max_total_servers must be a positive"
+        ):
+            ReplicationConstraints(max_total_servers=value)
+
+    def test_integral_bounds_become_ints(self):
+        constraints = ReplicationConstraints(
+            minimum={"a": 2.0}, maximum={"a": np.int64(5)},
+            fixed={"b": np.float64(3.0)}, max_total_servers=np.int64(9),
+        )
+        assert constraints.minimum == {"a": 2}
+        assert constraints.maximum == {"a": 5}
+        assert constraints.fixed == {"b": 3}
+        assert constraints.max_total_servers == 9
+        assert all(
+            type(value) is int
+            for value in (
+                constraints.minimum["a"], constraints.maximum["a"],
+                constraints.fixed["b"], constraints.max_total_servers,
+            )
         )

@@ -1,5 +1,8 @@
 """Tests for audit trail records and queries."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
@@ -9,6 +12,7 @@ from repro.monitor.audit import (
     InstanceRecord,
     ServiceRequestRecord,
     StateVisitRecord,
+    record_row,
 )
 
 
@@ -50,6 +54,124 @@ class TestRecords:
     def test_instance_timestamps_validated(self):
         with pytest.raises(ValidationError):
             InstanceRecord(1, "wf", started_at=10.0, completed_at=5.0)
+
+
+#: A valid row of each record type and the index of each field kind.
+VALID_ROWS = {
+    StateVisitRecord: (1, "wf", "a", 0.0, 1.0, "b"),
+    ServiceRequestRecord: ("srv", "srv#0", 0.0, 0.5, 1.5, 7),
+    InstanceRecord: (7, "wf", 0.0, 3.0),
+}
+NAMES = {StateVisitRecord: (1, 2, 5), ServiceRequestRecord: (0, 1),
+         InstanceRecord: (1,)}
+IDS = {StateVisitRecord: (0,), ServiceRequestRecord: (5,),
+       InstanceRecord: (0,)}
+TIMES = {StateVisitRecord: (3, 4), ServiceRequestRecord: (2, 3, 4),
+         InstanceRecord: (2, 3)}
+
+
+def replaced(row, index, value):
+    return row[:index] + (value,) + row[index + 1:]
+
+
+def field_cases(indices, values):
+    return [
+        pytest.param(record_type, index, value,
+                     id=f"{record_type.__name__}-{index}-{value!r}")
+        for record_type, positions in indices.items()
+        for index in positions
+        for value in values
+    ]
+
+
+class TestTypedChecks:
+    """Every record type rejects ill-typed fields with ValidationError.
+
+    These used to be accepted (an ``Infinity`` timestamp, NaN, booleans,
+    string timestamps that compare in order) or to fail later with a
+    TypeError inside the calibrator.
+    """
+
+    @pytest.mark.parametrize(
+        ("record_type", "index", "value"),
+        field_cases(
+            TIMES,
+            [math.inf, -math.inf, math.nan, np.float64(math.nan), "1.0",
+             True, None, 10**400],
+        ),
+    )
+    def test_bad_timestamp_is_rejected(self, record_type, index, value):
+        row = replaced(VALID_ROWS[record_type], index, value)
+        with pytest.raises(ValidationError, match="must be a finite number"):
+            record_type(*row)
+        with pytest.raises(ValidationError, match="must be a finite number"):
+            record_type.check_row(row)
+
+    @pytest.mark.parametrize(
+        ("record_type", "index", "value"),
+        field_cases(IDS, [True, 1.0, "1", None]),
+    )
+    def test_bad_id_is_rejected(self, record_type, index, value):
+        row = replaced(VALID_ROWS[record_type], index, value)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            record_type(*row)
+
+    @pytest.mark.parametrize(
+        ("record_type", "index", "value"),
+        field_cases(NAMES, [1, None, False, ["a"]]),
+    )
+    def test_bad_name_is_rejected(self, record_type, index, value):
+        row = replaced(VALID_ROWS[record_type], index, value)
+        with pytest.raises(ValidationError, match="must be a string"):
+            record_type(*row)
+
+    def test_string_timestamps_in_order_are_rejected(self):
+        with pytest.raises(ValidationError, match="submitted_at"):
+            ServiceRequestRecord("s", "s#0", "a", "b", "c")
+
+    def test_message_names_kind_field_and_line(self):
+        row = replaced(VALID_ROWS[InstanceRecord], 3, math.inf)
+        with pytest.raises(ValidationError) as caught:
+            InstanceRecord.check_row(row, 12)
+        assert str(caught.value) == (
+            "line 12: malformed instance record: completed_at must be a "
+            "finite number, got inf"
+        )
+
+    def test_long_values_are_abbreviated_in_messages(self):
+        row = replaced(VALID_ROWS[InstanceRecord], 1, 12345)
+        row = replaced(row, 2, "x" * 10_000)
+        with pytest.raises(ValidationError) as caught:
+            InstanceRecord(*row)
+        assert len(str(caught.value)) < 200
+
+    def test_numpy_and_integer_timestamps_stay_accepted(self):
+        record = ServiceRequestRecord(
+            "s", "s#0", np.float64(0.5), 1, np.float64(2.0), 3
+        )
+        assert record.service_time == 1.0
+        assert InstanceRecord(1, "wf", 0, 10**300).turnaround_time == 10**300
+
+    def test_order_messages_are_unchanged(self):
+        with pytest.raises(ValidationError) as caught:
+            StateVisitRecord(3, "wf", "a", 5.0, 4.0, "b")
+        assert str(caught.value) == (
+            "instance 3: left_at 4.0 precedes entered_at 5.0"
+        )
+        with pytest.raises(ValidationError) as caught:
+            InstanceRecord(3, "wf", 5.0, 4.0)
+        assert str(caught.value) == "instance 3: completed before started"
+
+    @pytest.mark.parametrize("record_type", list(VALID_ROWS))
+    def test_row_is_the_fields_in_order(self, record_type):
+        row = VALID_ROWS[record_type]
+        record = record_type(*row)
+        assert record.row == row
+        assert record_row(record) == (record_type.kind, row)
+
+    def test_record_row_rejects_other_objects(self):
+        with pytest.raises(ValidationError, match="unknown audit record"):
+            record_row(object())
 
 
 class TestTrailQueries:

@@ -1,5 +1,6 @@
 """Tests for the streaming calibrator: bitwise parity with the batch path."""
 
+import json
 import random
 
 import pytest
@@ -264,3 +265,29 @@ class TestStreamingExtras:
         assert document["workflow_types"] == {}
         assert document["server_types"] == {}
         assert document["records_seen"] == 0
+
+
+class TestExportIsACopy:
+    def test_records_after_an_export_do_not_reach_it(self):
+        # The service exports at POST time and restores on the search
+        # thread later; records ingested in between must not leak in.
+        trail = synthetic_trail(seed=5, instances=60)
+        records = sorted(
+            [*trail.state_visits, *trail.service_requests, *trail.instances],
+            key=lambda record: (
+                record.left_at if isinstance(record, StateVisitRecord)
+                else record.completed_at
+            ),
+        )
+        half = len(records) // 2
+        calibrator = StreamingCalibrator()
+        calibrator.replay_records(records[:half])
+        state = calibrator.export_state()
+        frozen = json.loads(json.dumps(state))
+        calibrator.replay_records(records[half:])
+
+        assert state == frozen
+        restored = StreamingCalibrator.restore_state(state)
+        reference = StreamingCalibrator.restore_state(frozen)
+        assert restored.export_state() == reference.export_state()
+        assert restored.records_seen == half

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import socket
 import threading
 import time
@@ -106,6 +107,66 @@ class TestEndpoints:
         assert summary["ingested"] == 0
         assert summary["rejected"] == 2
         assert len(summary["rejections"]) == 2
+
+
+class TestIllTypedLines:
+    """Ill-typed lines are rejected one by one and never reach a tenant.
+
+    An ``Infinity`` timestamp used to be ingested and fail every later
+    search of the tenant; string timestamps failed the whole POST with
+    a 500.
+    """
+
+    @staticmethod
+    def _hostile(lines: list[bytes]) -> list[bytes]:
+        def first(kind: bytes) -> dict:
+            return json.loads(next(line for line in lines if kind in line))
+
+        request = first(b'"service_request"')
+        visit = first(b'"state_visit"')
+        instance = first(b'"instance"')
+        return [
+            json.dumps({**request, "completed_at": math.inf}),
+            json.dumps({**request, "submitted_at": "a", "started_at": "b",
+                        "completed_at": "c"}),
+            json.dumps({**visit, "left_at": math.nan}),
+            json.dumps({**instance, "instance_id": True}),
+        ]
+
+    def test_rejected_alone_and_the_rest_served_as_batch(
+        self, service, baseline, goals, trail_lines
+    ):
+        lines = trail_lines.splitlines()
+        hostile = self._hostile(lines)
+        body = [*lines]
+        # Lines 1, 101 and 401, and the last line (745 + 4).
+        for position, line in zip((0, 100, 400, 748), hostile):
+            body.insert(position, line.encode())
+        status, summary = _post(
+            f"{service.url}/events", b"\n".join(body) + b"\n"
+        )
+        assert status == 200, summary
+        assert summary["ingested"] == 745
+        assert summary["rejected"] == 4
+        assert [r["line"] for r in summary["rejections"]] == [1, 101, 401, 749]
+        assert all("malformed" in r["error"] for r in summary["rejections"])
+
+        _wait_until_published(service)
+        status, _, served = _get(f"{service.url}/recommendation")
+        assert status == 200
+        assert served == render_document(
+            batch_recommendation(str(TRAIL_PATH), baseline, goals)
+        )
+
+    def test_every_rejection_is_counted_and_ten_are_echoed(
+        self, service, trail_lines
+    ):
+        hostile = self._hostile(trail_lines.splitlines())[0]
+        body = "\n".join([hostile] * 12).encode()
+        status, summary = _post(f"{service.url}/events", body)
+        assert status == 400
+        assert summary["rejected"] == 12
+        assert len(summary["rejections"]) == 10
 
 
 class TestUnknownTenants:

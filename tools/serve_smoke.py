@@ -12,9 +12,14 @@ operator deploys it — as a subprocess of the CLI:
    ``/metrics`` exposes the ``service.*`` counter families;
 4. asserts reads of a tenant nothing was posted to (``ghost``) answer
    404 on ``/status`` and ``/recommendation`` and create no tenant;
-5. sends SIGTERM and asserts a clean exit that wrote the snapshot,
+5. posts the sample trail to a fresh tenant (``hostile``) with a
+   non-JSON line, an ``Infinity`` timestamp and a string timestamp
+   mixed in, asserts exactly those three lines are rejected (by line
+   number) and that the tenant then publishes a revision covering
+   every ingested record;
+6. sends SIGTERM and asserts a clean exit that wrote the snapshot,
    which names no ``ghost`` tenant;
-6. restarts from the snapshot and asserts the published document
+7. restarts from the snapshot and asserts the published document
    survived the restart byte-for-byte.
 
 Exits non-zero with a one-line diagnosis on the first failure.
@@ -33,6 +38,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -90,8 +96,52 @@ def get(url: str) -> tuple[int, dict, bytes]:
 
 def post(url: str, body: bytes) -> dict:
     request = urllib.request.Request(url, data=body, method="POST")
-    with urllib.request.urlopen(request, timeout=30.0) as response:
-        return json.load(response)
+    try:
+        with urllib.request.urlopen(request, timeout=30.0) as response:
+            return json.load(response)
+    except urllib.error.HTTPError as error:
+        fail(f"POST {url} returned {error.code}: {error.read()[:300]!r}")
+        return {}
+
+
+def hostile_body() -> tuple[bytes, list[int]]:
+    """The sample trail with three ill-formed lines mixed in.
+
+    Returns the body and the (1-based) line numbers of those three: a
+    line that is not JSON, a service request completed at ``Infinity``
+    and one with string timestamps (which compare in order).
+    """
+    lines = TRAIL.read_bytes().splitlines()
+    request = json.loads(
+        next(line for line in lines if b'"service_request"' in line)
+    )
+    bad = [
+        b"this is not JSON",
+        json.dumps({**request, "completed_at": float("inf")}).encode(),
+        json.dumps({
+            **request, "submitted_at": "a", "started_at": "b",
+            "completed_at": "c",
+        }).encode(),
+    ]
+    positions = [3, 300, 600]
+    for position, line in zip(positions, bad):
+        lines.insert(position, line)
+    return b"\n".join(lines) + b"\n", [position + 1 for position in positions]
+
+
+def wait_for_covering_revision(url: str, tenant: str) -> dict:
+    """Poll ``/status`` until a revision covers every ingested record."""
+    deadline = time.monotonic() + 60.0
+    while time.monotonic() < deadline:
+        status, _, body = get(f"{url}/status?tenant={tenant}")
+        meta = json.loads(body) if status == 200 else {}
+        if meta.get("published") and (
+            meta["records_at_publish"] == meta["records_seen"]
+        ):
+            return meta
+        time.sleep(0.05)
+    fail(f"tenant {tenant} published no covering revision within 60s")
+    return {}
 
 
 def terminate(process: subprocess.Popen) -> None:
@@ -149,6 +199,19 @@ def main() -> int:
             status, _, body = get(f"{url}/status")
             if "ghost" in json.loads(body)["tenants"]:
                 fail("a read of an unknown tenant created it")
+
+            body, bad_lines = hostile_body()
+            summary = post(f"{url}/events?tenant=hostile", body)
+            rejected = [entry["line"] for entry in summary["rejections"]]
+            if (
+                summary["ingested"] != 745
+                or summary["rejected"] != 3
+                or rejected != bad_lines
+            ):
+                fail(f"unexpected summary for ill-formed lines: {summary}")
+            meta = wait_for_covering_revision(url, "hostile")
+            if meta["records_seen"] != 745:
+                fail(f"unexpected status of tenant hostile: {meta}")
         finally:
             terminate(process)
 
@@ -170,7 +233,7 @@ def main() -> int:
 
     print(
         "serve smoke passed: ingest, refresh, metrics, unknown tenant, "
-        "snapshot, restart"
+        "ill-formed lines, snapshot, restart"
     )
     return 0
 
