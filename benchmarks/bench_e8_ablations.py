@@ -21,7 +21,7 @@ from repro.core.availability import RepairPolicy, ServerPoolAvailability
 from repro.core.model_types import ServerTypeSpec
 from repro.core.phase_type import PhaseTypeRepairPool, erlang_phase
 from repro.core.workflow_model import build_workflow_ctmc
-from repro.queueing import mg1_mean_waiting_time, mmc_mean_waiting_time
+from repro.queueing import mg1_mean_waiting_time
 from repro.workflows import ecommerce_workflow, standard_server_types
 
 
@@ -98,6 +98,21 @@ def test_e8b_erlang_repair_expansion(benchmark):
         row = results[count]
         assert all(a >= b for a, b in zip(row, row[1:]))
         assert row[0] > row[-1]
+
+
+def mmc_mean_waiting_time(arrival_rate, service_rate, num_servers):
+    """Mean waiting time of a stable M/M/c queue with one shared queue.
+
+    The Erlang-C wait probability comes from the Erlang-B recursion,
+    which stays numerically stable for any ``num_servers``.
+    """
+    offered_load = arrival_rate / service_rate
+    blocking = 1.0
+    for k in range(1, num_servers + 1):
+        blocking = offered_load * blocking / (k + offered_load * blocking)
+    utilization = offered_load / num_servers
+    wait_probability = blocking / (1.0 - utilization * (1.0 - blocking))
+    return wait_probability / (num_servers * service_rate - arrival_rate)
 
 
 def test_e8c_partitioned_vs_shared_queue(benchmark):

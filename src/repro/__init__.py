@@ -20,7 +20,8 @@ Systems"* (Gillmann, Weissenfels, Weikum, Kraiss — EDBT 2000):
 * :mod:`repro.service` — the configuration tool of Section 7 as one
   calibrate → evaluate → recommend pipeline, in batch and as the
   always-on ``repro serve``.
-* :mod:`repro.queueing` — M/G/1, M/M/1, M/M/c, and Little's-law utilities.
+* :mod:`repro.queueing` — the M/G/1 station formula and pooled service
+  moments of Section 4.4.
 * :mod:`repro.workflows` — ready-made example workflows, including the
   paper's e-commerce workflow (Figures 3 and 4).
 """
@@ -43,7 +44,6 @@ from repro.core import (
     WorkloadItem,
     WorkflowDefinition,
     WorkflowState,
-    analyze_workflow,
     build_workflow_ctmc,
     exhaustive_configuration,
     greedy_configuration,
@@ -85,7 +85,6 @@ __all__ = [
     "WorkflowDefinition",
     "WorkflowState",
     "__version__",
-    "analyze_workflow",
     "build_workflow_ctmc",
     "exhaustive_configuration",
     "greedy_configuration",

@@ -1,9 +1,11 @@
 """Core analytic models of the paper (Sections 3-7).
 
-Layering: the CTMC/DTMC/Markov-reward kernel at the bottom; the workflow
-translation (Section 3) on top of it; then the performance (Section 4),
-availability (Section 5), and performability (Section 6) models; and the
-goal evaluation plus configuration search (Section 7) at the top.
+Layering: the CTMC/DTMC kernel at the bottom (absorbing chains give the
+reward until absorption of Section 4.2, ergodic chains the steady states
+of Sections 5 and 6); the workflow translation (Section 3) on top of it;
+then the performance (Section 4), availability (Section 5), and
+performability (Section 6) models; and the goal evaluation plus
+configuration search (Section 7) at the top.
 """
 
 from repro.core.availability import (
@@ -27,17 +29,13 @@ from repro.core.ctmc import (
     Uniformization,
     remove_self_loops,
 )
-from repro.core.dtmc import AbsorbingDTMC, ErgodicDTMC
+from repro.core.dtmc import AbsorbingDTMC
 from repro.core.evaluation_cache import EvaluationCache
 from repro.core.goals import (
     GoalAssessment,
     GoalEvaluator,
     GoalViolation,
     PerformabilityGoals,
-)
-from repro.core.markov_reward import (
-    AbsorptionRewardModel,
-    SteadyStateRewardModel,
 )
 from repro.core.model_types import (
     ActivitySpec,
@@ -74,26 +72,21 @@ from repro.core.transient import (
     transient_distribution,
 )
 from repro.core.workflow_model import (
-    WorkflowAnalysis,
     WorkflowCTMC,
     WorkflowDefinition,
     WorkflowState,
-    analyze_workflow,
     build_workflow_ctmc,
-    workflow_from_matrices,
 )
 
 __all__ = [
     "AbsorbingCTMC",
     "AbsorbingDTMC",
-    "AbsorptionRewardModel",
     "ActivitySpec",
     "AvailabilityModel",
     "Computer",
     "ConfigurationRecommendation",
     "DegradedStatePolicy",
     "ErgodicCTMC",
-    "ErgodicDTMC",
     "EvaluationCache",
     "GoalAssessment",
     "GoalEvaluator",
@@ -113,17 +106,14 @@ __all__ = [
     "ServerRole",
     "ServerTypeIndex",
     "ServerTypeSpec",
-    "SteadyStateRewardModel",
     "SystemConfiguration",
     "ThroughputReport",
     "Uniformization",
     "Workload",
     "WorkloadItem",
-    "WorkflowAnalysis",
     "WorkflowCTMC",
     "WorkflowDefinition",
     "WorkflowState",
-    "analyze_workflow",
     "branch_and_bound_configuration",
     "build_workflow_ctmc",
     "erlang_phase",
@@ -138,5 +128,4 @@ __all__ = [
     "remove_self_loops",
     "simulated_annealing_configuration",
     "transient_distribution",
-    "workflow_from_matrices",
 ]

@@ -502,29 +502,3 @@ class ErgodicCTMC:
             self.generator, np.asarray(initial_distribution, dtype=float),
             time,
         )
-
-    def expected_steady_state_reward(
-        self, rewards: Sequence[float] | np.ndarray,
-        method: linalg.SolveMethod = "direct",
-    ) -> float | np.ndarray:
-        """Steady-state expected reward ``sum_i pi_i r_i``.
-
-        ``rewards`` may be a vector (one scalar reward per state) or a
-        matrix with one column per state (vector-valued rewards, as used by
-        the performability model of Section 6).
-        """
-        r = np.asarray(rewards, dtype=float)
-        pi = self.steady_state(method=method)
-        if r.ndim == 1:
-            if r.shape != (self.num_states,):
-                raise ValidationError(
-                    f"reward vector must have length {self.num_states}"
-                )
-            return float(r @ pi)
-        if r.ndim == 2:
-            if r.shape[1] != self.num_states:
-                raise ValidationError(
-                    f"reward matrix must have {self.num_states} columns"
-                )
-            return r @ pi
-        raise ValidationError("rewards must be a vector or a matrix")

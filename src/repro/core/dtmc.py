@@ -1,19 +1,14 @@
-"""Discrete-time Markov chains.
+"""Absorbing discrete-time Markov chains.
 
-Two flavours are needed by the paper's method:
-
-* **Absorbing chains** — the embedded jump chain of a workflow CTMC.  Its
-  fundamental matrix gives the exact expected number of visits to each
-  execution state before absorption, which is the oracle against which the
-  paper's truncated-series algorithm (Section 4.2.1) is verified.
-* **Ergodic chains** — used by the uniformization machinery and the
-  availability analysis.
+The embedded jump chain of a workflow CTMC is an absorbing chain.  Its
+fundamental matrix gives the exact expected number of visits to each
+execution state before absorption, which is the oracle against which the
+paper's truncated-series algorithm (Section 4.2.1) is verified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -173,56 +168,3 @@ class AbsorbingDTMC:
                 f"start state {state} must be transient "
                 f"(absorbing states: {self.absorbing_states})"
             )
-
-
-@dataclass(frozen=True)
-class ErgodicDTMC:
-    """An irreducible, aperiodic discrete-time Markov chain."""
-
-    transition_matrix: np.ndarray
-    state_names: tuple[str, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        p = linalg.validate_stochastic_matrix(
-            np.asarray(self.transition_matrix, dtype=float),
-            "transition matrix",
-        )
-        object.__setattr__(self, "transition_matrix", p)
-        names = self.state_names or _default_state_names(p.shape[0])
-        if len(names) != p.shape[0]:
-            raise ValidationError(
-                f"expected {p.shape[0]} state names, got {len(names)}"
-            )
-        object.__setattr__(self, "state_names", tuple(names))
-
-    @property
-    def num_states(self) -> int:
-        """Number of states in the chain."""
-        return self.transition_matrix.shape[0]
-
-    def steady_state(self) -> np.ndarray:
-        """Stationary distribution ``pi`` with ``pi P = pi``."""
-        p = self.transition_matrix
-        n = p.shape[0]
-        a = (p.T - np.eye(n)).copy()
-        a[-1, :] = 1.0
-        rhs = np.zeros(n)
-        rhs[-1] = 1.0
-        try:
-            pi = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise ModelError(
-                f"stationary distribution is not unique: {exc}"
-            ) from exc
-        return linalg._validated_distribution(pi)
-
-
-def uniform_random_walk(weights: Sequence[float]) -> np.ndarray:
-    """Normalize non-negative weights into a probability row vector."""
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 0.0):
-        raise ValidationError("weights must be non-negative")
-    total = w.sum()
-    if total <= 0.0:
-        raise ValidationError("weights must not all be zero")
-    return w / total

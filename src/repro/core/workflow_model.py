@@ -15,7 +15,7 @@ expected request counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Mapping
+from typing import Literal, Mapping
 
 import numpy as np
 
@@ -250,22 +250,6 @@ class WorkflowCTMC:
         return self.chain.turnaround_quantile(probability)
 
 
-@dataclass(frozen=True)
-class WorkflowAnalysis:
-    """Turnaround time and per-instance load of one workflow type."""
-
-    workflow_name: str
-    turnaround_time: float
-    requests_per_instance: np.ndarray
-    server_types: ServerTypeIndex
-
-    def requests_on(self, server_type: str) -> float:
-        """Expected requests per instance on one server type."""
-        return float(
-            self.requests_per_instance[self.server_types.position(server_type)]
-        )
-
-
 def build_workflow_ctmc(
     definition: WorkflowDefinition,
     server_types: ServerTypeIndex,
@@ -349,70 +333,3 @@ def _state_parameters(
 
     assert state.mean_duration is not None  # enforced in __post_init__
     return state.mean_duration, np.zeros(len(server_types))
-
-
-def analyze_workflow(
-    definition: WorkflowDefinition,
-    server_types: ServerTypeIndex,
-    method: Literal["fundamental", "series"] = "fundamental",
-    confidence: float = 0.99,
-) -> WorkflowAnalysis:
-    """Convenience wrapper: turnaround time and per-instance requests."""
-    model = build_workflow_ctmc(definition, server_types)
-    return WorkflowAnalysis(
-        workflow_name=definition.name,
-        turnaround_time=model.turnaround_time(),
-        requests_per_instance=model.requests_per_instance(
-            method=method, confidence=confidence
-        ),
-        server_types=server_types,
-    )
-
-
-def workflow_from_matrices(
-    name: str,
-    state_names: Iterable[str],
-    transition_probabilities: np.ndarray,
-    residence_times: Iterable[float],
-    initial_state: str,
-    activities: Mapping[str, ActivitySpec] | None = None,
-) -> WorkflowDefinition:
-    """Build a flat workflow definition from matrix-form inputs.
-
-    Convenience for calibration (Section 7.1) and tests: ``P`` rows of the
-    final state must be all zero (the absorbing transition is added by the
-    CTMC translation).  ``activities`` optionally attaches an activity to
-    the like-named states; other states become routing states with the
-    given residence times.
-    """
-    names = tuple(state_names)
-    p = np.asarray(transition_probabilities, dtype=float)
-    h = tuple(float(value) for value in residence_times)
-    if p.shape != (len(names), len(names)):
-        raise ValidationError(
-            f"transition matrix shape {p.shape} does not match "
-            f"{len(names)} states"
-        )
-    if len(h) != len(names):
-        raise ValidationError("need one residence time per state")
-    activities = dict(activities or {})
-    states = []
-    for i, state_name in enumerate(names):
-        activity = activities.get(state_name)
-        states.append(
-            WorkflowState(
-                name=state_name, activity=activity, mean_duration=h[i]
-            )
-        )
-    transitions = {
-        (names[i], names[j]): float(p[i, j])
-        for i in range(len(names))
-        for j in range(len(names))
-        if p[i, j] > 0.0
-    }
-    return WorkflowDefinition(
-        name=name,
-        states=tuple(states),
-        transitions=transitions,
-        initial_state=initial_state,
-    )

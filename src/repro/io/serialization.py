@@ -1,11 +1,11 @@
 """JSON (de)serialization of model objects.
 
 A configuration-tool deployment needs its inputs — server landscape,
-workflow definitions, arrival rates, goals — as data, not code.  This
-module round-trips the model layer through plain JSON-compatible
-dictionaries: server types, activities, (nested) workflow definitions,
-system configurations, and performability goals, plus a ``Project``
-bundle tying a whole study together for the command-line interface.
+workflow definitions, arrival rates — as data, not code.  This module
+round-trips the model layer through plain JSON-compatible dictionaries:
+server types, activities and (nested) workflow definitions, plus a
+``Project`` bundle tying a whole study together for the command-line
+interface.
 
 All ``*_from_dict`` functions validate through the model constructors,
 so a hand-edited file fails with the same errors as bad code would.
@@ -19,18 +19,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.core.goals import PerformabilityGoals
 from repro.core.model_types import (
     ActivitySpec,
     ServerRole,
     ServerTypeIndex,
     ServerTypeSpec,
 )
-from repro.core.performance import (
-    SystemConfiguration,
-    Workload,
-    WorkloadItem,
-)
+from repro.core.performance import Workload, WorkloadItem
 from repro.core.workflow_model import WorkflowDefinition, WorkflowState
 from repro.exceptions import ValidationError
 
@@ -184,70 +179,6 @@ def workflow_from_dict(data: Mapping[str, Any]) -> WorkflowDefinition:
         ),
         transitions=transitions,
         initial_state=data["initial_state"],
-    )
-
-
-# ----------------------------------------------------------------------
-# Configurations and goals
-# ----------------------------------------------------------------------
-def configuration_to_dict(
-    configuration: SystemConfiguration,
-) -> dict[str, int]:
-    """Serialize a system configuration."""
-    return dict(sorted(configuration.replicas.items()))
-
-
-def configuration_from_dict(
-    data: Mapping[str, Any],
-) -> SystemConfiguration:
-    """Deserialize a system configuration.
-
-    Counts pass through unconverted, so a fractional, non-numeric or
-    boolean count raises :class:`~repro.exceptions.ValidationError`
-    instead of being truncated.
-    """
-    return SystemConfiguration(
-        {str(name): count for name, count in data.items()}
-    )
-
-
-def goals_to_dict(goals: PerformabilityGoals) -> dict[str, Any]:
-    """Serialize performability goals (None entries omitted)."""
-    result: dict[str, Any] = {}
-    if goals.max_waiting_time is not None:
-        result["max_waiting_time"] = goals.max_waiting_time
-    if goals.max_waiting_times_per_type:
-        result["max_waiting_times_per_type"] = dict(
-            goals.max_waiting_times_per_type
-        )
-    if goals.max_unavailability is not None:
-        result["max_unavailability"] = goals.max_unavailability
-    if goals.max_unavailability_per_type:
-        result["max_unavailability_per_type"] = dict(
-            goals.max_unavailability_per_type
-        )
-    return result
-
-
-def goals_from_dict(data: Mapping[str, Any]) -> PerformabilityGoals:
-    """Deserialize performability goals."""
-    return PerformabilityGoals(
-        max_waiting_time=(
-            float(data["max_waiting_time"])
-            if data.get("max_waiting_time") is not None
-            else None
-        ),
-        max_waiting_times_per_type=dict(
-            data.get("max_waiting_times_per_type", {})
-        ),
-        max_unavailability=(
-            float(data["max_unavailability"])
-            if data.get("max_unavailability") is not None
-            else None
-        ),
-        max_unavailability_per_type=dict(
-            data.get("max_unavailability_per_type", {})
-        ),
     )
 
 

@@ -29,8 +29,6 @@ Figure 1) on the standard landscape unless a landscape is supplied.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Any, Mapping
 
 from repro.exceptions import ValidationError
@@ -211,29 +209,4 @@ def wfcommons_to_spec(
             else standard_server_types()
         ),
         arrival=ArrivalSpec(rate=arrival_rate),
-    )
-
-
-def load_wfcommons_instance(
-    path: str | Path,
-    name: str | None = None,
-    server_types=None,
-    arrival_rate: float = 0.0,
-    seconds_per_time_unit: float = 60.0,
-):
-    """Read a WfCommons JSON instance file into a ``WorkflowSpec``."""
-    try:
-        document = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ValidationError(
-            f"WfCommons instance not found: {path}"
-        ) from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
-    return wfcommons_to_spec(
-        document,
-        name=name,
-        server_types=server_types,
-        arrival_rate=arrival_rate,
-        seconds_per_time_unit=seconds_per_time_unit,
     )

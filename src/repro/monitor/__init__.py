@@ -19,7 +19,6 @@ from repro.monitor.persistence import (
     iter_trail_records,
     iter_trail_rows,
     load_trail,
-    merge_trail_files,
     parse_record_line,
     parse_record_row,
     save_trail,
@@ -68,7 +67,6 @@ __all__ = [
     "iter_trail_records",
     "iter_trail_rows",
     "load_trail",
-    "merge_trail_files",
     "parse_record_line",
     "parse_record_row",
     "save_trail",

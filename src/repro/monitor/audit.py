@@ -13,7 +13,8 @@ order, tagged by its ``kind`` (:data:`STATE_VISIT`,
 decoder hand rows around instead of records, and each record type's
 ``check_row`` is the one validation of both forms: names are strings,
 ids integers (not ``bool``), timestamps finite numbers (``int`` or
-``float``, not ``bool``), in order.
+``float``, not ``bool``), in order, and no further apart than the
+largest float, so every duration a record yields is finite too.
 """
 
 from __future__ import annotations
@@ -89,6 +90,27 @@ def _check_fields(
             )
 
 
+def _check_span(
+    record_type: type, row: tuple, first: int, last: int,
+    line_number: int | None,
+) -> None:
+    """Raise unless ``row[last] - row[first]`` is at most ``_MAX``.
+
+    The slow path's last test: two finite timestamps can lie more than
+    the largest float apart, and then their difference (the widest
+    duration the row yields) overflows to ``inf``.  Names both fields.
+    """
+    span = row[last] - row[first]
+    if not span <= _MAX:
+        fields = dataclasses.fields(record_type)
+        where = "" if line_number is None else f"line {line_number}: "
+        raise ValidationError(
+            f"{where}malformed {record_type.kind} record: "
+            f"{fields[last].name} - {fields[first].name} must be a finite "
+            f"number, got {reprlib.repr(span)}"
+        )
+
+
 @dataclass(frozen=True)
 class StateVisitRecord:
     """One visit of a workflow instance to an execution state."""
@@ -117,7 +139,8 @@ class StateVisitRecord:
     def check_row(row: tuple, line_number: int | None = None) -> None:
         """Raise :class:`~repro.exceptions.ValidationError` unless
         ``row`` holds a valid state visit (typing, then ``entered_at <=
-        left_at``); typing errors name ``line_number`` when given."""
+        left_at``, then a finite ``left_at - entered_at``); typing and
+        span errors name ``line_number`` when given."""
         instance_id, workflow_type, state, entered_at, left_at, next_state = (
             row
         )
@@ -129,6 +152,7 @@ class StateVisitRecord:
             and (type(entered_at) is float or type(entered_at) is int)
             and (type(left_at) is float or type(left_at) is int)
             and -_MAX <= entered_at <= left_at <= _MAX
+            and left_at - entered_at <= _MAX
         ):
             _check_fields(StateVisitRecord, row, line_number)
             if left_at < entered_at:
@@ -136,6 +160,7 @@ class StateVisitRecord:
                     f"instance {instance_id}: left_at {left_at} "
                     f"precedes entered_at {entered_at}"
                 )
+            _check_span(StateVisitRecord, row, 3, 4, line_number)
 
     @property
     def residence_time(self) -> float:
@@ -177,8 +202,9 @@ class ServiceRequestRecord:
     def check_row(row: tuple, line_number: int | None = None) -> None:
         """Raise :class:`~repro.exceptions.ValidationError` unless
         ``row`` holds a valid service request (typing, then
-        ``submitted_at <= started_at <= completed_at``); typing errors
-        name ``line_number`` when given."""
+        ``submitted_at <= started_at <= completed_at``, then a finite
+        ``completed_at - submitted_at``); typing and span errors name
+        ``line_number`` when given."""
         server_type, server_name, submitted, started, completed, instance = (
             row
         )
@@ -190,6 +216,7 @@ class ServiceRequestRecord:
             and (type(started) is float or type(started) is int)
             and (type(completed) is float or type(completed) is int)
             and -_MAX <= submitted <= started <= completed <= _MAX
+            and completed - submitted <= _MAX
         ):
             _check_fields(ServiceRequestRecord, row, line_number)
             if not (submitted <= started <= completed):
@@ -197,6 +224,7 @@ class ServiceRequestRecord:
                     "request timestamps must be ordered "
                     "submitted <= started <= completed"
                 )
+            _check_span(ServiceRequestRecord, row, 2, 4, line_number)
 
     @property
     def waiting_time(self) -> float:
@@ -235,8 +263,8 @@ class InstanceRecord:
     def check_row(row: tuple, line_number: int | None = None) -> None:
         """Raise :class:`~repro.exceptions.ValidationError` unless
         ``row`` holds a valid instance (typing, then ``started_at <=
-        completed_at``); typing errors name ``line_number`` when
-        given."""
+        completed_at``, then a finite ``completed_at - started_at``);
+        typing and span errors name ``line_number`` when given."""
         instance_id, workflow_type, started_at, completed_at = row
         if not (
             type(instance_id) is int
@@ -244,12 +272,14 @@ class InstanceRecord:
             and (type(started_at) is float or type(started_at) is int)
             and (type(completed_at) is float or type(completed_at) is int)
             and -_MAX <= started_at <= completed_at <= _MAX
+            and completed_at - started_at <= _MAX
         ):
             _check_fields(InstanceRecord, row, line_number)
             if completed_at < started_at:
                 raise ValidationError(
                     f"instance {instance_id}: completed before started"
                 )
+            _check_span(InstanceRecord, row, 2, 3, line_number)
 
     @property
     def turnaround_time(self) -> float:

@@ -4,10 +4,10 @@ A real monitoring pipeline collects audit records continuously and the
 calibration component consumes them offline (Section 7.1); this module
 provides the interchange format: one JSON object per line, with a
 ``kind`` discriminator (``state_visit`` / ``service_request`` /
-``instance``).  Files written by one process can be merged and loaded by
-another.  Every line goes through one decoder, :func:`parse_record_row`,
-which validates it with its record type's ``check_row`` and returns the
-row; the record readers build records from those rows.
+``instance``).  Files written by one process can be loaded by another.
+Every line goes through one decoder, :func:`parse_record_row`, which
+validates it with its record type's ``check_row`` and returns the row;
+the record readers build records from those rows.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import dataclasses
 import json
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from repro.exceptions import ValidationError
 from repro.monitor.audit import (
@@ -222,13 +222,3 @@ def iter_trail_records(path: str | Path) -> Iterator[AuditRecord]:
     """
     for kind, row in iter_trail_rows(path):
         yield RECORD_TYPES[kind](*row)
-
-
-def merge_trail_files(
-    paths: Iterable[str | Path], output: str | Path
-) -> int:
-    """Concatenate several trail files into one; returns record count."""
-    merged = AuditTrail()
-    for path in paths:
-        merged = merged.merge([load_trail(path)])
-    return save_trail(merged, output)

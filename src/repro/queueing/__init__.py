@@ -1,41 +1,16 @@
-"""Queueing-theory utilities (M/G/1, M/M/1, M/M/c, Little's law).
+"""Queueing-theory utilities: the M/G/1 station of Section 4.4.
 
-The paper models every server replica as an M/G/1 station (Section 4.4)
-and uses Little's law for the population of active workflow instances
-(Section 4.3).  The M/M/1 and M/M/c results serve as special-case oracles
-in the test suite and as alternatives for experimentation.
+The paper models every server replica as an M/G/1 station (Section 4.4);
+server types that share a computer merge their request streams, whose
+pooled service-time moments feed the same formula.
 """
 
-from repro.queueing.littles_law import (
-    mean_population,
-    mean_response_time,
-    throughput,
-)
 from repro.queueing.mg1 import (
-    MG1Result,
-    mg1_mean_queue_length,
-    mg1_mean_response_time,
     mg1_mean_waiting_time,
-    mg1_metrics,
     pooled_service_moments,
-)
-from repro.queueing.mmc import (
-    erlang_c,
-    mm1_mean_waiting_time,
-    mmc_mean_waiting_time,
 )
 
 __all__ = [
-    "MG1Result",
-    "erlang_c",
-    "mean_population",
-    "mean_response_time",
-    "mg1_mean_queue_length",
-    "mg1_mean_response_time",
     "mg1_mean_waiting_time",
-    "mg1_metrics",
-    "mm1_mean_waiting_time",
-    "mmc_mean_waiting_time",
     "pooled_service_moments",
-    "throughput",
 ]

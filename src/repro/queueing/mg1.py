@@ -14,29 +14,9 @@ default; callers that prefer an exception can pass ``strict=True``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.exceptions import SaturationError, ValidationError
-
-
-@dataclass(frozen=True)
-class MG1Result:
-    """All standard M/G/1 steady-state metrics of one station."""
-
-    arrival_rate: float
-    mean_service_time: float
-    second_moment_service_time: float
-    utilization: float
-    mean_waiting_time: float
-    mean_response_time: float
-    mean_queue_length: float
-    mean_number_in_system: float
-
-    @property
-    def is_stable(self) -> bool:
-        """Whether the station can sustain its load."""
-        return self.utilization < 1.0
 
 
 def _validate_inputs(
@@ -79,67 +59,6 @@ def mg1_mean_waiting_time(
         return math.inf
     return (arrival_rate * second_moment_service_time
             / (2.0 * (1.0 - utilization)))
-
-
-def mg1_mean_response_time(
-    arrival_rate: float,
-    mean_service_time: float,
-    second_moment_service_time: float | None = None,
-    strict: bool = False,
-) -> float:
-    """Mean response time (waiting plus service) of an M/G/1 station."""
-    waiting = mg1_mean_waiting_time(
-        arrival_rate, mean_service_time, second_moment_service_time,
-        strict=strict,
-    )
-    return waiting + mean_service_time
-
-
-def mg1_mean_queue_length(
-    arrival_rate: float,
-    mean_service_time: float,
-    second_moment_service_time: float | None = None,
-    strict: bool = False,
-) -> float:
-    """Mean number of requests waiting in queue (Little's law on w)."""
-    waiting = mg1_mean_waiting_time(
-        arrival_rate, mean_service_time, second_moment_service_time,
-        strict=strict,
-    )
-    if math.isinf(waiting):
-        return math.inf
-    return arrival_rate * waiting
-
-
-def mg1_metrics(
-    arrival_rate: float,
-    mean_service_time: float,
-    second_moment_service_time: float | None = None,
-    strict: bool = False,
-) -> MG1Result:
-    """Compute the full set of M/G/1 metrics at once."""
-    if second_moment_service_time is None:
-        second_moment_service_time = 2.0 * mean_service_time**2
-    waiting = mg1_mean_waiting_time(
-        arrival_rate, mean_service_time, second_moment_service_time,
-        strict=strict,
-    )
-    utilization = arrival_rate * mean_service_time
-    response = waiting + mean_service_time
-    queue_length = (math.inf if math.isinf(waiting)
-                    else arrival_rate * waiting)
-    in_system = (math.inf if math.isinf(response)
-                 else arrival_rate * response)
-    return MG1Result(
-        arrival_rate=arrival_rate,
-        mean_service_time=mean_service_time,
-        second_moment_service_time=second_moment_service_time,
-        utilization=utilization,
-        mean_waiting_time=waiting,
-        mean_response_time=response,
-        mean_queue_length=queue_length,
-        mean_number_in_system=in_system,
-    )
 
 
 def pooled_service_moments(

@@ -12,11 +12,7 @@ from repro.sim.distributions import (
 )
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.seeding import derive_rng, derive_seed
-from repro.sim.statistics import (
-    RateCounter,
-    RunningStats,
-    TimeWeightedStats,
-)
+from repro.sim.statistics import RunningStats, TimeWeightedStats
 
 __all__ = [
     "Deterministic",
@@ -26,7 +22,6 @@ __all__ = [
     "Exponential",
     "HyperExponential",
     "LogNormal",
-    "RateCounter",
     "RunningStats",
     "Simulator",
     "TimeWeightedStats",

@@ -2,14 +2,13 @@
 
 Collects exactly the quantities the paper's calibration component needs
 (Section 7.1): first and second moments of observed durations (service
-times, waiting times), time-weighted averages (utilization, availability),
-and event counts/rates.
+times, waiting times) and time-weighted averages (utilization,
+availability).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.exceptions import ValidationError
 
@@ -349,22 +348,3 @@ class TimeWeightedStats:
         self._merged_duration += (
             (end - other._start_time) + other._merged_duration
         )
-
-
-@dataclass
-class RateCounter:
-    """Counts events and reports their rate over the observed window."""
-
-    count: int = 0
-    start_time: float = 0.0
-
-    def record(self) -> None:
-        """Count one event."""
-        self.count += 1
-
-    def rate(self, now: float) -> float:
-        """Events per time unit since ``start_time``."""
-        window = now - self.start_time
-        if window <= 0.0:
-            return 0.0
-        return self.count / window

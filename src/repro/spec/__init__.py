@@ -6,14 +6,6 @@ simulated WFMS; and the translation into the stochastic model layer.
 """
 
 from repro.spec.builder import StateChartBuilder
-from repro.spec.graph import (
-    activity_dependencies,
-    chart_to_graph,
-    control_flow_cycles,
-    critical_path,
-    mandatory_states,
-)
-from repro.spec.render import to_dot, workflow_ctmc_to_dot
 from repro.spec.events import (
     And,
     ECARule,
@@ -53,13 +45,6 @@ __all__ = [
     "ActiveState",
     "ActivityRegistry",
     "And",
-    "activity_dependencies",
-    "chart_to_graph",
-    "control_flow_cycles",
-    "critical_path",
-    "mandatory_states",
-    "to_dot",
-    "workflow_ctmc_to_dot",
     "BranchResolver",
     "ChartIssue",
     "ChartState",

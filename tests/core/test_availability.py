@@ -248,6 +248,26 @@ class TestJointNumerics:
             model.unavailability(), rel=0.0, abs=1e-14
         )
 
+    @pytest.mark.parametrize(
+        "counts", [(2, 2, 2), (3, 3, 3), (2, 3, 4), (4, 4, 4)], ids=str
+    )
+    @pytest.mark.parametrize("method", ["direct", "gauss_seidel", "sparse"])
+    def test_joint_ctmc_is_relatively_exact_down_to_1e_9(
+        self, method, counts
+    ):
+        # The unavailabilities the search reaches (4.9e-5 down to 2.3e-9)
+        # lie below an absolute 1e-8 tolerance, so compare relatively.
+        # The worst error here is 1.1e-7 (direct at (4, 4, 4)); at
+        # (5, 5, 5), 1.6e-11, direct is off by 2e-5, hence the floor.
+        types = standard_server_types()
+        model = AvailabilityModel(
+            types, SystemConfiguration(dict(zip(types.names, counts)))
+        )
+        product = model.unavailability()
+        assert 1e-9 < product < 1e-4
+        joint = model.unavailability(method="joint", solve_method=method)
+        assert joint == pytest.approx(product, rel=1e-6, abs=0.0)
+
 
 class TestMinimumReplicas:
     def test_finds_smallest_sufficient_count(self):

@@ -280,23 +280,3 @@ class TestErgodicCTMC:
         np.testing.assert_allclose(
             chain.steady_state(), [1.0 / 3.0, 2.0 / 3.0], atol=1e-12
         )
-
-    def test_scalar_steady_state_reward(self):
-        q = np.array([[-1.0, 1.0], [1.0, -1.0]])
-        chain = ErgodicCTMC(q)
-        assert chain.expected_steady_state_reward(
-            [10.0, 20.0]
-        ) == pytest.approx(15.0)
-
-    def test_vector_valued_reward(self):
-        q = np.array([[-1.0, 1.0], [1.0, -1.0]])
-        chain = ErgodicCTMC(q)
-        rewards = np.array([[10.0, 20.0], [0.0, 2.0]])
-        np.testing.assert_allclose(
-            chain.expected_steady_state_reward(rewards), [15.0, 1.0]
-        )
-
-    def test_reward_shape_validation(self):
-        chain = ErgodicCTMC(np.array([[-1.0, 1.0], [1.0, -1.0]]))
-        with pytest.raises(ValidationError):
-            chain.expected_steady_state_reward([1.0])

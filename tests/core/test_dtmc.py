@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.dtmc import AbsorbingDTMC, ErgodicDTMC, uniform_random_walk
+from repro.core.dtmc import AbsorbingDTMC
 from repro.exceptions import ModelError, ValidationError
 
 
@@ -118,34 +118,3 @@ class TestAbsorptionAnalysis:
         n = chain.fundamental_matrix()
         assert n.shape == (1, 1)
         assert n[0, 0] == pytest.approx(10.0)
-
-
-class TestErgodicDTMC:
-    def test_two_state_stationary_distribution(self):
-        p = np.array([[0.5, 0.5], [0.25, 0.75]])
-        chain = ErgodicDTMC(p)
-        pi = chain.steady_state()
-        # Balance: pi0 * 0.5 = pi1 * 0.25  =>  pi = (1/3, 2/3).
-        np.testing.assert_allclose(pi, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
-
-    def test_stationarity_property(self):
-        rng = np.random.default_rng(3)
-        raw = rng.uniform(0.05, 1.0, size=(4, 4))
-        p = raw / raw.sum(axis=1, keepdims=True)
-        pi = ErgodicDTMC(p).steady_state()
-        np.testing.assert_allclose(pi @ p, pi, atol=1e-12)
-
-
-class TestUniformRandomWalk:
-    def test_normalizes(self):
-        np.testing.assert_allclose(
-            uniform_random_walk([1.0, 3.0]), [0.25, 0.75]
-        )
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValidationError):
-            uniform_random_walk([1.0, -1.0])
-
-    def test_rejects_all_zero(self):
-        with pytest.raises(ValidationError):
-            uniform_random_walk([0.0, 0.0])

@@ -147,10 +147,11 @@ class TestReplicaCounts:
 
     @pytest.mark.parametrize(
         "count",
-        [NAN, np.float64(NAN), INF, -INF, None, True, False, np.True_, "x"],
+        [NAN, np.float64(NAN), INF, -INF, None, True, False, np.True_, "x",
+         2.7, "3"],
         ids=[
             "nan", "numpy-nan", "inf", "-inf", "none", "true", "false",
-            "numpy-true", "text",
+            "numpy-true", "text", "fraction", "numeric-text",
         ],
     )
     def test_hostile_count_is_rejected(self, count):

@@ -25,11 +25,7 @@ from repro.core.model_types import ServerTypeIndex, ServerTypeSpec
 from repro.core.performability import DegradedStatePolicy
 from repro.core.performance import PerformanceModel, SystemConfiguration
 from repro.exceptions import InfeasibleConfigurationError
-from repro.queueing import (
-    mean_population,
-    mg1_mean_waiting_time,
-    pooled_service_moments,
-)
+from repro.queueing import mg1_mean_waiting_time, pooled_service_moments
 from repro.scenarios import bundled_scenarios, generate_corpus, spec_to_project
 
 # ----------------------------------------------------------------------
@@ -426,8 +422,3 @@ class TestQueueingProperties:
         assert mean <= max(component_means) + 1e-12
         assert second >= mean**2 - 1e-12
 
-    @given(arrival=rates, time_in_system=rates)
-    @settings(max_examples=40, deadline=None)
-    def test_littles_law_round_trip(self, arrival, time_in_system):
-        population = mean_population(arrival, time_in_system)
-        assert population == pytest.approx(arrival * time_in_system)

@@ -8,9 +8,7 @@ from repro.core.workflow_model import (
     ABSORBING_STATE_NAME,
     WorkflowDefinition,
     WorkflowState,
-    analyze_workflow,
     build_workflow_ctmc,
-    workflow_from_matrices,
 )
 from repro.exceptions import ModelError, ValidationError
 
@@ -142,6 +140,14 @@ class TestBuildWorkflowCTMC:
             model.requests_per_instance(), [4.0, 6.0]
         )
 
+    def test_series_method_close_to_exact(self, server_types):
+        model = build_workflow_ctmc(two_step_workflow(), server_types)
+        np.testing.assert_allclose(
+            model.requests_per_instance(method="series", confidence=0.99999),
+            model.requests_per_instance(method="fundamental"),
+            rtol=1e-3,
+        )
+
     def test_expected_visits_excludes_absorbing(self, server_types):
         model = build_workflow_ctmc(two_step_workflow(), server_types)
         visits = model.expected_visits()
@@ -266,50 +272,3 @@ class TestSubworkflows:
         np.testing.assert_allclose(
             model.requests_per_instance(), [4.0, 6.0]
         )
-
-
-class TestAnalyzeWorkflow:
-    def test_analysis_wrapper(self, server_types):
-        analysis = analyze_workflow(two_step_workflow(), server_types)
-        assert analysis.workflow_name == "two-step"
-        assert analysis.turnaround_time == pytest.approx(6.0)
-        assert analysis.requests_on("comm") == pytest.approx(4.0)
-
-    def test_series_method_close_to_exact(self, server_types):
-        exact = analyze_workflow(
-            two_step_workflow(), server_types, method="fundamental"
-        )
-        series = analyze_workflow(
-            two_step_workflow(), server_types, method="series",
-            confidence=0.99999,
-        )
-        np.testing.assert_allclose(
-            series.requests_per_instance,
-            exact.requests_per_instance,
-            rtol=1e-3,
-        )
-
-
-class TestWorkflowFromMatrices:
-    def test_round_trip(self, server_types):
-        p = np.array([[0.0, 1.0], [0.0, 0.0]])
-        definition = workflow_from_matrices(
-            "flat", ["a", "b"], p, [2.0, 3.0], "a",
-            activities={"a": make_activity("a")},
-        )
-        model = build_workflow_ctmc(definition, server_types)
-        assert model.turnaround_time() == pytest.approx(5.0)
-        # Only state a carries the activity load.
-        np.testing.assert_allclose(
-            model.requests_per_instance(), [2.0, 3.0]
-        )
-
-    def test_shape_validation(self):
-        with pytest.raises(ValidationError):
-            workflow_from_matrices(
-                "flat", ["a"], np.zeros((2, 2)), [1.0], "a"
-            )
-        with pytest.raises(ValidationError):
-            workflow_from_matrices(
-                "flat", ["a"], np.zeros((1, 1)), [1.0, 2.0], "a"
-            )

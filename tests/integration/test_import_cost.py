@@ -1,8 +1,9 @@
 """Starting the CLI or the service loads neither scipy nor networkx.
 
-Only analyses off those start-up paths use them (the Gauss-Seidel
-triangular solve, the chart graph analyses), and they import them
-where they are used.
+Only analyses off those start-up paths use scipy (the Gauss-Seidel
+triangular solve), and they import it where it is used.  networkx is
+not a dependency; the check keeps any future use of it off the start-up
+paths too.
 """
 
 import subprocess

@@ -5,17 +5,11 @@ import math
 
 import pytest
 
-from repro.core.goals import PerformabilityGoals
 from repro.core.model_types import ServerRole, ServerTypeSpec
-from repro.core.performance import SystemConfiguration
 from repro.core.workflow_model import build_workflow_ctmc
 from repro.exceptions import ValidationError
 from repro.io import (
     Project,
-    configuration_from_dict,
-    configuration_to_dict,
-    goals_from_dict,
-    goals_to_dict,
     load_project,
     project_from_dict,
     project_to_dict,
@@ -144,48 +138,6 @@ class TestActivityAndStateRoundTrip:
         index = standard_server_types()
         restored = server_types_from_list(server_types_to_list(index))
         assert restored == index
-
-
-class TestConfigurationAndGoals:
-    def test_configuration_round_trip(self):
-        configuration = SystemConfiguration({"a": 2, "b": 3})
-        restored = configuration_from_dict(
-            configuration_to_dict(configuration)
-        )
-        assert restored == configuration
-
-    @pytest.mark.parametrize(
-        "count",
-        [2.7, "x", "3", True, None, math.nan],
-        ids=["fraction", "text", "numeric-text", "bool", "none", "nan"],
-    )
-    def test_non_integer_count_is_rejected(self, count):
-        # Counts pass through unconverted: 2.7 used to become 2, "3"
-        # became 3, "x" raised a bare ValueError.
-        with pytest.raises(
-            ValidationError, match="must be a non-negative integer"
-        ):
-            configuration_from_dict({"a": 1, "b": count})
-
-    def test_integral_float_count_is_accepted(self):
-        restored = configuration_from_dict({"a": 2.0, "b": 3})
-        assert restored == SystemConfiguration({"a": 2, "b": 3})
-
-    def test_goals_round_trip(self):
-        goals = PerformabilityGoals(
-            max_waiting_time=0.5,
-            max_waiting_times_per_type={"app": 0.2},
-            max_unavailability=1e-5,
-            max_unavailability_per_type={"comm": 1e-7},
-        )
-        restored = goals_from_dict(goals_to_dict(goals))
-        assert restored == goals
-
-    def test_partial_goals_round_trip(self):
-        goals = PerformabilityGoals(max_unavailability=1e-4)
-        restored = goals_from_dict(goals_to_dict(goals))
-        assert restored.max_waiting_time is None
-        assert restored.max_unavailability == 1e-4
 
 
 class TestProject:

@@ -1,15 +1,9 @@
 """Tests for the WfCommons instance importer."""
 
-import json
-
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.io.wfcommons import (
-    MIN_DURATION,
-    load_wfcommons_instance,
-    wfcommons_to_spec,
-)
+from repro.io.wfcommons import MIN_DURATION, wfcommons_to_spec
 from repro.scenarios import spec_to_chart, spec_to_ctmc
 from repro.scenarios.spec import CompositeBlock
 
@@ -167,21 +161,3 @@ class TestNormalization:
     def test_arrival_rate_passthrough(self):
         spec = wfcommons_to_spec(_wfformat_document(), arrival_rate=0.125)
         assert spec.arrival.rate == pytest.approx(0.125)
-
-
-class TestLoad:
-    def test_load_from_file(self, tmp_path):
-        path = tmp_path / "instance.json"
-        path.write_text(json.dumps(_wfformat_document()))
-        spec = load_wfcommons_instance(path, name="FromFile")
-        assert spec.name == "FromFile"
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ValidationError):
-            load_wfcommons_instance(tmp_path / "absent.json")
-
-    def test_invalid_json(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("not json")
-        with pytest.raises(ValidationError):
-            load_wfcommons_instance(path)

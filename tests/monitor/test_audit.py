@@ -1,6 +1,7 @@
 """Tests for audit trail records and queries."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -161,6 +162,49 @@ class TestTypedChecks:
         with pytest.raises(ValidationError) as caught:
             InstanceRecord(3, "wf", 5.0, 4.0)
         assert str(caught.value) == "instance 3: completed before started"
+
+    @pytest.mark.parametrize(
+        ("record_type", "first", "last", "low", "high"),
+        [
+            (StateVisitRecord, "entered_at", "left_at", -1e308, 1e308),
+            (ServiceRequestRecord, "submitted_at", "completed_at",
+             -1.7e308, 1.7e308),
+            (InstanceRecord, "started_at", "completed_at",
+             -10**308, 10**308),
+        ],
+        ids=["visit", "request", "instance-ints"],
+    )
+    def test_timestamps_too_far_apart_are_rejected(
+        self, record_type, first, last, low, high
+    ):
+        # Each timestamp is finite, but the widest difference is not: a
+        # service time of inf used to poison the calibrated model.
+        row = VALID_ROWS[record_type]
+        position = TIMES[record_type]
+        row = replaced(row, position[0], low)
+        for index in position[1:-1]:
+            row = replaced(row, index, 0.0)
+        row = replaced(row, position[-1], high)
+        message = f"{last} - {first} must be a finite number"
+        with pytest.raises(ValidationError, match=message):
+            record_type(*row)
+        with pytest.raises(ValidationError) as caught:
+            record_type.check_row(row, 9)
+        assert str(caught.value).startswith(
+            f"line 9: malformed {record_type.kind} record: {message}, got "
+        )
+
+    @pytest.mark.parametrize("record_type", list(VALID_ROWS))
+    def test_widest_span_of_the_largest_float_is_accepted(self, record_type):
+        half = sys.float_info.max / 2.0
+        row = VALID_ROWS[record_type]
+        position = TIMES[record_type]
+        row = replaced(row, position[0], -half)
+        for index in position[1:-1]:
+            row = replaced(row, index, 0.0)
+        row = replaced(row, position[-1], half)
+        record_type.check_row(row)
+        assert record_type(*row).row == row
 
     @pytest.mark.parametrize("record_type", list(VALID_ROWS))
     def test_row_is_the_fields_in_order(self, record_type):

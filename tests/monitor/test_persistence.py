@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from repro.monitor.persistence import (
     iter_trail_records,
     iter_trail_rows,
     load_trail,
-    merge_trail_files,
     parse_record_line,
     parse_record_row,
     save_trail,
@@ -153,19 +153,6 @@ class TestErrors:
             load_trail(path)
 
 
-class TestMerge:
-    def test_merge_files(self, tmp_path):
-        first = tmp_path / "one.jsonl"
-        second = tmp_path / "two.jsonl"
-        merged = tmp_path / "all.jsonl"
-        save_trail(sample_trail(), first)
-        save_trail(sample_trail(), second)
-        count = merge_trail_files([first, second], merged)
-        assert count == 6
-        restored = load_trail(merged)
-        assert len(restored.instances) == 2
-
-
 VISIT = {
     "kind": "state_visit", "instance_id": 1, "workflow_type": "wf",
     "state": "a", "entered_at": 0.0, "left_at": 2.0, "next_state": "b",
@@ -217,11 +204,18 @@ class TestParseRecordRow:
             (line_of(REQUEST, server_type=None), "server_type"),
             (line_of(INSTANCE, completed_at=10**400), "completed_at"),
             (line_of(VISIT, state=["a"]), "state"),
+            (line_of(REQUEST, submitted_at=-1.7e308, started_at=-1.7e308,
+                     completed_at=1.7e308), "completed_at - submitted_at"),
+            (line_of(VISIT, entered_at=-1e308, left_at=1e308),
+             "left_at - entered_at"),
+            (line_of(INSTANCE, started_at=-(10**308), completed_at=10**308),
+             "completed_at - started_at"),
         ],
         ids=[
             "infinity", "string-timestamps", "nan", "minus-infinity",
             "bool-id", "bool-timestamp", "null-name", "huge-int",
-            "list-name",
+            "list-name", "far-apart-request", "far-apart-visit",
+            "far-apart-int-instance",
         ],
     )
     def test_ill_typed_line_is_rejected_with_its_line_number(
@@ -321,10 +315,15 @@ FIELD_VALUES = {
     "int": st.integers(-3, 40),
 }
 
+#: Magnitudes of finite timestamps whose pairs lie more than the largest
+#: float apart.
+FAR = st.floats(0.9e308, sys.float_info.max)
+
 
 @st.composite
 def record_lines(draw):
-    """A JSONL line of any kind, valid or with one hostile field."""
+    """A JSONL line of any kind: valid, or with its timestamps too far
+    apart, or with one hostile field, or both."""
     kind = draw(st.sampled_from(sorted(RECORD_TYPES)))
     fields = dataclasses.fields(RECORD_TYPES[kind])
     # Each kind's timestamps are declared in the order they must hold.
@@ -339,6 +338,11 @@ def record_lines(draw):
             next(times) if field.type == "float"
             else draw(FIELD_VALUES[field.type])
         )
+    if draw(st.integers(0, 3)) == 0:
+        # Finite, in order, but too far apart for their difference.
+        stamps = [field.name for field in fields if field.type == "float"]
+        data[stamps[0]] = -draw(FAR)
+        data[stamps[-1]] = draw(FAR)
     if draw(st.booleans()):
         data[draw(st.sampled_from([f.name for f in fields]))] = draw(
             st.sampled_from(HOSTILE)
@@ -361,6 +365,14 @@ class TestRowProperty:
             assert parse_record_line(line, number) == (
                 RECORD_TYPES[kind](*row)
             )
+            stamps = [
+                value
+                for value, field in zip(
+                    row, dataclasses.fields(RECORD_TYPES[kind])
+                )
+                if field.type == "float"
+            ]
+            assert stamps[-1] - stamps[0] <= sys.float_info.max
             rows.append((kind, row))
         records = [RECORD_TYPES[kind](*row) for kind, row in rows]
 

@@ -4,23 +4,21 @@ import math
 
 import pytest
 
+from repro.core.model_types import ServerTypeSpec
+from repro.core.performance import waiting_time_point
 from repro.exceptions import SaturationError, ValidationError
-from repro.queueing import (
-    mg1_mean_queue_length,
-    mg1_mean_response_time,
-    mg1_mean_waiting_time,
-    mg1_metrics,
-    mm1_mean_waiting_time,
-    pooled_service_moments,
-)
+from repro.queueing import mg1_mean_waiting_time, pooled_service_moments
 
 
 class TestWaitingTime:
     def test_mm1_special_case(self):
-        # Exponential service: M/G/1 collapses to M/M/1.
+        # Exponential service: M/G/1 collapses to M/M/1, whose mean
+        # wait is rho / (mu - lambda).
         arrival, mean = 0.5, 1.0
+        service_rate = 1.0 / mean
+        utilization = arrival / service_rate
         assert mg1_mean_waiting_time(arrival, mean) == pytest.approx(
-            mm1_mean_waiting_time(arrival, 1.0 / mean)
+            utilization / (service_rate - arrival)
         )
 
     def test_deterministic_service_halves_mm1_waiting(self):
@@ -72,34 +70,50 @@ class TestWaitingTime:
             mg1_mean_waiting_time(**kwargs)
 
 
-class TestDerivedMetrics:
-    def test_response_is_wait_plus_service(self):
-        assert mg1_mean_response_time(0.5, 1.0) == pytest.approx(
-            mg1_mean_waiting_time(0.5, 1.0) + 1.0
-        )
+#: Utilizations 1 - 10**-k for k = 1..15, one decade at a time up to
+#: where a double still tells them apart from 1.
+NEAR_SATURATION = [1.0 - 10.0**-k for k in range(1, 16)]
 
-    def test_queue_length_via_littles_law(self):
-        arrival = 0.6
-        assert mg1_mean_queue_length(arrival, 1.0) == pytest.approx(
-            arrival * mg1_mean_waiting_time(arrival, 1.0)
-        )
 
-    def test_metrics_bundle_consistency(self):
-        metrics = mg1_metrics(0.4, 1.5, 5.0)
-        assert metrics.utilization == pytest.approx(0.6)
-        assert metrics.is_stable
-        assert metrics.mean_response_time == pytest.approx(
-            metrics.mean_waiting_time + 1.5
-        )
-        assert metrics.mean_number_in_system == pytest.approx(
-            0.4 * metrics.mean_response_time
-        )
+class TestNearSaturation:
+    """The waiting time stays finite, positive and ordered as rho -> 1-.
 
-    def test_saturated_metrics_are_infinite(self):
-        metrics = mg1_metrics(2.0, 1.0)
-        assert not metrics.is_stable
-        assert math.isinf(metrics.mean_queue_length)
-        assert math.isinf(metrics.mean_number_in_system)
+    A unit mean service time makes the arrival rate the utilization
+    itself, so ``1 - rho`` is exact and no rounding pushes rho to 1.
+    """
+
+    @pytest.mark.parametrize(
+        "second_moment", [1.0, 2.0, 8.0],
+        ids=["deterministic", "exponential", "bursty"],
+    )
+    def test_waiting_is_finite_and_non_decreasing(self, second_moment):
+        waits = [
+            mg1_mean_waiting_time(rho, 1.0, second_moment)
+            for rho in NEAR_SATURATION
+        ]
+        assert all(0.0 < wait < math.inf for wait in waits)
+        assert all(a <= b for a, b in zip(waits, waits[1:]))
+        # w = rho * b2 / (2 * (1 - rho)) grows like 1 / (1 - rho).
+        assert waits[-1] > 1e14
+
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_waiting_time_point_agrees(self, replicas):
+        spec = ServerTypeSpec("app", 1.0, 3.0)
+        for rho in NEAR_SATURATION:
+            total = rho * replicas
+            assert waiting_time_point(spec, total, replicas) == (
+                mg1_mean_waiting_time(total / replicas, 1.0, 3.0)
+            )
+
+    @pytest.mark.parametrize("utilization", [1.0, 1.0 + 1e-15])
+    def test_saturated_at_the_boundary(self, utilization):
+        assert mg1_mean_waiting_time(utilization, 1.0) == math.inf
+        with pytest.raises(SaturationError):
+            mg1_mean_waiting_time(utilization, 1.0, strict=True)
+        spec = ServerTypeSpec("app", 1.0)
+        assert waiting_time_point(spec, utilization, 1) == math.inf
+        with pytest.raises(SaturationError):
+            waiting_time_point(spec, utilization, 1, strict=True)
 
 
 class TestPooledMoments:

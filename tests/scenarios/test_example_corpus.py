@@ -1,10 +1,11 @@
 """The shipped starter corpus under ``examples/data/corpus/`` stays valid."""
 
+import json
 from pathlib import Path
 
 import pytest
 
-from repro.io.wfcommons import load_wfcommons_instance
+from repro.io.wfcommons import wfcommons_to_spec
 from repro.scenarios import (
     generate_spec,
     load_spec,
@@ -44,6 +45,8 @@ class TestStarterCorpus:
 
     def test_wfcommons_sample_imports(self):
         path = CORPUS_DIR / "wfcommons_epigenomics_sample.json"
-        spec = load_wfcommons_instance(path, arrival_rate=0.05)
+        spec = wfcommons_to_spec(
+            json.loads(path.read_text()), arrival_rate=0.05
+        )
         assert spec.name == "epigenomics-test"
         assert spec_to_ctmc(spec).turnaround_time() > 0.0

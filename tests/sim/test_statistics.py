@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.sim.statistics import RateCounter, RunningStats, TimeWeightedStats
+from repro.sim.statistics import RunningStats, TimeWeightedStats
 
 
 class TestRunningStats:
@@ -195,16 +195,3 @@ class TestTimeWeightedStats:
         busy.update(1.0, 1.0)   # becomes busy at t=1
         busy.update(0.0, 3.0)   # idle at t=3
         assert busy.time_average(until=4.0) == pytest.approx(0.5)
-
-
-class TestRateCounter:
-    def test_rate(self):
-        counter = RateCounter(start_time=10.0)
-        for _ in range(5):
-            counter.record()
-        assert counter.rate(now=20.0) == pytest.approx(0.5)
-
-    def test_zero_window(self):
-        counter = RateCounter()
-        counter.record()
-        assert counter.rate(now=0.0) == 0.0

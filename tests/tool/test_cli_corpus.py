@@ -163,3 +163,22 @@ class TestStudyInputs:
         status = main(["recommend", "--max-waiting", "5"])
         assert status == 2
         assert "--project FILE or --spec FILE" in capsys.readouterr().err
+
+    def test_missing_spec_file(self, tmp_path, capsys):
+        absent = tmp_path / "absent.json"
+        status = main(["corpus", "assess", "--spec", str(absent)])
+        assert status == 2
+        assert f"error: spec file not found: {absent}" in (
+            capsys.readouterr().err
+        )
+
+    def test_invalid_json_spec_file(self, tmp_path, capsys):
+        broken = tmp_path / "broken.json"
+        broken.write_text("not json")
+        status = main([
+            "recommend", "--spec", str(broken), "--max-waiting", "5",
+        ])
+        assert status == 2
+        assert f"error: invalid JSON in {broken}: " in (
+            capsys.readouterr().err
+        )

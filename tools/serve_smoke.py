@@ -13,10 +13,11 @@ operator deploys it — as a subprocess of the CLI:
 4. asserts reads of a tenant nothing was posted to (``ghost``) answer
    404 on ``/status`` and ``/recommendation`` and create no tenant;
 5. posts the sample trail to a fresh tenant (``hostile``) with a
-   non-JSON line, an ``Infinity`` timestamp and a string timestamp
-   mixed in, asserts exactly those three lines are rejected (by line
-   number) and that the tenant then publishes a revision covering
-   every ingested record;
+   non-JSON line, an ``Infinity`` timestamp, a string timestamp and
+   two finite timestamps too far apart for their difference mixed in,
+   asserts exactly those four lines are rejected (by line number) and
+   that the tenant then publishes a revision covering every ingested
+   record;
 6. sends SIGTERM and asserts a clean exit that wrote the snapshot,
    which names no ``ghost`` tenant;
 7. restarts from the snapshot and asserts the published document
@@ -105,11 +106,12 @@ def post(url: str, body: bytes) -> dict:
 
 
 def hostile_body() -> tuple[bytes, list[int]]:
-    """The sample trail with three ill-formed lines mixed in.
+    """The sample trail with four ill-formed lines mixed in.
 
-    Returns the body and the (1-based) line numbers of those three: a
-    line that is not JSON, a service request completed at ``Infinity``
-    and one with string timestamps (which compare in order).
+    Returns the body and the (1-based) line numbers of those four: a
+    line that is not JSON, a service request completed at ``Infinity``,
+    one with string timestamps (which compare in order) and one whose
+    finite timestamps lie ~3.4e308 apart (its service time overflows).
     """
     lines = TRAIL.read_bytes().splitlines()
     request = json.loads(
@@ -122,8 +124,12 @@ def hostile_body() -> tuple[bytes, list[int]]:
             **request, "submitted_at": "a", "started_at": "b",
             "completed_at": "c",
         }).encode(),
+        json.dumps({
+            **request, "submitted_at": -1.7e308, "started_at": -1.7e308,
+            "completed_at": 1.7e308,
+        }).encode(),
     ]
-    positions = [3, 300, 600]
+    positions = [3, 300, 600, 700]
     for position, line in zip(positions, bad):
         lines.insert(position, line)
     return b"\n".join(lines) + b"\n", [position + 1 for position in positions]
@@ -205,7 +211,7 @@ def main() -> int:
             rejected = [entry["line"] for entry in summary["rejections"]]
             if (
                 summary["ingested"] != 745
-                or summary["rejected"] != 3
+                or summary["rejected"] != 4
                 or rejected != bad_lines
             ):
                 fail(f"unexpected summary for ill-formed lines: {summary}")
