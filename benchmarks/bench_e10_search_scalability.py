@@ -15,8 +15,6 @@ optimum; the marginal performability fast path makes every evaluation
 cheap enough for the 5-dimensional space.
 """
 
-import pytest
-
 from benchmarks.conftest import emit
 from repro.core.configuration import (
     ReplicationConstraints,

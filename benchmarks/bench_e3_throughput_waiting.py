@@ -11,8 +11,6 @@ bottleneck shifts once the first type is sufficiently replicated.
 
 import math
 
-import pytest
-
 from benchmarks.conftest import configuration, emit
 from repro.core.performance import PerformanceModel, Workload, WorkloadItem
 from repro.workflows import (

@@ -12,8 +12,6 @@ INFINITE.
 
 import math
 
-import pytest
-
 from benchmarks.conftest import configuration, emit
 from repro.core.availability import AvailabilityModel
 from repro.core.performance import PerformanceModel, Workload, WorkloadItem

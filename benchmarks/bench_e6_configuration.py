@@ -9,8 +9,6 @@ is within one server of the exhaustive optimum on this grid (the
 evaluations than exhaustive search; tighter goals cost more servers.
 """
 
-import pytest
-
 from benchmarks.conftest import emit
 from repro.core.configuration import (
     ReplicationConstraints,

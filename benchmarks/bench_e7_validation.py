@@ -31,8 +31,6 @@ All campaign seeds are fixed: the verdicts below are reproducible
 byte-for-byte (``run_campaign`` is deterministic for any worker count).
 """
 
-import pytest
-
 from benchmarks.conftest import configuration, emit
 from repro.core.availability import AvailabilityModel
 from repro.core.model_types import ServerTypeIndex, ServerTypeSpec

@@ -12,7 +12,6 @@ simulated request counts.
 import pytest
 
 from benchmarks.conftest import configuration, emit
-from repro.core.model_types import ServerTypeIndex
 from repro.core.workflow_model import build_workflow_ctmc
 from repro.spec.builder import StateChartBuilder
 from repro.spec.translator import ActivityRegistry, translate_chart

@@ -94,8 +94,9 @@ class AbsorbingCTMC:
             )
         object.__setattr__(self, "jump_probabilities", p)
         object.__setattr__(self, "residence_times", h)
-        # The embedded chain checks the state names and supplies defaults.
-        embedded = AbsorbingDTMC(p, state_names=self.state_names)
+        # The embedded chain shares the matrix validated above; it checks
+        # the state names and supplies defaults.
+        embedded = AbsorbingDTMC._of_valid_matrix(p, self.state_names)
         object.__setattr__(self, "state_names", embedded.state_names)
         if len(embedded.absorbing_states) != 1:
             raise ModelError(
@@ -107,7 +108,7 @@ class AbsorbingCTMC:
             raise ValidationError(
                 f"initial state {self.initial_state} must be transient"
             )
-        transient = list(embedded.transient_states)
+        transient = embedded._transient_index
         if np.any(h[transient] <= 0.0) or not np.all(np.isfinite(h[transient])):
             raise ValidationError(
                 "residence times of transient states must be positive and "
@@ -118,7 +119,8 @@ class AbsorbingCTMC:
         # series algorithm (which skips b == a, Section 4.2.1) consistent
         # with the exact embedded-chain analysis.  Use
         # :func:`remove_self_loops` to fold designer-level retry loops in.
-        loopy = [self.state_names[i] for i in transient if p[i, i] > 0.0]
+        loopy = [self.state_names[i] for i in embedded.transient_states
+                 if p[i, i] > 0.0]
         if loopy:
             raise ValidationError(
                 "transient states must not have self-transitions "
@@ -150,7 +152,7 @@ class AbsorbingCTMC:
 
     def departure_rates(self) -> np.ndarray:
         """Rates ``v_i = 1 / H_i`` (0 for the absorbing state)."""
-        transient = list(self.transient_states)
+        transient = self._embedded._transient_index
         rates = np.zeros(self.num_states)
         rates[transient] = 1.0 / self.residence_times[transient]
         return rates
@@ -182,9 +184,9 @@ class AbsorbingCTMC:
 
         Returns a full-length vector with 0 at the absorbing state.
         """
-        transient = list(self.transient_states)
+        transient = self._embedded._transient_index
         v = self.departure_rates()
-        a = self.transition_rates()[np.ix_(transient, transient)]
+        a = self.transition_rates().take(self._embedded._transient_block)
         np.fill_diagonal(a, -v[transient])
         k = len(transient)
         b = np.full(k, -1.0)

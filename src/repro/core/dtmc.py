@@ -45,20 +45,47 @@ class AbsorbingDTMC:
             "transition matrix",
         )
         object.__setattr__(self, "transition_matrix", p)
-        names = self.state_names or _default_state_names(p.shape[0])
-        if len(names) != p.shape[0]:
+        self._classify_states()
+
+    @classmethod
+    def _of_valid_matrix(
+        cls, p: np.ndarray, state_names: tuple[str, ...]
+    ) -> "AbsorbingDTMC":
+        """The chain of a matrix ``validate_stochastic_matrix`` returned.
+
+        :class:`~repro.core.ctmc.AbsorbingCTMC` validates its jump matrix
+        itself, so its embedded chain is built here without a second
+        check; the state names and the absorption checks still run.
+        """
+        chain = object.__new__(cls)
+        object.__setattr__(chain, "transition_matrix", p)
+        object.__setattr__(chain, "state_names", state_names)
+        chain._classify_states()
+        return chain
+
+    def _classify_states(self) -> None:
+        """Check the names, split the states, and check absorption."""
+        p = self.transition_matrix
+        n = p.shape[0]
+        names = self.state_names or _default_state_names(n)
+        if len(names) != n:
             raise ValidationError(
-                f"expected {p.shape[0]} state names, got {len(names)}"
+                f"expected {n} state names, got {len(names)}"
             )
         if len(set(names)) != len(names):
             raise ValidationError("state names must be unique")
         object.__setattr__(self, "state_names", tuple(names))
         absorbing = np.diagonal(p) >= 1.0 - 1e-12
+        transient = np.flatnonzero(~absorbing)
         object.__setattr__(
             self, "_absorbing", tuple(np.flatnonzero(absorbing).tolist())
         )
+        object.__setattr__(self, "_transient", tuple(transient.tolist()))
+        # Flat positions of the transient block T = P[transient][:,
+        # transient] in any n x n matrix: ``m.take(_transient_block)``.
+        object.__setattr__(self, "_transient_index", transient)
         object.__setattr__(
-            self, "_transient", tuple(np.flatnonzero(~absorbing).tolist())
+            self, "_transient_block", transient[:, None] * n + transient
         )
         if not self._absorbing:
             raise ModelError("chain has no absorbing state")
@@ -120,9 +147,8 @@ class AbsorbingDTMC:
         given the chain starts in transient state ``i`` (indices taken in
         :attr:`transient_states` order).
         """
-        transient = list(self.transient_states)
-        t = self.transition_matrix[np.ix_(transient, transient)]
-        identity = np.eye(len(transient))
+        t = self.transition_matrix.take(self._transient_block)
+        identity = np.eye(len(self._transient))
         try:
             return np.linalg.solve(identity - t, identity)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded
@@ -139,7 +165,7 @@ class AbsorbingDTMC:
         """
         self._require_transient(start)
         visits = np.zeros(self.num_states)
-        visits[list(self._transient)] = (
+        visits[self._transient_index] = (
             self.fundamental_matrix()[self._transient.index(start)]
         )
         return visits

@@ -11,10 +11,30 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.exceptions import ValidationError
+
+
+def _check_mean_service_time(name: str, mean_service_time: float) -> None:
+    """Raise unless the mean is finite, positive, and has a finite square.
+
+    Second moments square the mean with ``**``, which raises
+    ``OverflowError`` past ``sqrt(sys.float_info.max)`` (about 1.34e154);
+    the product tested here never raises, for ints either.  Each check
+    is written so that NaN fails it.
+    """
+    if not 0.0 < mean_service_time < math.inf:
+        raise ValidationError(
+            f"{name}: mean service time must be finite and > 0"
+        )
+    if not mean_service_time * mean_service_time <= sys.float_info.max:
+        raise ValidationError(
+            f"{name}: mean service time {mean_service_time!r} is too "
+            "large: its square must be finite"
+        )
 
 
 class ServerRole(enum.Enum):
@@ -63,10 +83,7 @@ class ServerTypeSpec:
         if not self.name:
             raise ValidationError("server type name must be non-empty")
         # Each check is written so that NaN fails it.
-        if not 0.0 < self.mean_service_time < math.inf:
-            raise ValidationError(
-                f"{self.name}: mean service time must be finite and > 0"
-            )
+        _check_mean_service_time(self.name, self.mean_service_time)
         if self.second_moment_service_time is None:
             object.__setattr__(
                 self,

@@ -26,8 +26,6 @@ values neither underflow nor need log-space arithmetic.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core import linalg

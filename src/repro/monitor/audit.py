@@ -203,8 +203,10 @@ class ServiceRequestRecord:
         """Raise :class:`~repro.exceptions.ValidationError` unless
         ``row`` holds a valid service request (typing, then
         ``submitted_at <= started_at <= completed_at``, then a finite
-        ``completed_at - submitted_at``); typing and span errors name
-        ``line_number`` when given."""
+        ``completed_at - submitted_at``, then a service time
+        ``completed_at - started_at`` whose square is finite, as the
+        calibrated second moment needs); typing, span and square errors
+        name ``line_number`` when given."""
         server_type, server_name, submitted, started, completed, instance = (
             row
         )
@@ -217,6 +219,7 @@ class ServiceRequestRecord:
             and (type(completed) is float or type(completed) is int)
             and -_MAX <= submitted <= started <= completed <= _MAX
             and completed - submitted <= _MAX
+            and (completed - started) * (completed - started) <= _MAX
         ):
             _check_fields(ServiceRequestRecord, row, line_number)
             if not (submitted <= started <= completed):
@@ -225,6 +228,18 @@ class ServiceRequestRecord:
                     "submitted <= started <= completed"
                 )
             _check_span(ServiceRequestRecord, row, 2, 4, line_number)
+            # In floats, so a numpy overflow gives inf without a warning.
+            service_time = float(completed - started)
+            square = service_time * service_time
+            if not square <= _MAX:
+                where = (
+                    "" if line_number is None else f"line {line_number}: "
+                )
+                raise ValidationError(
+                    f"{where}malformed {SERVICE_REQUEST} record: "
+                    "(completed_at - started_at)**2 must be a finite "
+                    f"number, got {reprlib.repr(square)}"
+                )
 
     @property
     def waiting_time(self) -> float:

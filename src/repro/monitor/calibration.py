@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.core.model_types import ServerTypeSpec
+from repro.core.model_types import ServerTypeSpec, _check_mean_service_time
 from repro.core.workflow_model import WorkflowDefinition, WorkflowState
 from repro.exceptions import ValidationError
 from repro.monitor.audit import TERMINATION, AuditTrail
@@ -184,6 +184,7 @@ def calibrate_server_type(
         raise ValidationError(
             f"no service samples for server type {spec.name}"
         )
+    _check_mean_service_time(spec.name, estimate.mean)
     return ServerTypeSpec(
         name=spec.name,
         mean_service_time=estimate.mean,

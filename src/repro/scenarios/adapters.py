@@ -5,9 +5,10 @@ existing artifacts.  This module lowers a :class:`WorkflowSpec` into
 
 * a validated :class:`~repro.spec.statechart.StateChart`
   (:func:`spec_to_chart`) plus its activity registry
-  (:func:`spec_to_registry`),
+  (:func:`spec_to_registry`) — the simulator's input,
 * the analytic model-layer artifacts — :func:`spec_to_definition` and
-  :func:`spec_to_ctmc` (the absorbing-CTMC translation of §4),
+  :func:`spec_to_ctmc` (the absorbing-CTMC translation of §4), built
+  straight from the lowering without a chart,
 * simulator inputs — :func:`spec_to_simulated_type`,
 * and a full CLI :class:`~repro.io.serialization.Project`
   (:func:`spec_to_project`), which is also the calibration input shape.
@@ -16,39 +17,54 @@ Lowering is **deterministic and order-preserving**: states appear in the
 chart in depth-first spec order, and transitions are emitted sorted by
 ``(source-state position, branch-arm path)``.  This makes the lowering of
 the hand-written example specs *byte-identical* to the charts the repo
-previously built imperatively (see ``tests/workflows/test_goldens.py``).
+previously built imperatively (see ``tests/workflows/test_goldens.py``),
+and the definition equal to ``translate_chart`` of that chart.
 
 Lowering algorithm
 ------------------
 
-Phase A walks the block tree and collects chart states (activities,
+Phase A walks the block tree and collects the states (activities,
 routing states, and composite states whose regions are lowered
-recursively into nested charts).  Phase B threads *pending exits* through
-the tree: every block consumes the exits of its predecessor and produces
-its own.  A branch/loop arm annotates the exits passing through it with
-its guard (``And``-composed), its probability (multiplied), and its arm
-index (appended to the sort path); ``next="loop"`` arms connect back to
-the innermost loop's entry and ``next="final"`` arms jump to the
-workflow's final block.
+recursively).  Phase B threads *pending exits* through the tree: every
+block consumes the exits of its predecessor and produces its own.  A
+branch/loop arm annotates the exits passing through it with its guard
+(``And``-composed), its probability (multiplied), and its arm index
+(appended to the sort path); ``next="loop"`` arms connect back to the
+innermost loop's entry and ``next="final"`` arms jump to the workflow's
+final block.  The sorted edges are validated once per chart or region by
+:mod:`repro.spec.validation`; a chart or a definition is then assembled
+from the same walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import reduce
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.core.model_types import ServerTypeIndex
 from repro.core.workflow_model import (
     WorkflowCTMC,
     WorkflowDefinition,
+    WorkflowState,
     build_workflow_ctmc,
 )
 from repro.exceptions import ValidationError
 from repro.io.serialization import Project
+from repro.spec import validation
 from repro.spec.events import And, ECARule, Guard, TrueGuard, completion_event
-from repro.spec.statechart import ChartState, ChartTransition, StateChart
-from repro.spec.translator import ActivityRegistry, translate_chart
-from repro.spec.validation import _ensure_charts_valid
+from repro.spec.statechart import (
+    ChartState,
+    ChartTransition,
+    StateChart,
+    _check_probability,
+)
+from repro.spec.translator import (
+    DEFAULT_ROUTING_DURATION,
+    ActivityRegistry,
+    _leaf_state,
+    _transition_probabilities,
+)
 from repro.scenarios.spec import (
     ActivityBlock,
     Arm,
@@ -62,20 +78,19 @@ from repro.scenarios.spec import (
 )
 
 
-@dataclass(frozen=True)
-class _Exit(object):
+class _Exit(NamedTuple):
     """One dangling outgoing edge awaiting its target state.
 
-    ``path`` is the tuple of branch-arm indices the edge has passed
-    through since leaving ``source``; sorting emitted transitions by
+    ``guards`` are the arm guards passed, outermost first; ``path`` is
+    the tuple of branch-arm indices the edge has passed through since
+    leaving ``source``; sorting emitted transitions by
     ``(source-state position, path)`` reproduces the conventional
     hand-written transition order (all edges of a state together, in arm
     order).
     """
 
     source: str
-    event: str | None
-    guard: Guard | None
+    guards: tuple[Guard, ...]
     probability: float | None
     path: tuple[int, ...]
 
@@ -93,36 +108,59 @@ def _entry(block: Block) -> str:
     )
 
 
-class _Lowering:
-    """Lowers one block tree (a workflow body or a region body)."""
+def _activity_name(block: ActivityBlock) -> str:
+    return block.activity if block.activity is not None else block.state
 
-    def __init__(self, name: str, body: Block) -> None:
+
+class _Lowering:
+    """Lowers one block tree (a workflow body or a region body).
+
+    Construction runs the walk and the structural validation; the
+    result then assembles into a :meth:`chart` or a :meth:`definition`.
+    """
+
+    def __init__(self, name: str, body: Block, validate: bool) -> None:
         self.name = name
         self.body = body
-        self.states: list[ChartState] = []
+        self.validate = validate
+        # Leaf and composite blocks, one per state, in chart order.
+        self.states: list[Block] = []
         self.position: dict[str, int] = {}
-        self.edges: list[tuple[tuple[int, tuple[int, ...]],
-                               ChartTransition]] = []
+        self.regions: dict[str, tuple[_Lowering, ...]] = {}
+        self.edges: list[tuple[tuple[int, tuple[int, ...]], _Exit, str]] = []
         self.loop_entries: list[str] = []
-        self.validate_regions = True
+        self.collect(body)
+        exits = self.wire(body, [])
+        if exits:
+            # A well-formed spec ends in its final block: every exit of
+            # the body must have been consumed except the final state's
+            # own (a leaf/composite last block produces exactly one).
+            final = _entry_of_last(body)
+            dangling = [e for e in exits if e.source != final]
+            if dangling:
+                raise ValidationError(
+                    f"chart {name}: dangling exits from "
+                    f"{sorted({e.source for e in dangling})}"
+                )
+        self.edges.sort(key=itemgetter(0))
+        self.initial_state = _entry(body)
+        self.outgoing: dict[str, list[tuple[str, float | None]]] = {
+            state: [] for state in self.position
+        }
+        for _, exit_, target in self.edges:
+            self.outgoing[exit_.source].append((target, exit_.probability))
+        if validate:
+            validation._ensure_structure_valid(
+                name, self.initial_state, self.outgoing
+            )
 
     # ------------------------------------------------------------------
     # Phase A: state collection (depth-first, definition order)
     # ------------------------------------------------------------------
     def collect(self, block: Block) -> None:
-        """Append every chart state under ``block`` in spec order."""
-        if isinstance(block, ActivityBlock):
-            self._add(ChartState(
-                name=block.state,
-                activity=(
-                    block.activity if block.activity is not None
-                    else block.state
-                ),
-            ))
-        elif isinstance(block, RoutingBlock):
-            self._add(ChartState(
-                name=block.state, mean_duration=block.mean_duration,
-            ))
+        """Append every state under ``block`` in spec order."""
+        if isinstance(block, (ActivityBlock, RoutingBlock)):
+            self._add(block)
         elif isinstance(block, SequenceBlock):
             for child in block.blocks:
                 self.collect(child)
@@ -140,46 +178,34 @@ class _Lowering:
                     self.collect(arm.block)
         elif isinstance(block, CompositeBlock):
             regions = tuple(
-                _lower(nested.name, nested.body,
-                       validate=self.validate_regions)
+                _Lowering(nested.name, nested.body, self.validate)
                 for nested in block.regions
             )
-            self._add(ChartState(name=block.state, regions=regions))
+            self._add(block)
+            self.regions[block.state] = regions
         else:
             raise ValidationError(
                 f"chart {self.name}: cannot lower block type "
                 f"{type(block).__name__}"
             )
 
-    def _add(self, state: ChartState) -> None:
-        if state.name in self.position:
+    def _add(self, block: ActivityBlock | RoutingBlock | CompositeBlock
+             ) -> None:
+        if block.state in self.position:
             raise ValidationError(
-                f"chart {self.name}: duplicate state {state.name!r}"
+                f"chart {self.name}: duplicate state {block.state!r}"
             )
-        self.position[state.name] = len(self.states)
-        self.states.append(state)
+        self.position[block.state] = len(self.states)
+        self.states.append(block)
 
     # ------------------------------------------------------------------
     # Phase B: wiring
     # ------------------------------------------------------------------
     def wire(self, block: Block, pending: list[_Exit]) -> list[_Exit]:
         """Connect ``pending`` into ``block``; return the block's exits."""
-        if isinstance(block, (ActivityBlock, RoutingBlock)):
+        if isinstance(block, (ActivityBlock, RoutingBlock, CompositeBlock)):
             self._connect(pending, block.state)
-            event = (
-                completion_event(
-                    block.activity if block.activity is not None
-                    else block.state
-                )
-                if isinstance(block, ActivityBlock)
-                else None
-            )
-            return [_Exit(block.state, event, None, None, ())]
-        if isinstance(block, CompositeBlock):
-            self._connect(pending, block.state)
-            # A composite completes when its region(s) do; the completion
-            # is the region join itself, so the exit carries no event.
-            return [_Exit(block.state, None, None, None, ())]
+            return [_Exit(block.state, (), None, ())]
         if isinstance(block, SequenceBlock):
             for child in block.blocks:
                 pending = self.wire(child, pending)
@@ -220,19 +246,16 @@ class _Lowering:
 
     @staticmethod
     def _through(exit_: _Exit, arm: Arm, index: int) -> _Exit:
-        guard = exit_.guard
+        guards = exit_.guards
         if arm.guard is not None:
-            guard = arm.guard if guard is None else And(guard, arm.guard)
+            guards += (arm.guard,)
         probability = exit_.probability
         if arm.probability is not None:
             probability = (
                 arm.probability if probability is None
                 else probability * arm.probability
             )
-        return _Exit(
-            exit_.source, exit_.event, guard, probability,
-            exit_.path + (index,),
-        )
+        return _Exit(exit_.source, guards, probability, exit_.path + (index,))
 
     def _final_entry(self) -> str:
         if not isinstance(self.body, SequenceBlock):
@@ -244,54 +267,90 @@ class _Lowering:
 
     def _connect(self, exits: Iterable[_Exit], target: str) -> None:
         for exit_ in exits:
-            transition = ChartTransition(
-                source=exit_.source,
-                target=target,
-                rule=ECARule(
-                    event=exit_.event,
-                    guard=(
-                        exit_.guard if exit_.guard is not None
-                        else TrueGuard()
-                    ),
-                ),
-                probability=exit_.probability,
-            )
+            _check_probability(exit_.source, target, exit_.probability)
             self.edges.append(
-                ((self.position[exit_.source], exit_.path), transition)
+                ((self.position[exit_.source], exit_.path), exit_, target)
             )
 
     # ------------------------------------------------------------------
     # Assembly
     # ------------------------------------------------------------------
-    def build(self, validate: bool = True) -> StateChart:
-        """Run both phases and assemble the chart.
-
-        Phase A validated the regions; this validates the chart alone.
-        """
-        self.validate_regions = validate
-        self.collect(self.body)
-        exits = self.wire(self.body, [])
-        if exits:
-            # A well-formed spec ends in its final block: every exit of
-            # the body must have been consumed except the final state's
-            # own (a leaf/composite last block produces exactly one).
-            final = _entry_of_last(self.body)
-            dangling = [e for e in exits if e.source != final]
-            if dangling:
-                raise ValidationError(
-                    f"chart {self.name}: dangling exits from "
-                    f"{sorted({e.source for e in dangling})}"
-                )
-        self.edges.sort(key=lambda item: item[0])
-        chart = StateChart(
+    def chart(self) -> StateChart:
+        """The lowered chart, regions included (the simulator's input)."""
+        return StateChart(
             name=self.name,
-            states=tuple(self.states),
-            transitions=tuple(edge for _, edge in self.edges),
-            initial_state=_entry(self.body),
+            states=tuple(self._chart_state(block) for block in self.states),
+            transitions=tuple(
+                self._chart_transition(exit_, target)
+                for _, exit_, target in self.edges
+            ),
+            initial_state=self.initial_state,
         )
-        if validate:
-            _ensure_charts_valid([chart])
-        return chart
+
+    def _chart_state(self, block: Block) -> ChartState:
+        if isinstance(block, ActivityBlock):
+            return ChartState(name=block.state, activity=_activity_name(block))
+        if isinstance(block, RoutingBlock):
+            return ChartState(
+                name=block.state, mean_duration=block.mean_duration,
+            )
+        return ChartState(
+            name=block.state,
+            regions=tuple(
+                region.chart() for region in self.regions[block.state]
+            ),
+        )
+
+    def _chart_transition(self, exit_: _Exit, target: str) -> ChartTransition:
+        # An activity state completes on its activity's completion event;
+        # a routing state, or a composite whose region join completes it,
+        # needs no event.
+        source = self.states[self.position[exit_.source]]
+        return ChartTransition(
+            source=exit_.source,
+            target=target,
+            rule=ECARule(
+                event=(
+                    completion_event(_activity_name(source))
+                    if isinstance(source, ActivityBlock) else None
+                ),
+                guard=reduce(And, exit_.guards) if exit_.guards
+                else TrueGuard(),
+            ),
+            probability=exit_.probability,
+        )
+
+    def definition(self, registry: ActivityRegistry) -> WorkflowDefinition:
+        """The lowered workflow definition, as ``translate_chart`` gives."""
+        return WorkflowDefinition(
+            name=self.name,
+            states=tuple(
+                self._workflow_state(block, registry) for block in self.states
+            ),
+            transitions=_transition_probabilities(self.name, self.outgoing),
+            initial_state=self.initial_state,
+        )
+
+    def _workflow_state(
+        self, block: Block, registry: ActivityRegistry
+    ) -> WorkflowState:
+        if isinstance(block, ActivityBlock):
+            return _leaf_state(
+                block.state, _activity_name(block), None, registry,
+                DEFAULT_ROUTING_DURATION,
+            )
+        if isinstance(block, RoutingBlock):
+            return _leaf_state(
+                block.state, None, block.mean_duration, registry,
+                DEFAULT_ROUTING_DURATION,
+            )
+        return WorkflowState(
+            name=block.state,
+            subworkflows=tuple(
+                region.definition(registry)
+                for region in self.regions[block.state]
+            ),
+        )
 
 
 def _entry_of_last(body: Block) -> str:
@@ -305,17 +364,12 @@ def _entry_of_last(body: Block) -> str:
     )
 
 
-def _lower(name: str, body: Block, validate: bool = True) -> StateChart:
-    """Lower one body to a chart (regions recurse through here)."""
-    return _Lowering(name, body).build(validate=validate)
-
-
 # ----------------------------------------------------------------------
 # Public adapters
 # ----------------------------------------------------------------------
 def spec_to_chart(spec: WorkflowSpec, validate: bool = True) -> StateChart:
     """Lower a spec to its state chart (validated unless disabled)."""
-    return _lower(spec.name, spec.body, validate=validate)
+    return _Lowering(spec.name, spec.body, validate).chart()
 
 
 def region_to_chart(region, validate: bool = True) -> StateChart:
@@ -325,7 +379,7 @@ def region_to_chart(region, validate: bool = True) -> StateChart:
     is exposed so subworkflow charts can also be built standalone (the
     ``*_subchart()`` helpers of :mod:`repro.workflows`).
     """
-    return _lower(region.name, region.body, validate=validate)
+    return _Lowering(region.name, region.body, validate).chart()
 
 
 def spec_to_registry(spec: WorkflowSpec) -> ActivityRegistry:
@@ -335,17 +389,15 @@ def spec_to_registry(spec: WorkflowSpec) -> ActivityRegistry:
     )
 
 
-def spec_to_definition(
-    spec: WorkflowSpec, validate: bool = True
-) -> WorkflowDefinition:
+def spec_to_definition(spec: WorkflowSpec) -> WorkflowDefinition:
     """Lower a spec to the model-layer workflow definition.
 
-    Lowering validated the chart; the translation does not repeat it.
+    The result equals ``translate_chart(spec_to_chart(spec),
+    spec_to_registry(spec))`` and raises the same errors, but no chart is
+    built: the lowering's validated edges become the definition directly.
     """
-    return translate_chart(
-        spec_to_chart(spec, validate=validate),
-        spec_to_registry(spec),
-        validate=False,
+    return _Lowering(spec.name, spec.body, True).definition(
+        spec_to_registry(spec)
     )
 
 

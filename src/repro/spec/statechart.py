@@ -111,18 +111,24 @@ class ChartTransition:
     def __post_init__(self) -> None:
         if not self.source or not self.target:
             raise ValidationError("transition endpoints must be non-empty")
-        if self.probability is not None:
-            if not 0.0 < self.probability <= 1.0:
-                raise ValidationError(
-                    f"transition {self.source}->{self.target}: probability "
-                    f"{self.probability} must lie in (0, 1]"
-                )
+        _check_probability(self.source, self.target, self.probability)
 
     def __str__(self) -> str:
         annotation = (
             f" @{self.probability}" if self.probability is not None else ""
         )
         return f"{self.source} --{self.rule}--> {self.target}{annotation}"
+
+
+def _check_probability(
+    source: str, target: str, probability: float | None
+) -> None:
+    """Reject an annotation outside ``(0, 1]`` on ``source -> target``."""
+    if probability is not None and not 0.0 < probability <= 1.0:
+        raise ValidationError(
+            f"transition {source}->{target}: probability "
+            f"{probability} must lie in (0, 1]"
+        )
 
 
 @dataclass(frozen=True)

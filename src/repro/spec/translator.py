@@ -26,7 +26,7 @@ from repro.core.model_types import ActivitySpec
 from repro.core.workflow_model import WorkflowDefinition, WorkflowState
 from repro.exceptions import ValidationError
 from repro.spec.statechart import ChartState, ChartTransition, StateChart
-from repro.spec.validation import ensure_valid
+from repro.spec.validation import Outgoing, _outgoing, ensure_valid
 
 #: Residence time assigned to routing states that specify none.  Pure
 #: control-flow states are near-instantaneous; the CTMC still needs a
@@ -90,7 +90,7 @@ def translate_chart(
         _translate_state(state, registry, default_routing_duration)
         for state in chart.states
     )
-    transitions = _transition_probabilities(chart)
+    transitions = _transition_probabilities(chart.name, _outgoing(chart))
     return WorkflowDefinition(
         name=chart.name,
         states=states,
@@ -112,22 +112,35 @@ def _translate_state(
             for region in state.regions
         )
         return WorkflowState(name=state.name, subworkflows=children)
-    if state.activity is not None:
+    return _leaf_state(
+        state.name, state.activity, state.mean_duration, registry,
+        default_routing_duration,
+    )
+
+
+def _leaf_state(
+    name: str,
+    activity: str | None,
+    mean_duration: float | None,
+    registry: ActivityRegistry,
+    default_routing_duration: float,
+) -> WorkflowState:
+    """An activity state, or a routing state with a default duration."""
+    if activity is not None:
         return WorkflowState(
-            name=state.name,
-            activity=registry.get(state.activity),
-            mean_duration=state.mean_duration,
+            name=name,
+            activity=registry.get(activity),
+            mean_duration=mean_duration,
         )
     duration = (
-        state.mean_duration
-        if state.mean_duration is not None
+        mean_duration if mean_duration is not None
         else default_routing_duration
     )
-    return WorkflowState(name=state.name, mean_duration=duration)
+    return WorkflowState(name=name, mean_duration=duration)
 
 
 def _transition_probabilities(
-    chart: StateChart,
+    chart_name: str, outgoing: Outgoing
 ) -> dict[tuple[str, str], float]:
     """Collect annotated branching probabilities per transition.
 
@@ -136,31 +149,22 @@ def _transition_probabilities(
     probabilities summed.
     """
     result: dict[tuple[str, str], float] = {}
-    for state_name in chart.state_names:
-        outgoing = chart.outgoing(state_name)
-        if not outgoing:
+    for state_name, edges in outgoing.items():
+        if not edges:
             continue
-        if len(outgoing) == 1 and outgoing[0].probability is None:
+        if len(edges) == 1 and edges[0][1] is None:
             probabilities = [1.0]
         else:
-            missing = [
-                transition
-                for transition in outgoing
-                if transition.probability is None
-            ]
-            if missing:
+            probabilities = [probability for _, probability in edges]
+            if None in probabilities:
                 raise ValidationError(
-                    f"chart {chart.name}: state {state_name} branches "
+                    f"chart {chart_name}: state {state_name} branches "
                     "without probability annotations; annotate every "
                     "outgoing transition (designer estimate or calibrated "
                     "from audit trails)"
                 )
-            probabilities = [
-                transition.probability  # type: ignore[misc]
-                for transition in outgoing
-            ]
-        for transition, probability in zip(outgoing, probabilities):
-            key = (transition.source, transition.target)
+        for (target, _), probability in zip(edges, probabilities):
+            key = (state_name, target)
             result[key] = result.get(key, 0.0) + probability
     return result
 

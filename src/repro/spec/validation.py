@@ -20,11 +20,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 from repro.exceptions import ValidationError
 from repro.spec.events import SetCondition
 from repro.spec.statechart import StateChart
+
+#: One chart's transitions grouped by source: every state name, in chart
+#: order, maps to its outgoing ``(target, probability)`` pairs in
+#: transition order (a final state maps to an empty sequence).
+Outgoing = Mapping[str, Sequence[tuple[str, float | None]]]
 
 
 class IssueLevel(enum.Enum):
@@ -60,17 +65,22 @@ def ensure_valid(chart: StateChart) -> None:
 
     The guard-variable scan only produces warnings, so it is skipped.
     """
-    _ensure_charts_valid(chart.walk_charts())
-
-
-def _ensure_charts_valid(charts: Iterable[StateChart]) -> None:
-    """Raise on the errors of ``charts``, each without its regions."""
-    errors = [
+    _raise_errors(
         issue
-        for chart in charts
-        for issue in _validate_single_chart(chart)
-        if issue.level is IssueLevel.ERROR
-    ]
+        for sub_chart in chart.walk_charts()
+        for issue in _validate_single_chart(sub_chart)
+    )
+
+
+def _ensure_structure_valid(
+    name: str, initial_state: str, outgoing: Outgoing
+) -> None:
+    """Raise on the errors of one chart's structure (regions excluded)."""
+    _raise_errors(_validate_structure(name, initial_state, outgoing))
+
+
+def _raise_errors(issues: Iterable[ChartIssue]) -> None:
+    errors = [issue for issue in issues if issue.level is IssueLevel.ERROR]
     if errors:
         raise ValidationError(
             "invalid state chart:\n"
@@ -78,48 +88,79 @@ def _ensure_charts_valid(charts: Iterable[StateChart]) -> None:
         )
 
 
-def _error(chart: StateChart, message: str) -> ChartIssue:
-    return ChartIssue(IssueLevel.ERROR, chart.name, message)
+def _outgoing(chart: StateChart) -> Outgoing:
+    """The chart's transitions as an :data:`Outgoing` mapping."""
+    return {
+        name: [
+            (transition.target, transition.probability)
+            for transition in chart.outgoing(name)
+        ]
+        for name in chart.state_names
+    }
+
+
+def _error(chart_name: str, message: str) -> ChartIssue:
+    return ChartIssue(IssueLevel.ERROR, chart_name, message)
 
 
 def _validate_single_chart(chart: StateChart) -> list[ChartIssue]:
+    return _validate_structure(
+        chart.name, chart.initial_state, _outgoing(chart)
+    )
+
+
+def _validate_structure(
+    name: str, initial_state: str, outgoing: Outgoing
+) -> list[ChartIssue]:
+    """The structural findings for one chart, in a fixed order.
+
+    Hand-built charts reach this through :func:`_validate_single_chart`;
+    spec lowering calls it on the transitions it wired, without a chart.
+    """
     issues: list[ChartIssue] = []
 
-    finals = chart.final_states
+    finals = [state for state, edges in outgoing.items() if not edges]
     if len(finals) == 0:
         issues.append(_error(
-            chart, "no final state (every state has outgoing transitions)"
+            name, "no final state (every state has outgoing transitions)"
         ))
     elif len(finals) > 1:
         issues.append(_error(
-            chart,
-            f"multiple final states {list(finals)}; connect them to a "
+            name,
+            f"multiple final states {finals}; connect them to a "
             "single termination state",
         ))
 
-    issues.extend(_validate_reachability(chart, finals))
-    issues.extend(_validate_probabilities(chart))
+    issues.extend(_validate_reachability(name, initial_state, outgoing, finals))
+    issues.extend(_validate_probabilities(name, outgoing))
     return issues
 
 
 def _validate_reachability(
-    chart: StateChart, finals: tuple[str, ...]
+    name: str, initial_state: str, outgoing: Outgoing, finals: list[str]
 ) -> list[ChartIssue]:
     issues: list[ChartIssue] = []
-    forward = _reachable_from(chart, chart.initial_state, reverse=False)
-    unreachable = set(chart.state_names) - forward
+    successors = {
+        state: [target for target, _ in edges]
+        for state, edges in outgoing.items()
+    }
+    forward = _reachable_from(initial_state, successors)
+    unreachable = set(outgoing) - forward
     if unreachable:
         issues.append(_error(
-            chart,
+            name,
             f"states unreachable from the initial state: "
             f"{sorted(unreachable)}",
         ))
     if len(finals) == 1:
-        backward = _reachable_from(chart, finals[0], reverse=True)
-        trapped = forward - backward
+        predecessors: dict[str, list[str]] = {state: [] for state in outgoing}
+        for state, targets in successors.items():
+            for target in targets:
+                predecessors[target].append(state)
+        trapped = forward - _reachable_from(finals[0], predecessors)
         if trapped:
             issues.append(_error(
-                chart,
+                name,
                 f"states from which the final state is unreachable "
                 f"(workflow may never terminate): {sorted(trapped)}",
             ))
@@ -127,62 +168,50 @@ def _validate_reachability(
 
 
 def _reachable_from(
-    chart: StateChart, start: str, reverse: bool
+    start: str, adjacency: Mapping[str, list[str]]
 ) -> set[str]:
-    adjacency: dict[str, set[str]] = {name: set() for name in chart.state_names}
-    for transition in chart.transitions:
-        if reverse:
-            adjacency[transition.target].add(transition.source)
-        else:
-            adjacency[transition.source].add(transition.target)
     seen = {start}
     frontier = [start]
     while frontier:
-        node = frontier.pop()
-        for neighbour in adjacency[node]:
+        for neighbour in adjacency[frontier.pop()]:
             if neighbour not in seen:
                 seen.add(neighbour)
                 frontier.append(neighbour)
     return seen
 
 
-def _validate_probabilities(chart: StateChart) -> list[ChartIssue]:
+def _validate_probabilities(
+    name: str, outgoing: Outgoing
+) -> list[ChartIssue]:
     issues: list[ChartIssue] = []
-    for state_name in chart.state_names:
-        outgoing = chart.outgoing(state_name)
-        if not outgoing:
+    for state_name, edges in outgoing.items():
+        if not edges:
             continue
         annotated = [
-            transition
-            for transition in outgoing
-            if transition.probability is not None
+            probability for _, probability in edges if probability is not None
         ]
         if not annotated:
-            if len(outgoing) > 1:
+            if len(edges) > 1:
                 issues.append(
                     ChartIssue(
                         IssueLevel.WARNING,
-                        chart.name,
+                        name,
                         f"state {state_name} branches without probability "
                         "annotations; the stochastic translation needs them",
                     )
                 )
             continue
-        if len(annotated) != len(outgoing):
+        if len(annotated) != len(edges):
             issues.append(_error(
-                chart,
+                name,
                 f"state {state_name}: only some outgoing transitions "
                 "carry probability annotations",
             ))
             continue
-        total = sum(
-            transition.probability
-            for transition in annotated
-            if transition.probability is not None
-        )
+        total = sum(annotated)
         if abs(total - 1.0) > 1e-9:
             issues.append(_error(
-                chart,
+                name,
                 f"state {state_name}: outgoing probabilities sum to "
                 f"{total}, expected 1",
             ))

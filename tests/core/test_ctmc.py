@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.core import linalg
 from repro.core.ctmc import (
     AbsorbingCTMC,
     ErgodicCTMC,
     remove_self_loops,
 )
+from repro.core.dtmc import AbsorbingDTMC
+from repro.core.workflow_model import build_workflow_ctmc
 from repro.exceptions import ModelError, ValidationError
+from repro.workflows import order_processing_workflow
+from repro.workflows.common import standard_server_types
 
 
 def linear_chain(residences=(2.0, 3.0)) -> AbsorbingCTMC:
@@ -34,6 +39,51 @@ def loop_chain(retry_probability=0.3, residences=(2.0, 3.0, 0.5)):
     )
     h = np.array(list(residences) + [np.inf])
     return AbsorbingCTMC(p, h)
+
+
+class TestChainValidation:
+    """A workflow chain validates its jump matrix once, and still fully.
+
+    ``AbsorbingCTMC`` hands the matrix it validated to its embedded
+    ``AbsorbingDTMC`` instead of having it checked a second time; an
+    ``AbsorbingDTMC`` built directly still validates its own matrix.
+    """
+
+    def test_workflow_chain_validates_its_matrix_once(self, monkeypatch):
+        calls = []
+        validate = linalg.validate_stochastic_matrix
+
+        def counting(p, name="matrix"):
+            calls.append(name)
+            return validate(p, name)
+
+        monkeypatch.setattr(linalg, "validate_stochastic_matrix", counting)
+        workflow = build_workflow_ctmc(
+            order_processing_workflow(), standard_server_types()
+        )
+        assert calls == ["jump probability matrix"]
+        assert workflow.chain.embedded_chain.transition_matrix is (
+            workflow.chain.jump_probabilities
+        )
+        calls.clear()
+        AbsorbingDTMC(np.array([[0.0, 1.0], [0.0, 1.0]]))
+        assert calls == ["transition matrix"]
+
+    @pytest.mark.parametrize(
+        ("row", "message"),
+        [
+            ([0.0, np.nan, 1.0], "must lie in"),
+            ([0.0, -0.1, 1.1], "must lie in"),
+            ([0.0, 0.5, 0.4], "rows must sum to one"),
+        ],
+        ids=["nan", "negative", "sums-to-0.9"],
+    )
+    def test_bad_jump_matrix_is_rejected(self, row, message):
+        p = np.array([row, [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValidationError, match=message):
+            AbsorbingCTMC(p, np.array([1.0, 2.0, np.inf]))
+        with pytest.raises(ValidationError, match=message):
+            AbsorbingDTMC(p)
 
 
 class TestConstruction:

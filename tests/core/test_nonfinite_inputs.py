@@ -10,6 +10,7 @@ to pass validation.
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -86,6 +87,24 @@ class TestServerTypeSpec:
     def test_infinity_is_rejected_where_finite(self, field):
         with pytest.raises(ValidationError):
             ServerTypeSpec("db", **{"mean_service_time": 0.5, field: INF})
+
+    def test_largest_mean_with_a_finite_square_is_accepted(self):
+        largest = math.sqrt(sys.float_info.max)
+        spec = ServerTypeSpec("db", largest)
+        assert spec.mean_service_time == largest
+        assert spec.second_moment_service_time == INF  # 2 * largest**2
+
+    @pytest.mark.parametrize(
+        "mean",
+        [math.nextafter(math.sqrt(sys.float_info.max), INF), 1e160, 10**200],
+        ids=["next-float", "1e160", "int"],
+    )
+    def test_mean_whose_square_overflows_is_rejected(self, mean):
+        # Finite, but squaring it with ** used to raise OverflowError.
+        with pytest.raises(ValidationError, match="square must be finite"):
+            ServerTypeSpec("db", mean)
+        with pytest.raises(ValidationError, match="square must be finite"):
+            ServerTypeSpec("db", mean, second_moment_service_time=INF)
 
     def test_infinite_repair_rate_and_second_moment_stay_allowed(self):
         spec = ServerTypeSpec(

@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) on the core invariants."""
 
 import functools
-import math
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from repro.core.configuration import (
     exhaustive_configuration,
 )
 from repro.core.ctmc import AbsorbingCTMC
-from repro.core.dtmc import AbsorbingDTMC
 from repro.core.goals import GoalEvaluator, PerformabilityGoals
 from repro.core.model_types import ServerTypeIndex, ServerTypeSpec
 from repro.core.performability import DegradedStatePolicy

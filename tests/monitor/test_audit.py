@@ -196,15 +196,45 @@ class TestTypedChecks:
 
     @pytest.mark.parametrize("record_type", list(VALID_ROWS))
     def test_widest_span_of_the_largest_float_is_accepted(self, record_type):
+        # A request's started_at sits at its end: its waiting time spans
+        # the largest float, and its service time, which is squared, is 0.
         half = sys.float_info.max / 2.0
         row = VALID_ROWS[record_type]
         position = TIMES[record_type]
         row = replaced(row, position[0], -half)
-        for index in position[1:-1]:
-            row = replaced(row, index, 0.0)
-        row = replaced(row, position[-1], half)
+        for index in position[1:]:
+            row = replaced(row, index, half)
         record_type.check_row(row)
         assert record_type(*row).row == row
+
+    def test_largest_service_time_with_a_finite_square_is_accepted(self):
+        largest = math.sqrt(sys.float_info.max)
+        assert largest * largest <= sys.float_info.max
+        row = ("srv", "srv#0", 0.0, 0.0, largest, 7)
+        ServiceRequestRecord.check_row(row)
+        assert ServiceRequestRecord(*row).service_time == largest
+
+    @pytest.mark.parametrize(
+        "service_time",
+        [math.nextafter(math.sqrt(sys.float_info.max), math.inf), 1e160,
+         np.float64(1e160), 10**200],
+        ids=["next-float", "1e160", "numpy", "int"],
+    )
+    def test_service_time_whose_square_overflows_is_rejected(
+        self, service_time
+    ):
+        # Finite and within the span bound, but the calibrated second
+        # moment squares it: it used to raise OverflowError in every
+        # later calibration of the tenant.
+        row = ("srv", "srv#0", 0, 0, service_time, 7)
+        with pytest.raises(ValidationError) as caught:
+            ServiceRequestRecord.check_row(row, 9)
+        assert str(caught.value).startswith(
+            "line 9: malformed service_request record: "
+            "(completed_at - started_at)**2 must be a finite number, got "
+        )
+        with pytest.raises(ValidationError, match="must be a finite number"):
+            ServiceRequestRecord(*row)
 
     @pytest.mark.parametrize("record_type", list(VALID_ROWS))
     def test_row_is_the_fields_in_order(self, record_type):

@@ -1,5 +1,8 @@
 """Tests for parameter calibration from audit trails (Section 7.1)."""
 
+import math
+import sys
+
 import pytest
 
 from repro.core.model_types import ActivitySpec, ServerTypeIndex, ServerTypeSpec
@@ -13,6 +16,7 @@ from repro.monitor.audit import (
     StateVisitRecord,
 )
 from repro.monitor.calibration import (
+    ServiceTimeEstimate,
     calibrate_flat_workflow,
     calibrate_server_type,
     estimate_arrival_rate,
@@ -133,6 +137,20 @@ class TestServiceTimes:
         assert updated.second_moment_service_time >= (
             updated.mean_service_time**2
         )
+
+    def test_mean_whose_square_overflows_is_rejected(self):
+        # The floor squares the mean; past sqrt(max float) that used to
+        # raise OverflowError instead of a ValidationError.
+        spec = ServerTypeSpec("srv", 1.0)
+        largest = math.sqrt(sys.float_info.max)
+        accepted = ServiceTimeEstimate("srv", 1, largest, 0.0, 0.0)
+        assert calibrate_server_type(spec, accepted).mean_service_time == (
+            largest
+        )
+        for mean in (math.nextafter(largest, math.inf), 1e160):
+            estimate = ServiceTimeEstimate("srv", 1, mean, mean, 0.0)
+            with pytest.raises(ValidationError, match="square must be finite"):
+                calibrate_server_type(spec, estimate)
 
 
 class TestRequestsPerInstance:

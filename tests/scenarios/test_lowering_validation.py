@@ -1,11 +1,15 @@
 """Lowering validates every chart once, with unchanged error messages.
 
-The five invalid specs put one structural error at the top level or
-inside a nested region; each public lowering entry point must raise the
-same ``ValidationError`` text for them.  The texts were recorded when
+The first six invalid specs put one structural error at the top level
+or inside a nested region; each public lowering entry point must raise
+the same ``ValidationError`` text for them.  The texts were recorded when
 lowering still validated each chart about three times over (once per
 enclosing ``ensure_valid``), so they pin that validating each chart once
-reports exactly what the repeated validation did.
+reports exactly what the repeated validation did.  The last two are
+structurally valid charts that only the translation to a definition
+rejects (an unannotated branch, an unknown activity): the definition
+lowerings must raise what ``translate_chart`` raises on the lowered
+chart, which needs neither annotations nor a registry itself.
 """
 
 import pytest
@@ -27,9 +31,11 @@ from repro.scenarios import (
     spec_to_chart,
     spec_to_definition,
     spec_to_project,
+    spec_to_registry,
     subworkflow,
 )
 from repro.spec import validation
+from repro.spec.translator import translate_chart
 from repro.workflows.common import automated_activity, standard_server_types
 
 _ACTIVITIES = tuple(
@@ -116,7 +122,40 @@ INVALID = {
         "  [error] Inner: states from which the final state is "
         "unreachable (workflow may never terminate): ['A', 'B']",
     ),
+    "underflowed_probability": (
+        # A's exit through both 1e-200 arms carries 1e-200 * 1e-200 = 0.
+        _spec("Tiny", sequence(
+            activity("A"),
+            branch(arm(probability=1e-200),
+                   arm(block=activity("B"), probability=1.0)),
+            branch(arm(block=activity("C"), probability=1e-200),
+                   arm(block=activity("D"), probability=1.0)),
+            routing("End", 0.5),
+        )),
+        "transition A->C: probability 0.0 must lie in (0, 1]",
+    ),
+    "unannotated_branch": (
+        _spec("Unannotated", sequence(
+            activity("A"),
+            branch(arm(block=activity("B")), arm(block=activity("C"))),
+            routing("End", 0.5),
+        )),
+        "chart Unannotated: state A branches without probability "
+        "annotations; annotate every outgoing transition (designer "
+        "estimate or calibrated from audit trails)",
+    ),
+    "region_unknown_activity": (
+        _spec("Unknown", _nested("Inner", sequence(
+            activity("A"), activity("F", "Missing"),
+            routing("InnerEnd", 0.5),
+        ))),
+        "unknown activity 'Missing'; registered: "
+        "['A', 'B', 'C', 'D', 'E']",
+    ),
 }
+
+#: The cases whose chart is valid; only its translation raises.
+TRANSLATION_ERRORS = {"unannotated_branch", "region_unknown_activity"}
 
 LOWERINGS = {
     "spec_to_chart": spec_to_chart,
@@ -129,8 +168,15 @@ LOWERINGS = {
 @pytest.mark.parametrize("case", sorted(INVALID))
 def test_lowering_error_text_is_unchanged(case, lowering):
     spec, message = INVALID[case]
+    lower = LOWERINGS[lowering]
+    if lowering == "spec_to_chart" and case in TRANSLATION_ERRORS:
+        chart = spec_to_chart(spec)
+
+        def lower(spec):
+            return translate_chart(chart, spec_to_registry(spec))
+
     with pytest.raises(ValidationError) as raised:
-        LOWERINGS[lowering](spec)
+        lower(spec)
     assert str(raised.value) == message
 
 
@@ -142,13 +188,13 @@ def test_each_chart_is_validated_once(monkeypatch):
         for spec in specs
     )
     checked = []
-    single_chart = validation._validate_single_chart
+    structure = validation._validate_structure
 
-    def counting(chart):
-        checked.append(chart.name)
-        return single_chart(chart)
+    def counting(name, initial_state, outgoing):
+        checked.append(name)
+        return structure(name, initial_state, outgoing)
 
-    monkeypatch.setattr(validation, "_validate_single_chart", counting)
+    monkeypatch.setattr(validation, "_validate_structure", counting)
     for spec in specs:
         spec_to_project([spec])
     assert charts == 219

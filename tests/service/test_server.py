@@ -112,9 +112,10 @@ class TestEndpoints:
 class TestIllTypedLines:
     """Ill-typed lines are rejected one by one and never reach a tenant.
 
-    An ``Infinity`` timestamp, or finite timestamps too far apart for
-    their difference, used to be ingested and fail every later search
-    of the tenant; string timestamps failed the whole POST with a 500.
+    An ``Infinity`` timestamp, finite timestamps too far apart for
+    their difference, or a service time whose square overflows used to
+    be ingested and fail every later search of the tenant; string
+    timestamps failed the whole POST with a 500.
     """
 
     @staticmethod
@@ -129,6 +130,8 @@ class TestIllTypedLines:
             json.dumps({**request, "completed_at": math.inf}),
             json.dumps({**request, "submitted_at": "a", "started_at": "b",
                         "completed_at": "c"}),
+            json.dumps({**request, "submitted_at": 0.0, "started_at": 0.0,
+                        "completed_at": 1e160}),
             json.dumps({**visit, "left_at": math.nan}),
             json.dumps({**request, "submitted_at": -1.7e308,
                         "started_at": -1.7e308, "completed_at": 1.7e308}),
@@ -141,17 +144,17 @@ class TestIllTypedLines:
         lines = trail_lines.splitlines()
         hostile = self._hostile(lines)
         body = [*lines]
-        # Lines 1, 101, 401 and 601, and the last line (745 + 5).
-        for position, line in zip((0, 100, 400, 600, 749), hostile):
+        # Lines 1, 101, 201, 401 and 601, and the last line (745 + 6).
+        for position, line in zip((0, 100, 200, 400, 600, 750), hostile):
             body.insert(position, line.encode())
         status, summary = _post(
             f"{service.url}/events", b"\n".join(body) + b"\n"
         )
         assert status == 200, summary
         assert summary["ingested"] == 745
-        assert summary["rejected"] == 5
+        assert summary["rejected"] == 6
         assert [r["line"] for r in summary["rejections"]] == [
-            1, 101, 401, 601, 750,
+            1, 101, 201, 401, 601, 751,
         ]
         assert all("malformed" in r["error"] for r in summary["rejections"])
 

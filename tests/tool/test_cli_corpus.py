@@ -5,7 +5,12 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.scenarios import generate_spec, save_spec
+from repro.scenarios import (
+    bundled_scenarios,
+    generate_spec,
+    save_spec,
+    spec_to_dict,
+)
 
 
 @pytest.fixture
@@ -170,6 +175,24 @@ class TestStudyInputs:
         assert status == 2
         assert f"error: spec file not found: {absent}" in (
             capsys.readouterr().err
+        )
+
+    def test_service_time_whose_square_overflows(self, tmp_path, capsys):
+        # A finite mean past sqrt(max float) used to end in a traceback
+        # (OverflowError, exit 1) when its square was taken.
+        document = spec_to_dict(bundled_scenarios()[0].spec())
+        document["server_types"][0]["mean_service_time"] = 1e160
+        path = tmp_path / "huge.spec.json"
+        path.write_text(json.dumps(document))
+        status = main([
+            "recommend", "--spec", str(path), "--max-waiting", "5",
+            "--max-unavailability", "1e-4",
+        ])
+        assert status == 2
+        name = document["server_types"][0]["name"]
+        assert capsys.readouterr().err == (
+            f"error: {name}: mean service time 1e+160 is too large: its "
+            "square must be finite\n"
         )
 
     def test_invalid_json_spec_file(self, tmp_path, capsys):
