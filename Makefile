@@ -2,7 +2,7 @@
 
 .PHONY: install test docstrings bench bench-search \
 	bench-frontier campaign bench-campaign bench-corpus bench-sim \
-	bench-sim-quick bench-monitor bench-service monitor-smoke \
+	bench-sim-quick bench-monitor monitor-smoke \
 	serve-smoke examples all
 
 install:
@@ -46,9 +46,6 @@ bench-sim-quick:
 
 bench-monitor:
 	PYTHONPATH=src python benchmarks/bench_monitor.py --check
-
-bench-service:
-	PYTHONPATH=src python benchmarks/bench_service.py --check
 
 monitor-smoke:
 	PYTHONPATH=src python tools/monitor_smoke.py

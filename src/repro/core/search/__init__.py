@@ -17,10 +17,6 @@ The public convenience wrappers (``greedy_configuration`` etc.) live in
 :mod:`repro.core.configuration` for API compatibility.
 """
 
-from repro.core.search.background import (
-    BackgroundSearchExecutor,
-    SearchOutcome,
-)
 from repro.core.search.candidates import (
     configurations_by_cost,
     initial_configuration,
@@ -50,7 +46,6 @@ from repro.core.search.types import (
 )
 
 __all__ = [
-    "BackgroundSearchExecutor",
     "BranchAndBoundStrategy",
     "Candidate",
     "ConfigurationRecommendation",
@@ -63,7 +58,6 @@ __all__ = [
     "ParetoFrontier",
     "ReplicationConstraints",
     "SearchEngine",
-    "SearchOutcome",
     "SearchStep",
     "SearchStrategy",
     "SimulatedAnnealingStrategy",

@@ -60,6 +60,7 @@ class SearchCancelledError(ReproError):
 
     Raised by :class:`~repro.core.search.SearchEngine` when its
     ``stop_check`` reports true — the always-on recommendation service
-    uses this to abandon an in-flight re-search the moment newer
-    confirmed drift supersedes the calibration it was searching against.
+    uses this to abandon a running re-search the moment a newer
+    submission for the same tenant supersedes the calibration it was
+    searching against.
     """

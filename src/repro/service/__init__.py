@@ -13,7 +13,9 @@ search (:mod:`repro.core.search`) — into a long-running HTTP service:
   format for graceful shutdown / warm restart;
 * :mod:`repro.service.server` — the stdlib-asyncio HTTP server
   (``POST /events``, ``GET /recommendation``, ``GET /status``, plus
-  the ``/metrics``/``/health``/``/report`` observability endpoints).
+  the ``/metrics``/``/health``/``/report`` observability endpoints);
+* :mod:`repro.service.worker` — the one search thread behind it, fed
+  by one pending slot per tenant (the newest submission wins).
 
 The CLI front door is ``repro serve`` (see ``docs/OPERATIONS.md`` for
 the runbook and ``docs/CLI.md`` for every flag).

@@ -16,8 +16,9 @@ Because the streaming calibrator is bitwise-equal to batch replay on
 the same record sequence (the PR 6 contract) and this module is the
 single implementation of everything downstream — model overlay, total
 request rates, search, document rendering — the two paths produce
-**byte-identical** documents.  ``benchmarks/bench_service.py`` gates
-exactly that.
+**byte-identical** documents.  The benchmark harness gates exactly
+that (``python -m bench --check``: ``served_equals_batch`` and
+``sample_trail_equals_batch``).
 
 The calibrated model overlays measured quantities on a *baseline
 project* (the prior landscape): per-type service-time moments replace

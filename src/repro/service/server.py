@@ -3,8 +3,8 @@
 :class:`RecommendationService` closes the paper's §7 loop as a
 long-running process: audit-trail events stream in over HTTP, the
 per-tenant calibration state updates incrementally, confirmed drift
-triggers a background re-search (superseding any still-running one),
-and the freshest recommendation is always one ``GET`` away.
+queues a re-search (the tenant's newest submission wins), and the
+freshest recommendation is always one ``GET`` away.
 
 Endpoints
 ---------
@@ -36,20 +36,22 @@ Threading model
 ---------------
 The asyncio loop runs on a dedicated daemon thread behind a blocking
 :meth:`start`/:meth:`stop` facade (mirroring ``MetricsServer``).  All
-tenant state is touched only on the loop thread; background searches
-run on :class:`~repro.core.search.BackgroundSearchExecutor` worker
-threads, one per submitted search, against a *snapshot* of the
-calibrator (restored privately), so a search never races ingestion.
-``POST /events`` takes that snapshot but submits the search only after
-its reply is written: a search thread keeps the GIL for its whole run,
-so submitting inside the handler would hold the reply back until the
-search ends.  ``POST /events`` and plain reads take no lock; a
-background search and a ``refresh=1`` read hold the tenant's lock for
-their whole search, which serializes cache access between them.
-Results are published back onto the loop thread and only if their
-generation is still current.  :meth:`stop` shuts the executor down
-before it stops the loop, so a submission still queued then is
-dropped.
+tenant state is touched only on the loop thread.  Re-searches run on
+the one thread of a :class:`~repro.service.worker.SearchWorker`, one
+pending slot per tenant: a newer submission overwrites its tenant's
+slot and cancels that tenant's running search, and the searches of
+different tenants run one after another.  Each search runs against a
+*snapshot* of the calibrator taken by its POST (restored privately),
+so a search never races ingestion.  ``POST /events`` hands the
+submission over only after its reply is written: a search thread
+keeps the GIL for its whole run, so submitting inside the handler
+would hold the reply back until the search ends.  ``POST /events`` and
+plain reads take no lock; the worker holds its one lock for each
+search, and a ``refresh=1`` read takes the same lock, which serializes
+cache access between them.  Results are published back onto the loop
+thread and only if their generation is still the tenant's newest.
+:meth:`stop` stops the worker before it stops the loop, so pending
+slots and a submission still queued then are dropped.
 """
 
 from __future__ import annotations
@@ -61,10 +63,6 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro import obs
 from repro.core.goals import PerformabilityGoals
-from repro.core.search.background import (
-    BackgroundSearchExecutor,
-    SearchOutcome,
-)
 from repro.exceptions import ReproError, ValidationError
 from repro.io import Project
 from repro.monitor.drift import DriftEvent
@@ -82,6 +80,7 @@ from repro.service.pipeline import (
     render_document,
 )
 from repro.service.state import DEFAULT_TENANT, ServiceState, TenantState
+from repro.service.worker import SearchWorker
 
 #: Every metric family the service exports, as ``(name, kind, help)``.
 #: ``docs/OPERATIONS.md`` must reference each family by name —
@@ -100,16 +99,16 @@ SERVICE_METRICS: tuple[tuple[str, str, str], ...] = (
     ("service.drift.confirmations", "counter",
      "drift events confirmed across all tenants"),
     ("service.searches.started", "counter",
-     "background re-searches submitted"),
+     "re-searches submitted to the search worker"),
     ("service.searches.completed", "counter",
-     "background re-searches that published a document"),
+     "re-searches that published a document"),
     ("service.searches.superseded", "counter",
-     "re-searches cancelled or discarded because newer drift arrived"),
+     "re-searches replaced, cancelled or discarded before publishing"),
     ("service.searches.infeasible", "counter",
      "searches (background or refresh) with no goal-satisfying "
      "configuration"),
     ("service.searches.errors", "counter",
-     "background re-searches that raised"),
+     "re-searches that raised"),
     ("service.recommendations.published", "counter",
      "recommendation documents published (all tenants)"),
     ("service.recommendations.refreshed", "counter",
@@ -173,8 +172,10 @@ class RecommendationService:
         self._requested_port = port
         self._bound_port: int | None = None
         self.state = self._initial_state()
-        self.executor = BackgroundSearchExecutor()
-        self._search_locks: dict[str, threading.Lock] = {}
+        self.worker = SearchWorker()
+        #: Newest submission per tenant; read and written on the loop
+        #: thread only.
+        self._generations: dict[str, int] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop_future: asyncio.Future[None] | None = None
         self._server: asyncio.base_events.Server | None = None
@@ -289,13 +290,13 @@ class RecommendationService:
     def stop(self, snapshot: bool = True) -> None:
         """Drain searches, stop serving, optionally snapshot; idempotent.
 
-        Background searches are cancelled (cooperatively) and joined
-        before the snapshot is written, so the snapshot reflects the
-        final published state.
+        The worker drops its pending slots, cancels its running search
+        (cooperatively) and is joined before the snapshot is written, so
+        the snapshot reflects the final published state.
         """
         if self._thread is None:
             return
-        self.executor.shutdown(timeout=10.0)
+        self.worker.stop(timeout=10.0)
         loop = self._loop
         if loop is not None:
 
@@ -528,23 +529,22 @@ class RecommendationService:
         return status, _JSON, render_json_body(document), {}
 
     # ------------------------------------------------------------------
-    # Background re-search
+    # Re-search
     # ------------------------------------------------------------------
     def _maybe_schedule_search(
         self, tenant: TenantState, drift_confirmed: bool
     ) -> bool:
-        """Queue a background re-search when the published document
-        is missing, stale, built on drifted calibration, or
-        goal-violating.
+        """Queue a re-search when the published document is missing,
+        stale, built on drifted calibration, or goal-violating.
 
         The calibrator snapshot and its position are taken here, so the
         search covers exactly the records ingested up to this request;
         only the submission waits until the reply is written.  A
-        submission that finds the executor shut down is dropped.
-        Staleness (records ingested past the published calibration
-        position) counts: the loop must converge on the freshest
-        calibration, and each superseding submission carries the
-        *current* position, so a quiet tenant schedules nothing."""
+        submission that finds the worker stopped is dropped.  Staleness
+        (records ingested past the published calibration position)
+        counts: the loop must converge on the freshest calibration, and
+        each superseding submission carries the *current* position, so
+        a quiet tenant schedules nothing."""
         needs_search = (
             tenant.document is None
             or drift_confirmed
@@ -569,68 +569,38 @@ class RecommendationService:
         if records_seen == 0:
             return False
         name = tenant.name
-        lock = self._search_locks.setdefault(name, threading.Lock())
         cache = tenant.cache
+        generation = self._generations[name] = (
+            self._generations.get(name, 0) + 1
+        )
+        loop = asyncio.get_running_loop()
 
-        def task(stop_check: Callable[[], bool]) -> dict[str, Any]:
-            private = StreamingCalibrator.restore_state(state)
-            with lock:
-                return recommend_from_calibration(
-                    private,
-                    self.baseline,
-                    self.goals,
-                    self.settings,
-                    cache=cache,
-                    stop_check=stop_check,
-                )
+        def publish(document: dict[str, Any]) -> None:
+            if self._generations[name] != generation:
+                obs.count("service.searches.superseded")
+                return
+            self._publish_document(tenant, document, records_seen)
+            obs.count("service.searches.completed")
 
-        def on_outcome(outcome: SearchOutcome) -> None:
-            self._search_finished(name, records_seen, outcome)
-
-        def submit() -> None:
+        def job(stop_check: Callable[[], bool]) -> None:
+            document = recommend_from_calibration(
+                StreamingCalibrator.restore_state(state),
+                self.baseline,
+                self.goals,
+                self.settings,
+                cache=cache,
+                stop_check=stop_check,
+            )
             try:
-                self.executor.submit(name, task, on_outcome=on_outcome)
-            except ValidationError:
-                return  # stop() shut the executor down first
-            obs.count("service.searches.started")
+                loop.call_soon_threadsafe(publish, document)
+            except RuntimeError:
+                pass  # the loop closed while the search ran
 
         # Submit once this request's reply is written: the search thread
         # keeps the GIL for its whole run, so submitting here would hold
         # the reply back until the search ends.
-        asyncio.get_running_loop().call_soon(submit)
+        loop.call_soon(self.worker.submit, name, job)
         return True
-
-    def _search_finished(
-        self, tenant_name: str, records_seen: int, outcome: SearchOutcome
-    ) -> None:
-        """Worker-thread callback: publish onto the loop thread."""
-        if outcome.cancelled or not outcome.current:
-            obs.count("service.searches.superseded")
-            return
-        if outcome.error is not None:
-            obs.count("service.searches.errors")
-            obs.event(
-                "service.search.error",
-                tenant=tenant_name,
-                error=str(outcome.error),
-            )
-            return
-        loop = self._loop
-        if loop is None:
-            return
-
-        def publish() -> None:
-            tenant = self.state.tenant(tenant_name)
-            if self.executor.generation(tenant_name) != outcome.generation:
-                obs.count("service.searches.superseded")
-                return
-            self._publish_document(tenant, outcome.result, records_seen)
-            obs.count("service.searches.completed")
-
-        try:
-            loop.call_soon_threadsafe(publish)
-        except RuntimeError:
-            pass  # loop shut down while the search was finishing
 
     def _publish_document(
         self,
@@ -671,14 +641,11 @@ class RecommendationService:
             )
         if query.get("refresh") in ("1", "true", "yes"):
             records_seen = tenant.records_seen
-            lock = self._search_locks.setdefault(
-                tenant.name, threading.Lock()
-            )
-            # The lock serializes cache access against any in-flight
-            # background search for the same tenant (the search holds
-            # it for its whole run and releases it independently of
-            # this thread, so waiting here cannot deadlock).
-            with lock:
+            # The worker's lock serializes cache access against its
+            # running search (the worker holds it for each whole search
+            # and never waits on the loop thread, so waiting here cannot
+            # deadlock).
+            with self.worker.lock:
                 document = recommend_from_calibration(
                     tenant.calibrator,
                     self.baseline,
@@ -725,6 +692,6 @@ class RecommendationService:
                         self.state.tenants.items()
                     )
                 },
-                "searches_active": self.executor.active_count(),
+                "searches_active": self.worker.active(),
             }
         return 200, _JSON, render_json_body(document), {}

@@ -3,8 +3,9 @@
 The four public searches in :mod:`repro.core.configuration` are thin
 wrappers over :class:`repro.core.search.SearchEngine`; these tests pin
 the engine-level contracts the wrappers rely on: the lazy cost-ordered
-candidate enumeration, cross-algorithm agreement on the optimum, and
-the JSON form of a recommendation.  The order in which each strategy
+candidate enumeration, cross-algorithm agreement on the optimum,
+cancellation through ``stop_check``, and the JSON form of a
+recommendation.  The order in which each strategy
 consumes its candidates is pinned by ``test_search_goldens.py``.
 
 :class:`TestEnumerationOracle` checks the count-tuple enumeration
@@ -15,6 +16,7 @@ kept here as :func:`oracle_configurations_by_cost`.
 import heapq
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +40,7 @@ from repro.core.performance import (
 )
 from repro.core.search.candidates import configurations_by_cost
 from repro.core.workflow_model import WorkflowDefinition, WorkflowState
+from repro.exceptions import SearchCancelledError
 
 GOALS = PerformabilityGoals(max_waiting_time=0.2, max_unavailability=1e-5)
 
@@ -145,6 +148,26 @@ class TestCrossAlgorithmAgreement:
         )
         assert greedy.cost >= exhaustive.cost
         assert greedy.assessment.satisfied
+
+
+class TestStopCheck:
+    def test_search_engine_raises_when_stop_check_fires(self):
+        with pytest.raises(SearchCancelledError):
+            greedy_configuration(
+                make_evaluator(),
+                PerformabilityGoals(max_waiting_time=1.0),
+                ReplicationConstraints(max_total_servers=8),
+                stop_check=lambda: True,
+            )
+
+    def test_none_stop_check_is_the_default_path(self):
+        recommendation = greedy_configuration(
+            make_evaluator(),
+            PerformabilityGoals(max_waiting_time=1.0),
+            ReplicationConstraints(max_total_servers=8),
+            stop_check=None,
+        )
+        assert recommendation.assessment.satisfied
 
 
 class TestRecommendationDocument:

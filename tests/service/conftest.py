@@ -1,8 +1,9 @@
 """Shared fixtures for the recommendation-service tests.
 
 All service tests run against the bundled sample trail and the service
-baseline project, the same pair the ``bench_service.py`` gate and the
-CLI smoke tool use — one deterministic workload everywhere.
+baseline project, the same pair the benchmark harness's
+``sample_trail_equals_batch`` gate and the CLI smoke tool use — one
+deterministic workload everywhere.
 """
 
 from pathlib import Path

@@ -12,6 +12,7 @@ import urllib.request
 import pytest
 
 from repro import obs
+from repro.exceptions import SearchCancelledError
 from repro.monitor.audit import AuditTrail
 from repro.monitor.persistence import save_trail
 from repro.service import (
@@ -20,6 +21,7 @@ from repro.service import (
     batch_recommendation,
     render_document,
 )
+from repro.service import server as server_module
 from repro.service.server import MAX_BODY_BYTES
 
 from tests.monitor.test_drift import residence_shift_visits
@@ -56,22 +58,109 @@ def service(baseline, goals, tmp_path):
 
 
 def _wait_until_published(service, tenant="default", timeout=30.0):
-    """Wait for the background search pipeline to drain and publish."""
+    """Wait until ``/status`` shows the tenant's revision covering every
+    record and no search pending or running."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        service.executor.join(timeout=1.0)
-        status, _, body = _get(
-            f"{service.url}/status?tenant={tenant}"
-        )
-        meta = json.loads(body)
+        status, _, body = _get(f"{service.url}/status")
+        document = json.loads(body)
+        meta = document["tenants"].get(tenant)
         if (
-            meta["published"]
+            meta is not None
+            and meta["published"]
             and not meta["stale"]
-            and service.executor.active_count() == 0
+            and document["searches_active"] == 0
         ):
             return meta
-        time.sleep(0.05)
+        time.sleep(0.01)
     raise AssertionError("no recommendation published in time")
+
+
+def _wait_for_searches_active(service, count, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while True:
+        status, _, body = _get(f"{service.url}/status")
+        active = json.loads(body)["searches_active"]
+        if active == count:
+            return
+        assert time.monotonic() < deadline, f"searches_active {active}"
+        time.sleep(0.01)
+
+
+def _search_threads() -> int:
+    return sum(
+        thread.name.startswith("repro-search")
+        for thread in threading.enumerate()
+    )
+
+
+def _bodies(trail_lines: bytes, size: int) -> list[bytes]:
+    lines = trail_lines.splitlines(keepends=True)
+    return [
+        b"".join(lines[start:start + size])
+        for start in range(0, len(lines), size)
+    ]
+
+
+@pytest.fixture()
+def ordered_trail(trail_lines, tmp_path):
+    """The sample trail in completion order, so that every prefix holds
+    completed instances and each POST's search can publish."""
+
+    def end(line: bytes) -> float:
+        record = json.loads(line)
+        return record.get("left_at", record.get("completed_at"))
+
+    path = tmp_path / "ordered.jsonl"
+    path.write_bytes(b"".join(
+        sorted(trail_lines.splitlines(keepends=True), key=end)
+    ))
+    return path
+
+
+@pytest.fixture()
+def counters():
+    """Read ``service.searches.*`` counters, recorded for this test."""
+    obs.reset()
+    obs.enable()
+    yield lambda name: obs.registry().counter(
+        f"service.searches.{name}"
+    ).value
+    obs.disable()
+    obs.reset()
+
+
+class _Hold:
+    """Every search of the service waits at its start until released.
+
+    The search then polls its ``stop_check`` and raises
+    :class:`SearchCancelledError` if a newer submission or ``stop()``
+    cancelled it while it waited.  ``started`` lists the calibration
+    position of each search that began.
+    """
+
+    def __init__(self) -> None:
+        self.release = threading.Event()
+        self.entered = threading.Event()
+        self.started: list[int] = []
+
+
+@pytest.fixture()
+def held_searches(monkeypatch):
+    hold = _Hold()
+    search = server_module.recommend_from_calibration
+
+    def held(calibrator, *args, stop_check, **kwargs):
+        hold.started.append(calibrator.records_seen)
+        hold.entered.set()
+        assert hold.release.wait(timeout=30.0)
+        if stop_check():
+            raise SearchCancelledError("cancelled while held")
+        return search(calibrator, *args, stop_check=stop_check, **kwargs)
+
+    monkeypatch.setattr(server_module, "recommend_from_calibration", held)
+    yield hold
+    hold.release.set()
 
 
 class TestEndpoints:
@@ -369,13 +458,13 @@ def _gate_submissions(service) -> threading.Event:
     """Block the loop thread in every search submission until the
     returned event is set."""
     release = threading.Event()
-    submit = service.executor.submit
+    submit = service.worker.submit
 
     def gated_submit(*args, **kwargs):
         release.wait(timeout=30.0)
         return submit(*args, **kwargs)
 
-    service.executor.submit = gated_submit
+    service.worker.submit = gated_submit
     return release
 
 
@@ -414,14 +503,14 @@ class TestReplyBeforeSearch:
         )
         service.start()
         release = _gate_submissions(service)
-        shutdown = service.executor.shutdown
+        stop = service.worker.stop
 
-        def shutdown_then_release(*args, **kwargs):
-            done = shutdown(*args, **kwargs)
+        def stop_then_release(*args, **kwargs):
+            done = stop(*args, **kwargs)
             release.set()
             return done
 
-        service.executor.shutdown = shutdown_then_release
+        service.worker.stop = stop_then_release
         obs.reset()
         obs.enable()
         try:
@@ -446,6 +535,225 @@ class TestReplyBeforeSearch:
         tenant = ServiceState.load_snapshot(snapshot).tenants["default"]
         assert tenant.document is None
         assert tenant.records_seen == 745
+
+
+class TestOneSearchThread:
+    """At most one search thread runs, and a tenant's newest submission
+    wins: it overwrites the tenant's pending slot and cancels its
+    running search."""
+
+    def test_200_posts_over_50_tenants_run_one_search_thread(
+        self, service, held_searches, baseline, goals, trail_lines
+    ):
+        bodies = _bodies(trail_lines, 187)
+        assert len(bodies) == 4
+        tenants = [f"t{index}" for index in range(50)]
+        statuses, peaks = [], []
+
+        def client(mine: list[str]) -> None:
+            for body in bodies:
+                for tenant in mine:
+                    status, _ = _post(
+                        f"{service.url}/events?tenant={tenant}", body
+                    )
+                    statuses.append(status)
+                    peaks.append(_search_threads())
+
+        clients = [
+            threading.Thread(target=client, args=(tenants[first::8],))
+            for first in range(8)
+        ]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in clients)
+        assert statuses == [200] * 200
+        assert max(peaks) == 1
+        # One held search plus a slot per tenant, each holding the
+        # tenant's last POST.
+        _wait_for_searches_active(service, 51)
+        assert _search_threads() == 1
+        held_searches.release.set()
+        for tenant in tenants:
+            _wait_until_published(service, tenant)
+
+        assert _search_threads() <= 1
+        assert len(held_searches.started) == 51
+        batch = render_document(
+            batch_recommendation(str(TRAIL_PATH), baseline, goals)
+        )
+        for tenant in tenants:
+            status, _, served = _get(
+                f"{service.url}/recommendation?tenant={tenant}"
+            )
+            assert status == 200
+            assert served == batch
+
+    def test_newest_submission_wins_while_a_search_is_held(
+        self, service, held_searches, counters, baseline, goals,
+        trail_lines,
+    ):
+        lines = trail_lines.splitlines(keepends=True)
+        bodies = [b"".join(lines[:300]), b"".join(lines[300:600]),
+                  b"".join(lines[600:])]
+        status, _ = _post(f"{service.url}/events", bodies[0])
+        assert status == 200
+        assert held_searches.entered.wait(timeout=10.0)
+        for body in bodies[1:]:
+            status, summary = _post(f"{service.url}/events", body)
+            assert status == 200
+            assert summary["search_scheduled"] is True
+        # The held search plus one pending slot, which the last POST
+        # overwrote.
+        _wait_for_searches_active(service, 2)
+        held_searches.release.set()
+        meta = _wait_until_published(service)
+
+        assert held_searches.started == [300, 745]
+        assert meta["revision"] == 1
+        assert meta["records_at_publish"] == 745
+        assert counters("started") == 3
+        assert counters("superseded") == 2
+        assert counters("completed") == 1
+        status, _, served = _get(f"{service.url}/recommendation")
+        assert served == render_document(
+            batch_recommendation(str(TRAIL_PATH), baseline, goals)
+        )
+
+    def test_a_superseded_result_is_not_published(
+        self, service, counters, monkeypatch, baseline, goals, trail_lines
+    ):
+        """Publishing is gated by generation on the loop thread: a
+        search that ignores its cancellation still finishes, but its
+        document never becomes visible."""
+        release, entered = threading.Event(), threading.Event()
+        search = server_module.recommend_from_calibration
+
+        def stubborn(calibrator, *args, stop_check, **kwargs):
+            entered.set()
+            assert release.wait(timeout=30.0)
+            return search(calibrator, *args, **kwargs)
+
+        monkeypatch.setattr(
+            server_module, "recommend_from_calibration", stubborn
+        )
+        # The first 700 lines hold completed instances, so the first
+        # search finds a document to publish.
+        lines = trail_lines.splitlines(keepends=True)
+        _post(f"{service.url}/events", b"".join(lines[:700]))
+        assert entered.wait(timeout=10.0)
+        _post(f"{service.url}/events", b"".join(lines[700:]))
+        _wait_for_searches_active(service, 2)
+        release.set()
+        meta = _wait_until_published(service)
+
+        assert meta["revision"] == 1
+        assert meta["records_at_publish"] == 745
+        assert counters("superseded") == 1
+        assert counters("completed") == 1
+        status, _, served = _get(f"{service.url}/recommendation")
+        assert served == render_document(
+            batch_recommendation(str(TRAIL_PATH), baseline, goals)
+        )
+
+    def test_stop_drops_pending_slots_and_joins_the_thread(
+        self, service, held_searches, counters, trail_lines
+    ):
+        for tenant in ("a", "b", "c"):
+            _post(f"{service.url}/events?tenant={tenant}", trail_lines)
+            assert held_searches.entered.wait(timeout=10.0)
+        _wait_for_searches_active(service, 3)
+        joined = []
+        stopper = threading.Thread(
+            target=lambda: joined.append(service.worker.stop(timeout=10.0))
+        )
+        stopper.start()
+        deadline = time.monotonic() + 10.0
+        while service.worker.active() != 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        held_searches.release.set()
+        stopper.join(timeout=15.0)
+
+        assert not stopper.is_alive()
+        assert joined == [True]
+        assert _search_threads() == 0
+        assert service.worker.active() == 0
+        assert held_searches.started == [745]
+        assert counters("started") == 3
+        assert counters("superseded") == 3
+        assert counters("completed") == 0
+        assert service.worker.submit("a", lambda stop_check: None) is False
+        service.stop(snapshot=False)
+        assert not service.running
+
+
+class TestSearchCounters:
+    """Once the service is drained, every submission is accounted for:
+    started == completed + superseded + errors."""
+
+    def test_sequential_replay_supersedes_nothing(
+        self, service, counters, ordered_trail
+    ):
+        bodies = _bodies(ordered_trail.read_bytes(), 150)
+        for body in bodies:
+            status, summary = _post(f"{service.url}/events", body)
+            assert status == 200 and summary["search_scheduled"]
+            _wait_until_published(service)
+        assert counters("started") == len(bodies) == 5
+        assert counters("completed") == 5
+        assert counters("superseded") == 0
+        assert counters("errors") == 0
+        # Searches are counted by the service.searches family alone; the
+        # only other search.* counters are the frontier sweep's.
+        assert [
+            name for name in obs.registry().metrics()
+            if name.startswith("search.")
+            and not name.startswith("search.frontier.")
+        ] == []
+
+    def test_burst_across_tenants_accounts_for_every_search(
+        self, service, counters, baseline, goals, ordered_trail
+    ):
+        bodies = _bodies(ordered_trail.read_bytes(), 150)
+        tenants = [f"burst{index}" for index in range(8)]
+        statuses = []
+
+        def feed(tenant: str) -> None:
+            for body in bodies:
+                statuses.append(
+                    _post(f"{service.url}/events?tenant={tenant}", body)[0]
+                )
+
+        threads = [
+            threading.Thread(target=feed, args=(tenant,))
+            for tenant in tenants
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        for tenant in tenants:
+            _wait_until_published(service, tenant)
+
+        assert statuses == [200] * 40
+        started, completed, superseded, errors = (
+            counters(name)
+            for name in ("started", "completed", "superseded", "errors")
+        )
+        assert started == 40
+        assert errors == 0
+        assert completed >= len(tenants)
+        assert started == completed + superseded + errors
+        batch = render_document(
+            batch_recommendation(str(ordered_trail), baseline, goals)
+        )
+        for tenant in tenants:
+            assert _get(
+                f"{service.url}/recommendation?tenant={tenant}"
+            )[2] == batch
 
 
 class TestSnapshotLifecycle:

@@ -18,9 +18,13 @@ operator deploys it — as a subprocess of the CLI:
    asserts exactly those four lines are rejected (by line number) and
    that the tenant then publishes a revision covering every ingested
    record;
-6. sends SIGTERM and asserts a clean exit that wrote the snapshot,
+6. posts the sample trail to eight fresh tenants back to back and
+   asserts that each then publishes a revision covering its 745
+   records with the bytes tenant ``default`` serves, and that
+   ``/status`` ends with ``searches_active: 0``;
+7. sends SIGTERM and asserts a clean exit that wrote the snapshot,
    which names no ``ghost`` tenant;
-7. restarts from the snapshot and asserts the published document
+8. restarts from the snapshot and asserts the published document
    survived the restart byte-for-byte.
 
 Exits non-zero with a one-line diagnosis on the first failure.
@@ -150,6 +154,17 @@ def wait_for_covering_revision(url: str, tenant: str) -> dict:
     return {}
 
 
+def wait_until_idle(url: str) -> None:
+    """Poll ``/status`` until no search is pending or running."""
+    deadline = time.monotonic() + 60.0
+    while time.monotonic() < deadline:
+        status, _, body = get(f"{url}/status")
+        if status == 200 and json.loads(body)["searches_active"] == 0:
+            return
+        time.sleep(0.05)
+    fail("searches were still active 60s after the burst")
+
+
 def terminate(process: subprocess.Popen) -> None:
     process.send_signal(signal.SIGTERM)
     try:
@@ -218,6 +233,24 @@ def main() -> int:
             meta = wait_for_covering_revision(url, "hostile")
             if meta["records_seen"] != 745:
                 fail(f"unexpected status of tenant hostile: {meta}")
+
+            burst = [f"burst{index}" for index in range(8)]
+            for tenant in burst:
+                summary = post(
+                    f"{url}/events?tenant={tenant}", TRAIL.read_bytes()
+                )
+                if summary["ingested"] != 745:
+                    fail(f"unexpected summary for tenant {tenant}: {summary}")
+            for tenant in burst:
+                meta = wait_for_covering_revision(url, tenant)
+                if meta["records_seen"] != 745:
+                    fail(f"unexpected status of tenant {tenant}: {meta}")
+                status, _, body = get(
+                    f"{url}/recommendation?tenant={tenant}"
+                )
+                if status != 200 or body != served:
+                    fail(f"tenant {tenant} serves other bytes than default")
+            wait_until_idle(url)
         finally:
             terminate(process)
 
@@ -239,7 +272,7 @@ def main() -> int:
 
     print(
         "serve smoke passed: ingest, refresh, metrics, unknown tenant, "
-        "ill-formed lines, snapshot, restart"
+        "ill-formed lines, burst of 8 tenants, snapshot, restart"
     )
     return 0
 
