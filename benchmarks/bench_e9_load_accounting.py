@@ -13,7 +13,8 @@ import pytest
 
 from benchmarks.conftest import configuration, emit
 from repro.core.workflow_model import build_workflow_ctmc
-from repro.spec.builder import StateChartBuilder
+from repro.spec.events import ECARule
+from repro.spec.statechart import ChartState, ChartTransition, StateChart
 from repro.spec.translator import ActivityRegistry, translate_chart
 from repro.wfms import RoutingPolicy, SimulatedWFMS, SimulatedWorkflowType
 from repro.workflows import (
@@ -26,15 +27,15 @@ from repro.workflows import (
 def figure1_chart():
     """A two-activity workflow shaped like Figure 1: one automated
     activity followed by one interactive activity."""
-    return (
-        StateChartBuilder("Figure1")
-        .activity_state("Automated")
-        .activity_state("Interactive")
-        .routing_state("End", mean_duration=0.01)
-        .initial("Automated")
-        .transition("Automated", "Interactive", event="Automated_DONE")
-        .transition("Interactive", "End", event="Interactive_DONE")
-        .build()
+    return StateChart(
+        "Figure1",
+        (ChartState("Automated", activity="Automated"),
+         ChartState("Interactive", activity="Interactive"),
+         ChartState("End", mean_duration=0.01)),
+        (ChartTransition("Automated", "Interactive",
+                         ECARule("Automated_DONE")),
+         ChartTransition("Interactive", "End", ECARule("Interactive_DONE"))),
+        "Automated",
     )
 
 
@@ -106,10 +107,11 @@ def test_e9_interactive_activities_skip_application_servers(benchmark):
     registry = ActivityRegistry(
         {"Interactive": interactive_activity("Interactive", 5.0)}
     )
-    chart = (
-        StateChartBuilder("ClientOnly")
-        .activity_state("Interactive")
-        .build()
+    chart = StateChart(
+        "ClientOnly",
+        (ChartState("Interactive", activity="Interactive"),),
+        (),
+        "Interactive",
     )
     definition = translate_chart(chart, registry)
     model = benchmark(lambda: build_workflow_ctmc(definition, types))

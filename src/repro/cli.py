@@ -337,12 +337,12 @@ def _cmd_quantile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _simulated_workflow_types(project: Project) -> list:
+    """The project's workflows as simulator inputs, each at its arrival
+    rate (0 for a workflow the project gives no rate)."""
     from repro.spec.translator import definition_to_chart
-    from repro.wfms.runtime import SimulatedWFMS, SimulatedWorkflowType
+    from repro.wfms.runtime import SimulatedWorkflowType
 
-    project = _load_study(args)
-    configuration = _parse_configuration(args.config, project.server_types)
     workflow_types = []
     for workflow in project.workflows:
         chart, activities = definition_to_chart(workflow)
@@ -353,10 +353,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 arrival_rate=project.arrival_rates.get(workflow.name, 0.0),
             )
         )
+    return workflow_types
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.wfms.runtime import SimulatedWFMS
+
+    project = _load_study(args)
+    configuration = _parse_configuration(args.config, project.server_types)
     wfms = SimulatedWFMS(
         server_types=project.server_types,
         configuration=configuration,
-        workflow_types=workflow_types,
+        workflow_types=_simulated_workflow_types(project),
         seed=args.seed,
         inject_failures=not args.no_failures,
         rng_mode=args.rng_mode,
@@ -384,25 +392,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         run_campaign,
         validate_against_models,
     )
-    from repro.spec.translator import definition_to_chart
-    from repro.wfms.runtime import SimulatedWorkflowType
 
     project = _load_study(args)
     configuration = _parse_configuration(args.config, project.server_types)
-    workflow_types = []
-    for workflow in project.workflows:
-        chart, activities = definition_to_chart(workflow)
-        workflow_types.append(
-            SimulatedWorkflowType(
-                chart=chart,
-                activities=activities,
-                arrival_rate=project.arrival_rates.get(workflow.name, 0.0),
-            )
-        )
     plan = CampaignPlan(
         server_types=project.server_types,
         configuration=configuration,
-        workflow_types=tuple(workflow_types),
+        workflow_types=tuple(_simulated_workflow_types(project)),
         duration=args.duration,
         warmup=args.warmup,
         replications=args.replications,

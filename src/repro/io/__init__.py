@@ -1,19 +1,5 @@
-"""JSON import/export: model objects, state charts, projects, WfCommons."""
+"""JSON import/export: model objects, projects, WfCommons."""
 
-from repro.io.chart_serialization import (
-    action_from_dict,
-    action_to_dict,
-    chart_from_dict,
-    chart_state_from_dict,
-    chart_state_to_dict,
-    chart_to_dict,
-    guard_from_dict,
-    guard_to_dict,
-    load_chart,
-    rule_from_dict,
-    rule_to_dict,
-    save_chart,
-)
 from repro.io.serialization import (
     Project,
     activity_from_dict,
@@ -35,20 +21,8 @@ from repro.io.wfcommons import wfcommons_to_spec
 
 __all__ = [
     "Project",
-    "action_from_dict",
-    "action_to_dict",
     "activity_from_dict",
     "activity_to_dict",
-    "chart_from_dict",
-    "chart_state_from_dict",
-    "chart_state_to_dict",
-    "chart_to_dict",
-    "guard_from_dict",
-    "guard_to_dict",
-    "load_chart",
-    "rule_from_dict",
-    "rule_to_dict",
-    "save_chart",
     "load_project",
     "project_from_dict",
     "project_to_dict",

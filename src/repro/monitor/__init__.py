@@ -37,7 +37,6 @@ from repro.monitor.calibration import (
 )
 from repro.monitor.stream import StreamingCalibrator
 from repro.monitor.drift import (
-    CusumDetector,
     DriftEvent,
     DriftMonitor,
     PageHinkleyDetector,
@@ -45,7 +44,6 @@ from repro.monitor.drift import (
 
 __all__ = [
     "AuditTrail",
-    "CusumDetector",
     "DriftEvent",
     "DriftMonitor",
     "InstanceRecord",

@@ -4,14 +4,12 @@ The paper's dynamic reconfiguration (§7.1) needs to know when the
 running system has drifted away from the parameters the current
 configuration was chosen for.  This module is the one drift rule of the
 §7 loop: it answers that question *online*, record by record, with
-Page–Hinkley / CUSUM-style sequential change detectors:
+Page–Hinkley sequential change detectors:
 
 * :class:`PageHinkleyDetector` — the classic two-sided Page–Hinkley
   test in its reset-at-minimum (CUSUM) formulation, optionally with
   magnitude/threshold relative to the running mean so one parameter set
   serves residence times of any scale;
-* :class:`CusumDetector` — a two-sided CUSUM against a *known*
-  reference mean, for watching a quantity against its calibrated value;
 * :class:`DriftMonitor` — wires detectors over the three parameter
   families the paper calibrates (transition probabilities, residence
   times, arrival rates), feeds them from a
@@ -40,7 +38,6 @@ from repro.monitor.calibration import entry
 from repro.monitor.stream import StreamingCalibrator
 
 __all__ = [
-    "CusumDetector",
     "DriftEvent",
     "DriftMonitor",
     "PageHinkleyDetector",
@@ -162,54 +159,6 @@ class PageHinkleyDetector:
         detector._up = float(state["up"])
         detector._down = float(state["down"])
         return detector
-
-
-class CusumDetector:
-    """Two-sided CUSUM against a known (calibrated) reference mean.
-
-    Where :class:`PageHinkleyDetector` learns its reference from the
-    stream, this detector watches for departures from an *externally
-    calibrated* value — e.g. the residence time the current
-    configuration recommendation was computed with.  ``slack`` is the
-    per-sample allowance (the classic CUSUM ``k``), ``threshold`` the
-    decision interval ``h``; both in signal units.
-    """
-
-    __slots__ = ("reference", "slack", "threshold", "samples", "_up",
-                 "_down")
-
-    def __init__(
-        self, reference: float, slack: float, threshold: float
-    ) -> None:
-        if slack < 0.0:
-            raise ValidationError("slack must be >= 0")
-        if threshold <= 0.0:
-            raise ValidationError("threshold must be positive")
-        self.reference = reference
-        self.slack = slack
-        self.threshold = threshold
-        self.samples = 0
-        self._up = 0.0
-        self._down = 0.0
-
-    @property
-    def statistic(self) -> float:
-        """The larger of the two one-sided CUSUM statistics."""
-        return max(self._up, self._down)
-
-    def update(self, value: float) -> bool:
-        """Consume one observation; ``True`` when drift is confirmed."""
-        self.samples += 1
-        deviation = value - self.reference
-        self._up = max(0.0, self._up + deviation - self.slack)
-        self._down = max(0.0, self._down - deviation - self.slack)
-        return self.statistic > self.threshold
-
-    def reset(self) -> None:
-        """Zero the statistics (the reference is kept)."""
-        self.samples = 0
-        self._up = 0.0
-        self._down = 0.0
 
 
 @dataclass(frozen=True)

@@ -62,11 +62,11 @@ SCHEMA = "repro.monitor.stream/v1"
 class StreamingCalibrator:
     """Incremental re-implementation of the Section 7.1 estimators.
 
-    Feed records via :meth:`observe` (or the typed ``observe_*``
-    variants, or :meth:`replay` for a whole trail); query estimates at
-    any time.  Queries mirror the batch API one-to-one and raise
-    :class:`~repro.exceptions.ValidationError` under the same empty
-    conditions, so the two paths are drop-in interchangeable.
+    Feed records via :meth:`observe` (or :meth:`replay` for a whole
+    trail); query estimates at any time.  Queries mirror the batch API
+    one-to-one and raise :class:`~repro.exceptions.ValidationError`
+    under the same empty conditions, so the two paths are drop-in
+    interchangeable.
 
     ``window`` bounds the sliding completion-time window used by
     :meth:`windowed_arrival_rate` (in simulation time units).
@@ -183,18 +183,6 @@ class StreamingCalibrator:
         """Consume one audit record of any kind."""
         self.observe_rows((record_row(record),))
 
-    def observe_state_visit(self, record: AuditRecord) -> None:
-        """Consume a state-visit record (see :meth:`observe`)."""
-        self.observe(record)
-
-    def observe_service_request(self, record: AuditRecord) -> None:
-        """Consume a service-request record (see :meth:`observe`)."""
-        self.observe(record)
-
-    def observe_instance(self, record: AuditRecord) -> None:
-        """Consume an instance record (see :meth:`observe`)."""
-        self.observe(record)
-
     def replay(self, trail: AuditTrail) -> None:
         """Feed a whole trail in the batch estimators' traversal order.
 
@@ -234,6 +222,11 @@ class StreamingCalibrator:
         if self._first_timestamp is None or self._last_timestamp is None:
             return 0.0
         return self._last_timestamp - self._first_timestamp
+
+    @property
+    def completed_instances(self) -> int:
+        """Completed instances observed so far, over all workflow types."""
+        return sum(self._completions.values())
 
     # ------------------------------------------------------------------
     # Queries (mirror repro.monitor.calibration one-to-one)

@@ -38,14 +38,13 @@ from typing import Any, Iterator, Mapping
 
 from repro.core.model_types import ActivitySpec, ServerTypeIndex
 from repro.exceptions import ValidationError
-from repro.io.chart_serialization import guard_from_dict, guard_to_dict
 from repro.io.serialization import (
     activity_from_dict,
     activity_to_dict,
     server_types_from_list,
     server_types_to_list,
 )
-from repro.spec.events import Guard
+from repro.spec.events import And, Guard, Not, Or, TrueGuard, Var
 
 #: Schema tag embedded in every serialized spec document.
 SPEC_SCHEMA = "repro.scenarios.workflow_spec/v1"
@@ -407,6 +406,45 @@ def _walk(block: Block, depth: int) -> Iterator[tuple[Block, int]]:
 # ----------------------------------------------------------------------
 # JSON serialization
 # ----------------------------------------------------------------------
+def guard_to_dict(guard: Guard) -> dict[str, Any]:
+    """Serialize a guard expression tree."""
+    if isinstance(guard, TrueGuard):
+        return {"type": "true"}
+    if isinstance(guard, Var):
+        return {"type": "var", "name": guard.name}
+    if isinstance(guard, Not):
+        return {"type": "not", "operand": guard_to_dict(guard.operand)}
+    if isinstance(guard, And):
+        return {
+            "type": "and",
+            "operands": [guard_to_dict(g) for g in guard.operands],
+        }
+    if isinstance(guard, Or):
+        return {
+            "type": "or",
+            "operands": [guard_to_dict(g) for g in guard.operands],
+        }
+    raise ValidationError(
+        f"cannot serialize guard type {type(guard).__name__}"
+    )
+
+
+def guard_from_dict(data: Mapping[str, Any]) -> Guard:
+    """Deserialize a guard expression tree."""
+    kind = data.get("type")
+    if kind == "true":
+        return TrueGuard()
+    if kind == "var":
+        return Var(data["name"])
+    if kind == "not":
+        return Not(guard_from_dict(data["operand"]))
+    if kind == "and":
+        return And(*(guard_from_dict(g) for g in data["operands"]))
+    if kind == "or":
+        return Or(*(guard_from_dict(g) for g in data["operands"]))
+    raise ValidationError(f"unknown guard type {kind!r}")
+
+
 def block_to_dict(block: Block) -> dict[str, Any]:
     """Serialize one structure block (recursively)."""
     if isinstance(block, ActivityBlock):

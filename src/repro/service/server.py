@@ -233,6 +233,8 @@ class RecommendationService:
         """Bind and serve on a daemon thread; returns the bound port."""
         if self._thread is not None:
             raise ValidationError("recommendation service already started")
+        # stop() stops the worker for good, so each run gets its own.
+        self.worker = SearchWorker()
         self._started.clear()
         self._startup_error = None
         thread = threading.Thread(
@@ -537,14 +539,17 @@ class RecommendationService:
         """Queue a re-search when the published document is missing,
         stale, built on drifted calibration, or goal-violating.
 
-        The calibrator snapshot and its position are taken here, so the
-        search covers exactly the records ingested up to this request;
-        only the submission waits until the reply is written.  A
-        submission that finds the worker stopped is dropped.  Staleness
-        (records ingested past the published calibration position)
-        counts: the loop must converge on the freshest calibration, and
-        each superseding submission carries the *current* position, so
-        a quiet tenant schedules nothing."""
+        Nothing is queued before the tenant's first completed instance:
+        the search needs arrival rates and per-instance loads, so until
+        then it could only raise.  The calibrator snapshot and its
+        position are taken here, so the search covers exactly the
+        records ingested up to this request; only the submission waits
+        until the reply is written.  A submission that finds the worker
+        stopped is dropped.  Staleness (records ingested past the
+        published calibration position) counts: the loop must converge
+        on the freshest calibration, and each superseding submission
+        carries the *current* position, so a quiet tenant schedules
+        nothing."""
         needs_search = (
             tenant.document is None
             or drift_confirmed
@@ -559,15 +564,13 @@ class RecommendationService:
             needs_search = (
                 not tenant.document.get("feasible", False) or not satisfied
             )
-        if not needs_search:
+        if not needs_search or not tenant.calibrator.completed_instances:
             return False
         try:
             state = tenant.calibrator.export_state()
         except ReproError:
             return False
         records_seen = tenant.records_seen
-        if records_seen == 0:
-            return False
         name = tenant.name
         cache = tenant.cache
         generation = self._generations[name] = (

@@ -1,11 +1,13 @@
 """State-chart workflow specification language (Section 3.1).
 
 State charts with ECA rules, nested states, and orthogonal components;
-structural validation; a fluent builder; an executable interpreter for the
-simulated WFMS; and the translation into the stochastic model layer.
+structural validation; an executable interpreter for the simulated WFMS;
+and the translation into the stochastic model layer.  A chart comes from
+lowering a :class:`~repro.scenarios.spec.WorkflowSpec`, from a workflow
+definition (:func:`~repro.spec.translator.definition_to_chart`), or from
+the :class:`StateChart` constructors.
 """
 
-from repro.spec.builder import StateChartBuilder
 from repro.spec.events import (
     And,
     ECARule,
@@ -62,7 +64,6 @@ __all__ = [
     "SetCondition",
     "StartActivity",
     "StateChart",
-    "StateChartBuilder",
     "StateChartInterpreter",
     "StatePath",
     "TrueGuard",

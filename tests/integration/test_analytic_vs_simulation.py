@@ -219,7 +219,12 @@ class TestAvailabilityAgainstModel:
         # Reuse the EP chart but point loads at the two types via a
         # simple single-activity chart instead.
         from repro.core.model_types import ActivitySpec
-        from repro.spec.builder import StateChartBuilder
+        from repro.spec.events import ECARule
+        from repro.spec.statechart import (
+            ChartState,
+            ChartTransition,
+            StateChart,
+        )
         from repro.spec.translator import ActivityRegistry
 
         registry = ActivityRegistry(
@@ -229,13 +234,12 @@ class TestAvailabilityAgainstModel:
                 )
             }
         )
-        chart = (
-            StateChartBuilder("w")
-            .activity_state("work")
-            .routing_state("end", mean_duration=0.01)
-            .initial("work")
-            .transition("work", "end", event="work_DONE")
-            .build()
+        chart = StateChart(
+            "w",
+            (ChartState("work", activity="work"),
+             ChartState("end", mean_duration=0.01)),
+            (ChartTransition("work", "end", ECARule("work_DONE")),),
+            "work",
         )
         wfms = SimulatedWFMS(
             server_types=fast_types,

@@ -7,11 +7,7 @@ import pytest
 from repro import obs
 from repro.exceptions import ValidationError
 from repro.monitor.audit import InstanceRecord, StateVisitRecord
-from repro.monitor.drift import (
-    CusumDetector,
-    DriftMonitor,
-    PageHinkleyDetector,
-)
+from repro.monitor.drift import DriftMonitor, PageHinkleyDetector
 from repro.monitor.stream import StreamingCalibrator
 
 
@@ -84,30 +80,6 @@ class TestPageHinkleyDetector:
             PageHinkleyDetector(threshold=0.0)
         with pytest.raises(ValidationError):
             PageHinkleyDetector(min_samples=0)
-
-
-class TestCusumDetector:
-    def test_detects_departure_from_reference(self):
-        detector = CusumDetector(reference=1.0, slack=0.2, threshold=3.0)
-        assert not any(detector.update(1.0) for _ in range(50))
-        assert any(detector.update(2.0) for _ in range(10))
-
-    def test_two_sided(self):
-        detector = CusumDetector(reference=1.0, slack=0.1, threshold=2.0)
-        assert any(detector.update(0.2) for _ in range(10))
-
-    def test_reset_keeps_reference(self):
-        detector = CusumDetector(reference=5.0, slack=0.1, threshold=2.0)
-        detector.update(10.0)
-        detector.reset()
-        assert detector.reference == 5.0
-        assert detector.statistic == 0.0
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValidationError):
-            CusumDetector(reference=1.0, slack=-0.1, threshold=1.0)
-        with pytest.raises(ValidationError):
-            CusumDetector(reference=1.0, slack=0.1, threshold=0.0)
 
 
 class TestDriftMonitor:

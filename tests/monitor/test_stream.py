@@ -234,7 +234,7 @@ class TestStreamingExtras:
     def test_windowed_arrival_rate_tracks_recent_completions(self):
         stream = StreamingCalibrator(window=10.0)
         for i in range(20):
-            stream.observe_instance(
+            stream.observe(
                 InstanceRecord(
                     instance_id=i, workflow_type="wf",
                     started_at=float(i), completed_at=float(i) + 0.5,

@@ -13,7 +13,8 @@ from repro.exceptions import ValidationError
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.sim.campaign import CampaignPlan, run_campaign
-from repro.spec.builder import StateChartBuilder
+from repro.spec.events import ECARule
+from repro.spec.statechart import ChartState, ChartTransition, StateChart
 from repro.spec.translator import ActivityRegistry
 from repro.wfms import SimulatedWorkflowType
 
@@ -157,13 +158,12 @@ def _plan(replications: int) -> CampaignPlan:
             )
         }
     )
-    chart = (
-        StateChartBuilder("simple")
-        .activity_state("work", activity="work")
-        .routing_state("done", mean_duration=0.01)
-        .initial("work")
-        .transition("work", "done", event="work_DONE")
-        .build()
+    chart = StateChart(
+        "simple",
+        (ChartState("work", activity="work"),
+         ChartState("done", mean_duration=0.01)),
+        (ChartTransition("work", "done", ECARule("work_DONE")),),
+        "work",
     )
     return CampaignPlan(
         server_types=server_types,

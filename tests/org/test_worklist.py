@@ -158,7 +158,12 @@ class TestWFMSIntegration:
             ServerTypeSpec,
         )
         from repro.core.performance import SystemConfiguration
-        from repro.spec.builder import StateChartBuilder
+        from repro.spec.events import ECARule
+        from repro.spec.statechart import (
+            ChartState,
+            ChartTransition,
+            StateChart,
+        )
         from repro.spec.translator import ActivityRegistry
         from repro.wfms import SimulatedWFMS, SimulatedWorkflowType
 
@@ -171,13 +176,12 @@ class TestWFMSIntegration:
                 )
             }
         )
-        chart = (
-            StateChartBuilder("wf")
-            .activity_state("Review")
-            .routing_state("done", mean_duration=0.01)
-            .initial("Review")
-            .transition("Review", "done", event="Review_DONE")
-            .build()
+        chart = StateChart(
+            "wf",
+            (ChartState("Review", activity="Review"),
+             ChartState("done", mean_duration=0.01)),
+            (ChartTransition("Review", "done", ECARule("Review_DONE")),),
+            "Review",
         )
         organization = Organization(
             [Actor(f"actor{i}") for i in range(actor_count)]

@@ -26,7 +26,8 @@ from repro.scenarios import (
     spec_to_json,
     subworkflow,
 )
-from repro.spec.events import Not, Var
+from repro.scenarios.spec import guard_from_dict, guard_to_dict
+from repro.spec.events import And, Not, Or, TrueGuard, Var
 from repro.workflows import (
     ecommerce_spec,
     insurance_spec,
@@ -167,6 +168,27 @@ class TestRoundTrip:
         restored = spec_from_dict(document)
         assert restored == spec
         assert spec_to_dict(restored) == document
+
+
+class TestGuardRoundTrip:
+    @pytest.mark.parametrize(
+        "guard",
+        [
+            TrueGuard(),
+            Var("PayByCreditCard"),
+            Not(Var("x")),
+            And(Var("a"), Not(Var("b"))),
+            Or(Var("a"), And(Var("b"), Var("c"))),
+            Not(Or(Var("a"), Not(And(Var("b"), TrueGuard())))),
+        ],
+    )
+    def test_round_trip(self, guard):
+        restored = guard_from_dict(guard_to_dict(guard))
+        assert restored == guard
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(ValidationError):
+            guard_from_dict({"type": "xor"})
 
 
 class TestDeserializationErrors:

@@ -543,9 +543,9 @@ class TestOneSearchThread:
     running search."""
 
     def test_200_posts_over_50_tenants_run_one_search_thread(
-        self, service, held_searches, baseline, goals, trail_lines
+        self, service, held_searches, baseline, goals, ordered_trail
     ):
-        bodies = _bodies(trail_lines, 187)
+        bodies = _bodies(ordered_trail.read_bytes(), 187)
         assert len(bodies) == 4
         tenants = [f"t{index}" for index in range(50)]
         statuses, peaks = [], []
@@ -581,7 +581,7 @@ class TestOneSearchThread:
         assert _search_threads() <= 1
         assert len(held_searches.started) == 51
         batch = render_document(
-            batch_recommendation(str(TRAIL_PATH), baseline, goals)
+            batch_recommendation(str(ordered_trail), baseline, goals)
         )
         for tenant in tenants:
             status, _, served = _get(
@@ -592,9 +592,9 @@ class TestOneSearchThread:
 
     def test_newest_submission_wins_while_a_search_is_held(
         self, service, held_searches, counters, baseline, goals,
-        trail_lines,
+        ordered_trail,
     ):
-        lines = trail_lines.splitlines(keepends=True)
+        lines = ordered_trail.read_bytes().splitlines(keepends=True)
         bodies = [b"".join(lines[:300]), b"".join(lines[300:600]),
                   b"".join(lines[600:])]
         status, _ = _post(f"{service.url}/events", bodies[0])
@@ -618,7 +618,7 @@ class TestOneSearchThread:
         assert counters("completed") == 1
         status, _, served = _get(f"{service.url}/recommendation")
         assert served == render_document(
-            batch_recommendation(str(TRAIL_PATH), baseline, goals)
+            batch_recommendation(str(ordered_trail), baseline, goals)
         )
 
     def test_a_superseded_result_is_not_published(
@@ -756,6 +756,31 @@ class TestSearchCounters:
             )[2] == batch
 
 
+class TestFirstCompletedInstance:
+    """A tenant with no completed instance queues no re-search: the
+    search needs arrival rates and per-instance loads, so it could only
+    raise."""
+
+    def test_no_search_before_an_instance_completes(
+        self, service, counters, baseline, goals, trail_lines
+    ):
+        lines = trail_lines.splitlines(keepends=True)
+        instances = [line for line in lines if b'"instance"' in line]
+        others = [line for line in lines if b'"instance"' not in line]
+        status, summary = _post(f"{service.url}/events", b"".join(others))
+        assert status == 200 and summary["ingested"] == 626
+        assert summary["search_scheduled"] is False
+
+        status, summary = _post(f"{service.url}/events", b"".join(instances))
+        assert status == 200 and summary["search_scheduled"] is True
+        _wait_until_published(service)
+        assert counters("errors") == 0
+        assert counters("started") == counters("completed") == 1
+        assert _get(f"{service.url}/recommendation")[2] == render_document(
+            batch_recommendation(str(TRAIL_PATH), baseline, goals)
+        )
+
+
 class TestSnapshotLifecycle:
     def test_graceful_shutdown_writes_snapshot_and_warm_restart(
         self, baseline, goals, trail_lines, tmp_path
@@ -803,6 +828,24 @@ class TestSnapshotLifecycle:
         service.start()
         service.stop(snapshot=False)
         assert not snapshot.exists()
+
+    def test_a_restarted_service_publishes(
+        self, baseline, goals, trail_lines
+    ):
+        service = RecommendationService(baseline, goals)
+        service.start()
+        service.stop()
+        service.start()
+        try:
+            _post(f"{service.url}/events", trail_lines)
+            _wait_until_published(service)
+            status, _, served = _get(f"{service.url}/recommendation")
+        finally:
+            service.stop()
+        assert status == 200
+        assert served == render_document(
+            batch_recommendation(str(TRAIL_PATH), baseline, goals)
+        )
 
     def test_stop_is_idempotent(self, baseline, goals):
         service = RecommendationService(baseline, goals)

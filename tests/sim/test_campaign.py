@@ -18,7 +18,8 @@ from repro.sim.campaign import (
     run_campaign,
     run_replication,
 )
-from repro.spec.builder import StateChartBuilder
+from repro.spec.events import ECARule
+from repro.spec.statechart import ChartState, ChartTransition, StateChart
 from repro.spec.translator import ActivityRegistry
 from repro.wfms import SimulatedWorkflowType
 
@@ -43,13 +44,12 @@ def simple_workflow_type(arrival_rate=0.5, duration=2.0):
             )
         }
     )
-    chart = (
-        StateChartBuilder("simple")
-        .activity_state("work", activity="work")
-        .routing_state("done", mean_duration=0.01)
-        .initial("work")
-        .transition("work", "done", event="work_DONE")
-        .build()
+    chart = StateChart(
+        "simple",
+        (ChartState("work", activity="work"),
+         ChartState("done", mean_duration=0.01)),
+        (ChartTransition("work", "done", ECARule("work_DONE")),),
+        "work",
     )
     return SimulatedWorkflowType(chart, activities, arrival_rate)
 

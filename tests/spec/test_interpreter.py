@@ -6,8 +6,7 @@ from collections import Counter
 import pytest
 
 from repro.exceptions import ModelError, ValidationError
-from repro.spec.builder import StateChartBuilder
-from repro.spec.events import Not, SetCondition, Var
+from repro.spec.events import ECARule, Not, SetCondition, Var
 from repro.spec.interpreter import (
     ActiveState,
     GuardedResolver,
@@ -15,55 +14,51 @@ from repro.spec.interpreter import (
     ProbabilisticResolver,
     StateChartInterpreter,
 )
+from repro.spec.statechart import ChartState, ChartTransition, StateChart
 
 
 def linear_chart():
-    return (
-        StateChartBuilder("lin")
-        .activity_state("a")
-        .activity_state("b")
-        .routing_state("end", mean_duration=0.1)
-        .initial("a")
-        .transition("a", "b", event="a_DONE")
-        .transition("b", "end", event="b_DONE")
-        .build()
+    return StateChart(
+        "lin",
+        (ChartState("a", activity="a"), ChartState("b", activity="b"),
+         ChartState("end", mean_duration=0.1)),
+        (ChartTransition("a", "b", ECARule("a_DONE")),
+         ChartTransition("b", "end", ECARule("b_DONE"))),
+        "a",
     )
 
 
 def branching_chart():
-    return (
-        StateChartBuilder("branch")
-        .activity_state("decide")
-        .activity_state("yes")
-        .activity_state("no")
-        .routing_state("end", mean_duration=0.1)
-        .initial("decide")
-        .transition("decide", "yes", guard=Var("Approved"), probability=0.7)
-        .transition("decide", "no", guard=Not(Var("Approved")),
-                    probability=0.3)
-        .transition("yes", "end")
-        .transition("no", "end")
-        .build()
+    return StateChart(
+        "branch",
+        (ChartState("decide", activity="decide"),
+         ChartState("yes", activity="yes"),
+         ChartState("no", activity="no"),
+         ChartState("end", mean_duration=0.1)),
+        (ChartTransition("decide", "yes", ECARule(guard=Var("Approved")),
+                         0.7),
+         ChartTransition("decide", "no",
+                         ECARule(guard=Not(Var("Approved"))), 0.3),
+         ChartTransition("yes", "end"),
+         ChartTransition("no", "end")),
+        "decide",
     )
 
 
 def parallel_chart():
-    left = (
-        StateChartBuilder("left")
-        .activity_state("l1")
-        .activity_state("l2")
-        .initial("l1")
-        .transition("l1", "l2")
-        .build()
+    left = StateChart(
+        "left",
+        (ChartState("l1", activity="l1"), ChartState("l2", activity="l2")),
+        (ChartTransition("l1", "l2"),),
+        "l1",
     )
-    right = StateChartBuilder("right").activity_state("r1").build()
-    return (
-        StateChartBuilder("par")
-        .nested_state("fork", left, right)
-        .routing_state("end", mean_duration=0.1)
-        .initial("fork")
-        .transition("fork", "end")
-        .build()
+    right = StateChart("right", (ChartState("r1", activity="r1"),), (), "r1")
+    return StateChart(
+        "par",
+        (ChartState("fork", regions=(left, right)),
+         ChartState("end", mean_duration=0.1)),
+        (ChartTransition("fork", "end"),),
+        "fork",
     )
 
 
@@ -151,18 +146,14 @@ class TestBranching:
         assert counts["yes"] / 2000 == pytest.approx(0.7, abs=0.04)
 
     def test_probabilistic_resolver_requires_annotations(self):
-        chart = (
-            StateChartBuilder("w")
-            .activity_state("a")
-            .activity_state("b")
-            .activity_state("c")
-            .routing_state("end", mean_duration=0.1)
-            .initial("a")
-            .transition("a", "b")
-            .transition("a", "c")
-            .transition("b", "end")
-            .transition("c", "end")
-            .build(validate=False)
+        chart = StateChart(
+            "w",
+            (ChartState("a", activity="a"), ChartState("b", activity="b"),
+             ChartState("c", activity="c"),
+             ChartState("end", mean_duration=0.1)),
+            (ChartTransition("a", "b"), ChartTransition("a", "c"),
+             ChartTransition("b", "end"), ChartTransition("c", "end")),
+            "a",
         )
         interpreter = StateChartInterpreter(
             chart, resolver=ProbabilisticResolver(random.Random(1))
@@ -172,13 +163,12 @@ class TestBranching:
             interpreter.advance(("w", "a"))
 
     def test_guarded_resolver_no_enabled_transition(self):
-        chart = (
-            StateChartBuilder("w")
-            .activity_state("a")
-            .routing_state("end", mean_duration=0.1)
-            .initial("a")
-            .transition("a", "end", guard=Var("NeverSet"))
-            .build()
+        chart = StateChart(
+            "w",
+            (ChartState("a", activity="a"),
+             ChartState("end", mean_duration=0.1)),
+            (ChartTransition("a", "end", ECARule(guard=Var("NeverSet"))),),
+            "a",
         )
         interpreter = StateChartInterpreter(chart, resolver=GuardedResolver())
         interpreter.start()
@@ -222,15 +212,15 @@ class TestParallelism:
 
 class TestTransitionActions:
     def test_actions_execute_on_fire(self):
-        chart = (
-            StateChartBuilder("w")
-            .activity_state("a")
-            .routing_state("end", mean_duration=0.1)
-            .initial("a")
-            .transition(
-                "a", "end", actions=(SetCondition("Archived", True),)
-            )
-            .build()
+        chart = StateChart(
+            "w",
+            (ChartState("a", activity="a"),
+             ChartState("end", mean_duration=0.1)),
+            (ChartTransition(
+                "a", "end",
+                ECARule(actions=(SetCondition("Archived", True),)),
+            ),),
+            "a",
         )
         interpreter = StateChartInterpreter(chart)
         interpreter.start()
@@ -238,19 +228,12 @@ class TestTransitionActions:
         assert interpreter.environment.get("Archived") is True
 
     def test_entry_actions_set_conditions(self):
-        from repro.spec.statechart import ChartState
-
-        chart = (
-            StateChartBuilder("w")
-            .state(
-                ChartState(
-                    "a",
-                    mean_duration=1.0,
-                    entry_actions=(SetCondition("Entered", True),),
-                )
-            )
-            .build()
+        entered = ChartState(
+            "a",
+            mean_duration=1.0,
+            entry_actions=(SetCondition("Entered", True),),
         )
+        chart = StateChart("w", (entered,), (), "a")
         interpreter = StateChartInterpreter(chart)
         interpreter.start()
         assert interpreter.environment.get("Entered") is True

@@ -119,6 +119,10 @@ class TestStateChart:
                 initial_state="zz",
             )
 
+    def test_empty_name_rejected(self):
+        with pytest.raises(ValidationError, match="non-empty"):
+            StateChart("", (ChartState("a", mean_duration=1.0),), (), "a")
+
     def test_walk_charts_depth_first(self):
         inner = linear_chart("inner")
         outer = StateChart(

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.model_types import ActivitySpec
 from repro.exceptions import ValidationError
-from repro.spec.builder import StateChartBuilder
+from repro.spec.events import ECARule
+from repro.spec.statechart import ChartState, ChartTransition, StateChart
 from repro.spec.translator import (
     DEFAULT_ROUTING_DURATION,
     ActivityRegistry,
@@ -40,13 +41,11 @@ class TestActivityRegistry:
 
 class TestTranslateChart:
     def test_linear_chart(self, registry):
-        chart = (
-            StateChartBuilder("w")
-            .activity_state("A")
-            .activity_state("B")
-            .initial("A")
-            .transition("A", "B", event="A_DONE")
-            .build()
+        chart = StateChart(
+            "w",
+            (ChartState("A", activity="A"), ChartState("B", activity="B")),
+            (ChartTransition("A", "B", ECARule("A_DONE")),),
+            "A",
         )
         definition = translate_chart(chart, registry)
         assert definition.state_names == ("A", "B")
@@ -54,16 +53,14 @@ class TestTranslateChart:
         assert definition.state("A").activity.name == "A"
 
     def test_branching_probabilities_collected(self, registry):
-        chart = (
-            StateChartBuilder("w")
-            .activity_state("A")
-            .activity_state("B")
-            .routing_state("exit", mean_duration=0.1)
-            .initial("A")
-            .transition("A", "B", probability=0.7)
-            .transition("A", "exit", probability=0.3)
-            .transition("B", "exit")
-            .build()
+        chart = StateChart(
+            "w",
+            (ChartState("A", activity="A"), ChartState("B", activity="B"),
+             ChartState("exit", mean_duration=0.1)),
+            (ChartTransition("A", "B", probability=0.7),
+             ChartTransition("A", "exit", probability=0.3),
+             ChartTransition("B", "exit")),
+            "A",
         )
         definition = translate_chart(chart, registry)
         assert definition.transitions[("A", "B")] == pytest.approx(0.7)
@@ -72,29 +69,25 @@ class TestTranslateChart:
     def test_parallel_edges_merged(self, registry):
         # Two ECA rules for different business cases between the same
         # state pair collapse into one CTMC transition.
-        chart = (
-            StateChartBuilder("w")
-            .activity_state("A")
-            .routing_state("exit", mean_duration=0.1)
-            .initial("A")
-            .transition("A", "exit", event="A_DONE", probability=0.6)
-            .transition("A", "exit", event="Abort", probability=0.4)
-            .build()
+        chart = StateChart(
+            "w",
+            (ChartState("A", activity="A"),
+             ChartState("exit", mean_duration=0.1)),
+            (ChartTransition("A", "exit", ECARule("A_DONE"), 0.6),
+             ChartTransition("A", "exit", ECARule("Abort"), 0.4)),
+            "A",
         )
         definition = translate_chart(chart, registry)
         assert definition.transitions[("A", "exit")] == pytest.approx(1.0)
 
     def test_missing_probability_annotation_rejected(self, registry):
-        chart = (
-            StateChartBuilder("w")
-            .activity_state("A")
-            .activity_state("B")
-            .routing_state("exit", mean_duration=0.1)
-            .initial("A")
-            .transition("A", "B")
-            .transition("A", "exit")
-            .transition("B", "exit")
-            .build()
+        chart = StateChart(
+            "w",
+            (ChartState("A", activity="A"), ChartState("B", activity="B"),
+             ChartState("exit", mean_duration=0.1)),
+            (ChartTransition("A", "B"), ChartTransition("A", "exit"),
+             ChartTransition("B", "exit")),
+            "A",
         )
         with pytest.raises(ValidationError, match="probability annotations"):
             translate_chart(chart, registry)
@@ -102,7 +95,6 @@ class TestTranslateChart:
     def test_routing_state_gets_default_duration(self, registry):
         # A routing state declared without an explicit duration falls
         # back to the translator's default.
-        from repro.spec.statechart import ChartState, ChartTransition, StateChart
         chart = StateChart(
             name="w",
             states=(
@@ -118,18 +110,13 @@ class TestTranslateChart:
         )
 
     def test_composite_state_becomes_subworkflow(self, registry):
-        inner = (
-            StateChartBuilder("inner")
-            .activity_state("B")
-            .build()
-        )
-        chart = (
-            StateChartBuilder("w")
-            .activity_state("A")
-            .nested_state("host", inner)
-            .initial("A")
-            .transition("A", "host", event="A_DONE")
-            .build()
+        inner = StateChart("inner", (ChartState("B", activity="B"),), (), "B")
+        chart = StateChart(
+            "w",
+            (ChartState("A", activity="A"),
+             ChartState("host", regions=(inner,))),
+            (ChartTransition("A", "host", ECARule("A_DONE")),),
+            "A",
         )
         definition = translate_chart(chart, registry)
         host = definition.state("host")
@@ -138,18 +125,15 @@ class TestTranslateChart:
         assert host.subworkflows[0].state("B").activity.name == "B"
 
     def test_orthogonal_regions_stay_parallel(self, registry):
-        region1 = StateChartBuilder("r1").activity_state("A").build()
-        region2 = StateChartBuilder("r2").activity_state("B").build()
-        chart = (
-            StateChartBuilder("w")
-            .nested_state("par", region1, region2)
-            .build()
+        region1 = StateChart("r1", (ChartState("A", activity="A"),), (), "A")
+        region2 = StateChart("r2", (ChartState("B", activity="B"),), (), "B")
+        chart = StateChart(
+            "w", (ChartState("par", regions=(region1, region2)),), (), "par"
         )
         definition = translate_chart(chart, registry)
         assert len(definition.state("par").subworkflows) == 2
 
     def test_invalid_chart_rejected(self, registry):
-        from repro.spec.statechart import ChartState, ChartTransition, StateChart
         looping = StateChart(
             name="w",
             states=(
@@ -166,30 +150,28 @@ class TestTranslateChart:
             translate_chart(looping, registry)
 
     def test_unregistered_activity_rejected(self, registry):
-        chart = (
-            StateChartBuilder("w").activity_state("Unknown").build()
+        chart = StateChart(
+            "w", (ChartState("Unknown", activity="Unknown"),), (), "Unknown"
         )
         with pytest.raises(ValidationError, match="unknown activity"):
             translate_chart(chart, registry)
 
     def test_bad_default_duration_rejected(self, registry):
-        chart = StateChartBuilder("w").activity_state("A").build()
+        chart = StateChart("w", (ChartState("A", activity="A"),), (), "A")
         with pytest.raises(ValidationError):
             translate_chart(chart, registry, default_routing_duration=0.0)
 
 
 class TestDefinitionToChart:
     def test_round_trip_preserves_definition(self, registry):
-        chart = (
-            StateChartBuilder("w")
-            .activity_state("A")
-            .activity_state("B")
-            .routing_state("exit", mean_duration=0.1)
-            .initial("A")
-            .transition("A", "B", probability=0.7)
-            .transition("A", "exit", probability=0.3)
-            .transition("B", "exit")
-            .build()
+        chart = StateChart(
+            "w",
+            (ChartState("A", activity="A"), ChartState("B", activity="B"),
+             ChartState("exit", mean_duration=0.1)),
+            (ChartTransition("A", "B", probability=0.7),
+             ChartTransition("A", "exit", probability=0.3),
+             ChartTransition("B", "exit")),
+            "A",
         )
         definition = translate_chart(chart, registry)
         rebuilt_chart, rebuilt_registry = definition_to_chart(definition)

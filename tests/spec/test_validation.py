@@ -3,7 +3,6 @@
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.spec.builder import StateChartBuilder
 from repro.spec.events import SetCondition, Var
 from repro.spec.statechart import ChartState, ChartTransition, StateChart
 from repro.spec.validation import (
@@ -196,12 +195,12 @@ class TestEnsureValid:
             [ChartTransition("x", "y"), ChartTransition("y", "x")],
             "x",
         )
-        outer = (
-            StateChartBuilder("outer")
-            .nested_state("host", bad_inner)
-            .routing_state("end", mean_duration=1.0)
-            .initial("host")
-            .transition("host", "end")
+        outer = StateChart(
+            "outer",
+            (ChartState("host", regions=(bad_inner,)),
+             ChartState("end", mean_duration=1.0)),
+            (ChartTransition("host", "end"),),
+            "host",
         )
         with pytest.raises(ValidationError):
-            outer.build()
+            ensure_valid(outer)

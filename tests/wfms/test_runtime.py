@@ -5,7 +5,8 @@ import pytest
 from repro.core.model_types import ActivitySpec, ServerTypeIndex, ServerTypeSpec
 from repro.core.performance import SystemConfiguration
 from repro.exceptions import ValidationError
-from repro.spec.builder import StateChartBuilder
+from repro.spec.events import ECARule
+from repro.spec.statechart import ChartState, ChartTransition, StateChart
 from repro.spec.translator import ActivityRegistry
 from repro.wfms import (
     DurationSampling,
@@ -35,13 +36,12 @@ def simple_workflow_type(arrival_rate=0.5, duration=2.0):
             )
         }
     )
-    chart = (
-        StateChartBuilder("simple")
-        .activity_state("work", activity="work")
-        .routing_state("done", mean_duration=0.01)
-        .initial("work")
-        .transition("work", "done", event="work_DONE")
-        .build()
+    chart = StateChart(
+        "simple",
+        (ChartState("work", activity="work"),
+         ChartState("done", mean_duration=0.01)),
+        (ChartTransition("work", "done", ECARule("work_DONE")),),
+        "work",
     )
     return SimulatedWorkflowType(chart, activities, arrival_rate)
 
@@ -228,10 +228,8 @@ class TestOptions:
         activities = ActivityRegistry(
             {"work": ActivitySpec("work", 2.0, loads={"bogus": 1.0})}
         )
-        chart = (
-            StateChartBuilder("simple")
-            .activity_state("work", activity="work")
-            .build()
+        chart = StateChart(
+            "simple", (ChartState("work", activity="work"),), (), "work"
         )
         wfms = SimulatedWFMS(
             server_types=server_types(),

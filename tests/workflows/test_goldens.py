@@ -1,78 +1,42 @@
 """Byte-equality golden tests for the bundled example workflows.
 
 The golden files under ``tests/workflows/goldens/`` were captured from
-the pre-refactor, hand-coded chart builders
-(``tools/capture_workflow_goldens.py``).  These tests rebuild every
-artifact from the declarative :mod:`repro.scenarios` WorkflowSpec IR and
-assert **byte equality**, proving the refactor is behavior-preserving
-down to state order, transition order, guard structure, probability
-annotations, and every CTMC matrix entry.
+the pre-refactor, hand-coded charts (``tools/capture_workflow_goldens.py``).
+These tests lower every bundled WorkflowSpec again, render it with that
+tool's ``chart_golden``/``model_golden``, and assert **byte equality**,
+proving the lowering is behavior-preserving down to state order,
+transition order, guard structure, probability annotations, and every
+CTMC matrix entry.
 """
 
-import json
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-from repro.core.workflow_model import build_workflow_ctmc
-from repro.io.chart_serialization import chart_to_dict
-from repro.io.serialization import workflow_to_dict
 from repro.scenarios import spec_to_chart, spec_to_definition
-from repro.workflows import (
-    ecommerce_spec,
-    extended_server_types,
-    insurance_spec,
-    loan_spec,
-    order_processing_spec,
-    standard_server_types,
-    travel_spec,
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+_TOOL = importlib.util.spec_from_file_location(
+    "capture_workflow_goldens",
+    REPO_ROOT / "tools" / "capture_workflow_goldens.py",
 )
-
-GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
-
-#: ``name -> (spec factory, landscape factory)``.
-EXAMPLES = {
-    "ecommerce": (ecommerce_spec, standard_server_types),
-    "order_processing": (order_processing_spec, standard_server_types),
-    "insurance": (insurance_spec, standard_server_types),
-    "loan": (loan_spec, extended_server_types),
-    "travel": (travel_spec, standard_server_types),
-}
+capture = importlib.util.module_from_spec(_TOOL)
+_TOOL.loader.exec_module(capture)
 
 
-def chart_golden_text(chart) -> str:
-    """Canonical golden text of one state chart."""
-    return json.dumps(chart_to_dict(chart), indent=2, sort_keys=True) + "\n"
-
-
-def model_golden_text(definition, server_types) -> str:
-    """Canonical golden text of a definition and its CTMC translation."""
-    model = build_workflow_ctmc(definition, server_types)
-    document = {
-        "definition": workflow_to_dict(definition),
-        "ctmc": {
-            "state_names": list(model.chain.state_names),
-            "initial_state": model.chain.initial_state,
-            "jump_probabilities": model.chain.jump_probabilities.tolist(),
-            "residence_times": model.chain.residence_times.tolist(),
-            "load_matrix": model.load_matrix.tolist(),
-            "server_types": list(server_types.names),
-        },
-    }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
-@pytest.mark.parametrize("name", sorted(EXAMPLES))
+@pytest.mark.parametrize("name", sorted(capture.EXAMPLES))
 class TestByteIdenticalLowering:
     def test_chart_matches_golden(self, name):
-        spec_factory, _ = EXAMPLES[name]
-        golden = (GOLDEN_DIR / f"{name}.chart.json").read_text()
-        assert chart_golden_text(spec_to_chart(spec_factory())) == golden
+        spec_factory, _ = capture.EXAMPLES[name]
+        golden = (capture.GOLDEN_DIR / f"{name}.chart.json").read_text()
+        rebuilt = capture.chart_golden(spec_to_chart(spec_factory()))
+        assert rebuilt == golden
 
     def test_model_matches_golden(self, name):
-        spec_factory, types_factory = EXAMPLES[name]
-        golden = (GOLDEN_DIR / f"{name}.model.json").read_text()
-        rebuilt = model_golden_text(
+        spec_factory, types_factory = capture.EXAMPLES[name]
+        golden = (capture.GOLDEN_DIR / f"{name}.model.json").read_text()
+        rebuilt = capture.model_golden(
             spec_to_definition(spec_factory()), types_factory()
         )
         assert rebuilt == golden
