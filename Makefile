@@ -2,7 +2,7 @@
 
 .PHONY: install test docstrings bench bench-search \
 	bench-frontier campaign bench-campaign bench-corpus bench-sim \
-	bench-sim-quick bench-monitor monitor-smoke \
+	bench-sim-quick monitor-smoke \
 	serve-smoke examples all
 
 install:
@@ -43,9 +43,6 @@ bench-sim:
 
 bench-sim-quick:
 	PYTHONPATH=src python benchmarks/bench_sim_hotpath.py --quick --check
-
-bench-monitor:
-	PYTHONPATH=src python benchmarks/bench_monitor.py --check
 
 monitor-smoke:
 	PYTHONPATH=src python tools/monitor_smoke.py

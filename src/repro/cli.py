@@ -930,12 +930,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     monitor.add_argument(
         "--window", type=float, default=1_000.0,
-        help="sliding window (simulation time units) of the windowed "
-        "arrival-rate estimator",
+        help="sliding window (simulation time units, positive and "
+        "finite) of the windowed arrival-rate estimator",
     )
     monitor.add_argument(
         "--observation-period", type=float, default=None,
-        help="period for cumulative arrival rates "
+        help="period (positive and finite) for cumulative arrival rates "
         "(default: the observed time span)",
     )
     monitor.add_argument(
@@ -973,8 +973,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--window", type=float, default=1_000.0,
-        help="sliding window (simulation time units) of the windowed "
-        "arrival-rate estimator",
+        help="sliding window (simulation time units, positive and "
+        "finite) of the windowed arrival-rate estimator",
     )
     serve.add_argument(
         "--algorithm", choices=sorted(SEARCHES), default="greedy",

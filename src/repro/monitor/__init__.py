@@ -1,11 +1,12 @@
 """Monitoring and calibration (Section 7.1): audit trails in, parameters out.
 
-Batch calibration (:mod:`repro.monitor.calibration`) consumes complete
-audit trails; the streaming layer (:mod:`repro.monitor.stream`,
-:mod:`repro.monitor.drift`) consumes records one at a time, reproduces
-the batch estimates bitwise, and watches for parameter drift —
-the substrate of the continuous monitor -> calibrate -> evaluate ->
-recommend loop.
+Audit trails (:mod:`repro.monitor.audit`, persisted as JSON Lines by
+:mod:`repro.monitor.persistence`) feed one calibrator,
+:class:`~repro.monitor.stream.StreamingCalibrator`, record by record,
+whether they come from a complete trail file or a live feed;
+:mod:`repro.monitor.drift` watches the same records for parameter
+drift — the substrate of the continuous monitor -> calibrate ->
+evaluate -> recommend loop.
 """
 
 from repro.monitor.audit import (
@@ -23,19 +24,7 @@ from repro.monitor.persistence import (
     parse_record_row,
     save_trail,
 )
-from repro.monitor.calibration import (
-    ServiceTimeEstimate,
-    build_flat_workflow,
-    calibrate_flat_workflow,
-    calibrate_server_type,
-    estimate_arrival_rate,
-    estimate_requests_per_instance,
-    estimate_residence_times,
-    estimate_service_times,
-    estimate_transition_probabilities,
-    estimate_turnaround_time,
-)
-from repro.monitor.stream import StreamingCalibrator
+from repro.monitor.stream import ServiceTimeEstimate, StreamingCalibrator
 from repro.monitor.drift import (
     DriftEvent,
     DriftMonitor,
@@ -53,15 +42,6 @@ __all__ = [
     "StateVisitRecord",
     "StreamingCalibrator",
     "TERMINATION",
-    "build_flat_workflow",
-    "calibrate_flat_workflow",
-    "calibrate_server_type",
-    "estimate_arrival_rate",
-    "estimate_requests_per_instance",
-    "estimate_residence_times",
-    "estimate_service_times",
-    "estimate_transition_probabilities",
-    "estimate_turnaround_time",
     "iter_trail_records",
     "iter_trail_rows",
     "load_trail",

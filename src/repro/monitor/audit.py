@@ -3,8 +3,8 @@
 The paper's calibration component (Section 7.1) derives transition
 probabilities, residence times, and service-time moments "from audit
 trails of previous workflow executions" and online monitoring statistics.
-This module defines the trail records; :mod:`repro.monitor.calibration`
-turns trails back into model parameters.  The simulated WFMS emits these
+This module defines the trail records; :mod:`repro.monitor.stream`
+turns them back into model parameters.  The simulated WFMS emits these
 records natively, closing the map -> run -> calibrate -> remap loop.
 
 Each record has a *row* form: the plain tuple of its fields in record
@@ -23,7 +23,7 @@ import dataclasses
 import reprlib
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Iterable, Iterator, TypeVar
+from typing import Any, Callable, ClassVar, Iterable, TypeVar
 
 from repro.exceptions import ValidationError
 
@@ -421,38 +421,6 @@ class AuditTrail:
             self._instances,
         ):
             kept.clear()
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def workflow_types(self) -> frozenset[str]:
-        """All workflow type names appearing in the trail."""
-        return frozenset(record.workflow_type for record in self.instances) | \
-            frozenset(record.workflow_type for record in self.state_visits)
-
-    def visits_of(self, workflow_type: str) -> Iterator[StateVisitRecord]:
-        """State visits of one workflow type."""
-        return (
-            record
-            for record in self.state_visits
-            if record.workflow_type == workflow_type
-        )
-
-    def requests_of(self, server_type: str) -> Iterator[ServiceRequestRecord]:
-        """Service requests handled by one server type."""
-        return (
-            record
-            for record in self.service_requests
-            if record.server_type == server_type
-        )
-
-    def instances_of(self, workflow_type: str) -> Iterator[InstanceRecord]:
-        """Instance lifecycles of one workflow type."""
-        return (
-            record
-            for record in self.instances
-            if record.workflow_type == workflow_type
-        )
 
     def merge(self, others: Iterable["AuditTrail"]) -> "AuditTrail":
         """A new trail combining this one with the given trails."""

@@ -34,14 +34,36 @@ from repro.monitor.audit import (
     AuditRecord,
     record_row,
 )
-from repro.monitor.calibration import entry
-from repro.monitor.stream import StreamingCalibrator
+from repro.monitor.stream import StreamingCalibrator, entry
 
 __all__ = [
     "DriftEvent",
     "DriftMonitor",
     "PageHinkleyDetector",
 ]
+
+#: Drift allowance and alarm threshold of the monitor's residence-time
+#: and inter-completion detectors, both relative to the running mean.
+DELTA = 0.25
+THRESHOLD = 15.0
+#: Samples every detector of the monitor learns from before it may
+#: confirm a drift.
+MIN_SAMPLES = 30
+#: Drift allowance and alarm threshold of the monitor's absolute
+#: transition-indicator detectors (take/not-take, 0 or 1).
+INDICATOR_DELTA = 0.1
+INDICATOR_THRESHOLD = 8.0
+
+#: The ``config`` block of :meth:`DriftMonitor.export_state`; a snapshot
+#: restores only under these settings.  ``tests/monitor/test_drift.py``
+#: holds them to a false-positive budget on a stationary trail.
+CONFIG = {
+    "delta": DELTA,
+    "threshold": THRESHOLD,
+    "min_samples": MIN_SAMPLES,
+    "indicator_delta": INDICATOR_DELTA,
+    "indicator_threshold": INDICATOR_THRESHOLD,
+}
 
 
 class PageHinkleyDetector:
@@ -69,9 +91,9 @@ class PageHinkleyDetector:
 
     def __init__(
         self,
-        delta: float = 0.25,
-        threshold: float = 15.0,
-        min_samples: int = 30,
+        delta: float = DELTA,
+        threshold: float = THRESHOLD,
+        min_samples: int = MIN_SAMPLES,
         relative: bool = False,
     ) -> None:
         if delta < 0.0:
@@ -225,31 +247,24 @@ class DriftMonitor:
       type, state, successor)`` over take/not-take indicators — the
       Bernoulli stream whose mean is the transition probability.
 
-    On a confirmed drift the monitor records ``monitor.drift.confirmed``
-    (plus a per-family counter), emits a structured ``monitor.drift``
-    trace event, resets the firing detector to re-learn the new
-    regime, and reports the :class:`DriftEvent` to the caller and the
-    optional ``on_drift`` callback.
+    The detectors' settings are the module constants (:data:`DELTA`,
+    :data:`THRESHOLD`, :data:`MIN_SAMPLES`, :data:`INDICATOR_DELTA`,
+    :data:`INDICATOR_THRESHOLD`).  On a confirmed drift the monitor
+    records ``monitor.drift.confirmed`` (plus a per-family counter),
+    emits a structured ``monitor.drift`` trace event, resets the firing
+    detector to re-learn the new regime, and reports the
+    :class:`DriftEvent` to the caller and the optional ``on_drift``
+    callback.
     """
 
     def __init__(
         self,
         calibrator: StreamingCalibrator | None = None,
-        delta: float = 0.25,
-        threshold: float = 15.0,
-        min_samples: int = 30,
-        indicator_delta: float = 0.1,
-        indicator_threshold: float = 8.0,
         on_drift: Callable[["DriftEvent"], None] | None = None,
     ) -> None:
         self.calibrator = (
             calibrator if calibrator is not None else StreamingCalibrator()
         )
-        self.delta = delta
-        self.threshold = threshold
-        self.min_samples = min_samples
-        self.indicator_delta = indicator_delta
-        self.indicator_threshold = indicator_threshold
         self.events: list[DriftEvent] = []
         self._on_drift = on_drift
         self._residence: dict[tuple[str, str], PageHinkleyDetector] = {}
@@ -312,10 +327,6 @@ class DriftMonitor:
                 obs.count("monitor.stream.records", count)
         return confirmed
 
-    def observe(self, record: AuditRecord) -> list[DriftEvent]:
-        """Feed one record; returns the drifts it confirmed (often [])."""
-        return self.observe_rows((record_row(record),))
-
     def observe_all(self, records: Iterable[AuditRecord]) -> list[DriftEvent]:
         """Feed a record stream; returns every confirmed drift."""
         return self.observe_rows(map(record_row, records))
@@ -336,12 +347,7 @@ class DriftMonitor:
         key = (workflow_type, state)
         detector = self._residence.get(key)
         if detector is None:
-            detector = PageHinkleyDetector(
-                delta=self.delta,
-                threshold=self.threshold,
-                min_samples=self.min_samples,
-                relative=True,
-            )
+            detector = PageHinkleyDetector(relative=True)
             self._residence[key] = detector
         if detector.update(left_at - entered_at):
             confirmed.append(
@@ -352,10 +358,7 @@ class DriftMonitor:
         indicators = entry(self._transitions, key, dict)
         if next_state not in indicators:
             indicators[next_state] = PageHinkleyDetector(
-                delta=self.indicator_delta,
-                threshold=self.indicator_threshold,
-                min_samples=self.min_samples,
-                relative=False,
+                delta=INDICATOR_DELTA, threshold=INDICATOR_THRESHOLD
             )
         for successor, indicator in indicators.items():
             taken = 1.0 if successor == next_state else 0.0
@@ -378,12 +381,7 @@ class DriftMonitor:
             return
         detector = self._interarrival.get(workflow_type)
         if detector is None:
-            detector = PageHinkleyDetector(
-                delta=self.delta,
-                threshold=self.threshold,
-                min_samples=self.min_samples,
-                relative=True,
-            )
+            detector = PageHinkleyDetector(relative=True)
             self._interarrival[workflow_type] = detector
         gap = completed_at - last
         if gap >= 0.0 and detector.update(gap):
@@ -434,13 +432,7 @@ class DriftMonitor:
         """
         return {
             "schema": "repro.monitor.drift-state/v1",
-            "config": {
-                "delta": self.delta,
-                "threshold": self.threshold,
-                "min_samples": self.min_samples,
-                "indicator_delta": self.indicator_delta,
-                "indicator_threshold": self.indicator_threshold,
-            },
+            "config": dict(CONFIG),
             "calibrator": self.calibrator.export_state(),
             "events": [event.to_document() for event in self.events],
             "residence": [
@@ -477,21 +469,23 @@ class DriftMonitor:
         ``on_drift`` re-attaches the live callback a snapshot
         deliberately does not carry.  The restored monitor confirms
         future drifts on exactly the records the original would have.
+        A snapshot whose ``config`` differs from :data:`CONFIG` was
+        taken under detector settings this code does not run, and is
+        rejected.
         """
         if state.get("schema") != "repro.monitor.drift-state/v1":
             raise ValidationError(
                 f"unknown drift snapshot schema {state.get('schema')!r}"
             )
-        config = state["config"]
+        if state.get("config") != CONFIG:
+            raise ValidationError(
+                f"drift snapshot config {state.get('config')!r} differs "
+                f"from the detector settings {CONFIG!r}"
+            )
         monitor = cls(
             calibrator=StreamingCalibrator.restore_state(
                 state["calibrator"]
             ),
-            delta=float(config["delta"]),
-            threshold=float(config["threshold"]),
-            min_samples=int(config["min_samples"]),
-            indicator_delta=float(config["indicator_delta"]),
-            indicator_threshold=float(config["indicator_threshold"]),
             on_drift=on_drift,
         )
         monitor.events = [

@@ -1,41 +1,45 @@
 """Streaming calibration: audit records in, one at a time, estimates out.
 
-:mod:`repro.monitor.calibration` re-estimates model parameters from a
-*complete* audit trail — fine for offline reconfiguration studies, but
-the paper's Section 7 tool loop (monitor -> calibrate -> evaluate ->
-recommend) wants a component that watches a *running* system.  This
-module provides it: a :class:`StreamingCalibrator` consumes audit
-rows (or :class:`~repro.monitor.audit.StateVisitRecord` /
+The paper's Section 7 tool loop (monitor -> calibrate -> evaluate ->
+recommend) derives model parameters "from audit trails of previous
+workflow executions" (§7.1) and wants them from a *running* system.
+This module is the one calibrator of that loop: a
+:class:`StreamingCalibrator` consumes audit rows (or
+:class:`~repro.monitor.audit.StateVisitRecord` /
 :class:`~repro.monitor.audit.ServiceRequestRecord` /
 :class:`~repro.monitor.audit.InstanceRecord` objects) one at a time and
-maintains exactly the sufficient statistics the batch estimators
-compute:
+maintains the sufficient statistics of every estimate:
 
 * online transition counts (maximum-likelihood probabilities on query);
-* Welford residence-time, turnaround, and service-time moments (the
-  same :class:`~repro.sim.statistics.RunningStats` accumulator the
-  batch path uses, updated in the same order);
+* Welford residence-time, turnaround, and service-time moments
+  (:class:`~repro.sim.statistics.RunningStats`);
 * cumulative and *windowed* arrival-rate estimation (a sliding window
   of instance completions, for drift-sensitive rate tracking).
 
-Because every accumulator is updated by the identical float operations
-in the identical order, a full replay of a trail reproduces the batch
-estimates **bitwise** — ``tests/monitor/test_stream.py`` asserts
-equality, not approximation.  The estimator outputs are plain
-dictionaries and floats (model-agnostic, in the spirit of the
-probabilistic-workflow-net line of work), so any backend — the CTMC
-pipeline, a future workflow-net evaluator, or the drift detectors in
-:mod:`repro.monitor.drift` — can consume them.
+Each record category updates its own accumulators, so a whole trail
+and a live feed of the same records (in per-category order) give the
+same estimates, bit for bit: ``repro monitor``,
+``batch_recommendation`` and ``repro serve`` all calibrate through
+:meth:`StreamingCalibrator.observe_row`.  ``tests/monitor/test_stream.py``
+checks the estimates against an independent whole-trail oracle.
+
+The estimator outputs are plain dictionaries and floats
+(model-agnostic, in the spirit of the probabilistic-workflow-net line
+of work), so any backend — the CTMC pipeline, a future workflow-net
+evaluator, or the drift detectors in :mod:`repro.monitor.drift` — can
+consume them.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
+from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro import obs
-from repro.core.workflow_model import WorkflowDefinition
+from repro.core.workflow_model import WorkflowDefinition, WorkflowState
 from repro.exceptions import ValidationError
 from repro.monitor.audit import (
     INSTANCE,
@@ -46,50 +50,82 @@ from repro.monitor.audit import (
     AuditTrail,
     record_row,
 )
-from repro.monitor.calibration import (
-    ServiceTimeEstimate,
-    build_flat_workflow,
-    entry,
-)
 from repro.sim.statistics import RunningStats
 
-__all__ = ["StreamingCalibrator"]
+__all__ = ["ServiceTimeEstimate", "StreamingCalibrator"]
 
 #: Schema identifier of :meth:`StreamingCalibrator.document`.
 SCHEMA = "repro.monitor.stream/v1"
 
 
+def entry(mapping: dict, key: Any, factory: Callable[[], Any]) -> Any:
+    """``mapping[key]``, inserted from ``factory()`` on first use.
+
+    Unlike ``mapping.setdefault(key, factory())`` it builds nothing for
+    a key that is already present.  The streaming calibrator and the
+    drift monitor build their accumulators with it.
+    """
+    value = mapping.get(key)
+    if value is None:
+        value = mapping[key] = factory()
+    return value
+
+
+def check_positive_finite(name: str, value: float) -> None:
+    """Raise :class:`~repro.exceptions.ValidationError` unless ``value``
+    is positive and at most the largest float.
+
+    The check of every sliding window and of an explicitly given
+    observation period, written so that NaN fails it.
+    """
+    if not 0.0 < value <= sys.float_info.max:
+        raise ValidationError(
+            f"{name} must be positive and finite, got {value!r}"
+        )
+
+
+@dataclass(frozen=True)
+class ServiceTimeEstimate:
+    """Estimated service-time moments of one server type."""
+
+    server_type: str
+    sample_count: int
+    mean: float
+    second_moment: float
+    mean_waiting_time: float
+
+
 class StreamingCalibrator:
-    """Incremental re-implementation of the Section 7.1 estimators.
+    """The Section 7.1 estimators, updated one audit record at a time.
 
-    Feed records via :meth:`observe` (or :meth:`replay` for a whole
-    trail); query estimates at any time.  Queries mirror the batch API
-    one-to-one and raise :class:`~repro.exceptions.ValidationError`
-    under the same empty conditions, so the two paths are drop-in
-    interchangeable.
+    Feed rows via :meth:`observe_rows` (records via
+    :meth:`replay_records`, a whole trail via :meth:`replay`); query
+    estimates at any time.  A query raises
+    :class:`~repro.exceptions.ValidationError` while nothing it needs
+    has been observed.
 
-    ``window`` bounds the sliding completion-time window used by
-    :meth:`windowed_arrival_rate` (in simulation time units).
+    ``window`` (positive and finite) bounds the sliding completion-time
+    window used by :meth:`windowed_arrival_rate` (in simulation time
+    units).
     """
 
     def __init__(self, window: float = 1_000.0) -> None:
-        if window <= 0.0:
-            raise ValidationError("window must be positive")
+        check_positive_finite("window", window)
         self.window = window
         self.records_seen = 0
         # workflow type -> state -> successor -> count, all insertion
-        # ordered exactly as the batch estimator builds them.
+        # ordered by first observation.
         self._departures: dict[str, dict[str, dict[str, int]]] = {}
         # workflow type -> state -> residence-time accumulator.
         self._residence: dict[str, dict[str, RunningStats]] = {}
         # workflow type -> turnaround accumulator over completions.
         self._turnaround: dict[str, RunningStats] = {}
-        # workflow type -> completion count (the batch arrival counter).
+        # workflow type -> completion count (the cumulative arrivals).
         self._completions: dict[str, int] = {}
         # workflow type -> recent completion times (windowed rate).
         self._completion_times: dict[str, deque[float]] = {}
         # server type -> service/waiting accumulators, insertion ordered
-        # by first request as in the batch estimator.
+        # by first request.
         self._service: dict[str, RunningStats] = {}
         self._waiting: dict[str, RunningStats] = {}
         # instance id -> server type -> request count (load vectors).
@@ -112,8 +148,7 @@ class StreamingCalibrator:
         transition counts and residence-time moments, a service request
         service-time/waiting moments and per-instance loads, an
         instance turnaround moments and (windowed) arrival counts.
-        Every update is the batch estimators' float operation in their
-        order.  Counts no ``monitor.stream.records``: the batch methods
+        Counts no ``monitor.stream.records``: the batch methods
         (:meth:`observe_rows` and the record adapters) do, once each.
         """
         if kind == STATE_VISIT:
@@ -179,19 +214,13 @@ class StreamingCalibrator:
                 obs.count("monitor.stream.records", count)
         return count
 
-    def observe(self, record: AuditRecord) -> None:
-        """Consume one audit record of any kind."""
-        self.observe_rows((record_row(record),))
-
     def replay(self, trail: AuditTrail) -> None:
-        """Feed a whole trail in the batch estimators' traversal order.
+        """Feed a whole trail: state visits, then service requests, then
+        instances, each category in trail order.
 
-        State visits, then service requests, then instances — each
-        category in trail order, which is exactly how the batch
-        functions iterate, so estimates after a replay equal the batch
-        estimates bitwise.  (The categories are independent, so any
-        interleaving that preserves per-category order — e.g. a live
-        feed or a JSONL file — gives the same result.)
+        The categories update disjoint accumulators, so any interleaving
+        that preserves per-category order — e.g. a live feed or a JSONL
+        file — gives the same estimates, bit for bit.
         """
         self.replay_records(
             chain(trail.state_visits, trail.service_requests, trail.instances)
@@ -229,15 +258,17 @@ class StreamingCalibrator:
         return sum(self._completions.values())
 
     # ------------------------------------------------------------------
-    # Queries (mirror repro.monitor.calibration one-to-one)
+    # Queries
     # ------------------------------------------------------------------
     def transition_probabilities(
         self, workflow_type: str
     ) -> dict[tuple[str, str], float]:
         """Maximum-likelihood transition probabilities observed so far.
 
-        Matches :func:`~repro.monitor.calibration.estimate_transition_probabilities`
-        bitwise on the same record sequence.
+        For every observed state, the probability of a successor is its
+        observed frequency among departures from that state.
+        Transitions into the termination marker are omitted (the model
+        layer adds the absorbing transition itself).
         """
         departures = self._departures.get(workflow_type)
         if not departures:
@@ -278,7 +309,7 @@ class StreamingCalibrator:
         self, workflow_type: str, observation_period: float
     ) -> float:
         """Completed arrivals per time unit over a fixed period."""
-        if observation_period <= 0.0:
+        if not observation_period > 0.0:
             raise ValidationError("observation period must be positive")
         return self._completions.get(workflow_type, 0) / observation_period
 
@@ -314,7 +345,14 @@ class StreamingCalibrator:
         }
 
     def requests_per_instance(self, workflow_type: str) -> dict[str, float]:
-        """Mean service requests per completed instance, per server type."""
+        """Estimate the load vector ``r_{x,t}`` from monitoring data (§4.2).
+
+        "In practice, the entries of the load matrix have to be
+        determined by collecting appropriate runtime statistics" — the
+        mean number of service requests per *completed* instance of the
+        workflow type, per server type.  Requests without instance
+        attribution are ignored.
+        """
         completed = self._completed_ids.get(workflow_type)
         if not completed:
             raise ValidationError(
@@ -340,15 +378,45 @@ class StreamingCalibrator:
     ) -> WorkflowDefinition:
         """Reconstruct a flat workflow definition from the stream.
 
-        The streaming twin of
-        :func:`~repro.monitor.calibration.calibrate_flat_workflow`.
+        States observed in the stream become routing states carrying the
+        estimated residence times (which *include* any subworkflow
+        runtimes, so the reconstruction is behaviourally flat);
+        transition probabilities are the observed frequencies.  When a
+        ``reference`` definition is given, its activity attachments are
+        preserved for states whose activities are known, so that load
+        matrices survive recalibration.
         """
-        return build_flat_workflow(
-            self.transition_probabilities(workflow_type),
-            self.residence_times(workflow_type),
-            workflow_type,
-            initial_state,
-            reference,
+        probabilities = self.transition_probabilities(workflow_type)
+        residence = self.residence_times(workflow_type)
+        state_names = sorted(
+            set(residence)
+            | {target for (_, target) in probabilities}
+        )
+        if initial_state not in state_names:
+            raise ValidationError(
+                f"initial state {initial_state!r} never observed in trail"
+            )
+        states = []
+        for name in state_names:
+            activity = None
+            if reference is not None:
+                try:
+                    activity = reference.state(name).activity
+                except ValidationError:
+                    activity = None
+            duration = residence.get(name)
+            if duration is None or duration <= 0.0:
+                duration = 1e-6  # observed only as a target; near-instant
+            states.append(
+                WorkflowState(
+                    name=name, activity=activity, mean_duration=duration
+                )
+            )
+        return WorkflowDefinition(
+            name=workflow_type,
+            states=tuple(states),
+            transitions=probabilities,
+            initial_state=initial_state,
         )
 
     # ------------------------------------------------------------------
@@ -359,8 +427,8 @@ class StreamingCalibrator:
 
         The snapshot is a copy: records observed after the export leave
         it unchanged, so a search can restore it later on another
-        thread.  Dictionaries are exported in insertion order (which the
-        batch parity depends on) and floats survive the JSON round-trip
+        thread.  Dictionaries are exported in insertion order (the order
+        of every query result) and floats survive the JSON round-trip
         bit-for-bit, so a calibrator rebuilt by :meth:`restore_state`
         continues the stream exactly where this one stopped: feeding the
         remaining records produces estimates bitwise identical to never
@@ -485,12 +553,15 @@ class StreamingCalibrator:
         """JSON-serializable snapshot of every current estimate.
 
         ``observation_period`` defaults to the observed time span; it
-        feeds the cumulative arrival-rate estimates.  Quantities with
-        no observations yet are ``None`` rather than errors — a
-        monitoring endpoint reports what it has.
+        feeds the cumulative arrival-rate estimates, and one given
+        explicitly must be positive and finite.  Quantities with no
+        observations yet are ``None`` rather than errors — a monitoring
+        endpoint reports what it has.
         """
         if observation_period is None:
             observation_period = self.observed_span
+        else:
+            check_positive_finite("observation period", observation_period)
         workflows: dict[str, Any] = {}
         for name in sorted(self.workflow_types()):
             stats = self._turnaround.get(name)

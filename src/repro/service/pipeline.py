@@ -12,19 +12,20 @@ recommendation document.  Both consumers call it:
 * the **service** path (:mod:`repro.service.server`) calls it against a
   calibrator that was fed the same records over ``POST /events``.
 
-Because the streaming calibrator is bitwise-equal to batch replay on
-the same record sequence (the PR 6 contract) and this module is the
-single implementation of everything downstream — model overlay, total
-request rates, search, document rendering — the two paths produce
-**byte-identical** documents.  The benchmark harness gates exactly
-that (``python -m bench --check``: ``served_equals_batch`` and
-``sample_trail_equals_batch``).
+Because both paths calibrate through the one streaming update
+(:meth:`~repro.monitor.stream.StreamingCalibrator.observe_row`), whose
+estimates depend only on the per-category order of the records, and
+this module is the single implementation of everything downstream —
+model overlay, total request rates, search, document rendering — the
+two paths produce **byte-identical** documents.  The benchmark harness
+gates exactly that (``python -m bench --check``:
+``served_equals_batch`` and ``sample_trail_equals_batch``).
 
 The calibrated model overlays measured quantities on a *baseline
 project* (the prior landscape): per-type service-time moments replace
-the baseline ones (:func:`~repro.monitor.calibration.calibrate_server_type`),
-while failure/repair rates and costs — which the audit trail cannot
-observe — are kept.  Per-type total request rates are assembled as
+the baseline ones (:func:`calibrate_server_type`), while failure/repair
+rates and costs — which the audit trail cannot observe — are kept.
+Per-type total request rates are assembled as
 ``sum_w lambda_w * r_{w,x}`` from the measured arrival rates and
 requests-per-instance vectors, which is all the configuration search
 needs (:meth:`~repro.core.performance.PerformanceModel.from_request_totals`).
@@ -39,7 +40,11 @@ from typing import Any, Callable
 from repro.core.configuration import SEARCHES
 from repro.core.evaluation_cache import EvaluationCache
 from repro.core.goals import GoalEvaluator, PerformabilityGoals
-from repro.core.model_types import ServerTypeIndex, ServerTypeSpec
+from repro.core.model_types import (
+    ServerTypeIndex,
+    ServerTypeSpec,
+    _check_mean_service_time,
+)
 from repro.core.performance import PerformanceModel
 from repro.core.search import ReplicationConstraints, frontier_search
 from repro.exceptions import (
@@ -47,8 +52,11 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.io import Project
-from repro.monitor.calibration import calibrate_server_type
-from repro.monitor.stream import StreamingCalibrator
+from repro.monitor.stream import (
+    ServiceTimeEstimate,
+    StreamingCalibrator,
+    check_positive_finite,
+)
 
 #: Schema tag of the canonical recommendation document.
 SCHEMA = "repro.service.recommendation/v1"
@@ -144,6 +152,32 @@ def parse_goals(text: str) -> PerformabilityGoals:
     )
 
 
+def calibrate_server_type(
+    spec: ServerTypeSpec, estimate: ServiceTimeEstimate
+) -> ServerTypeSpec:
+    """A copy of ``spec`` with measured service-time moments.
+
+    Guards against degenerate samples: the second moment is floored at
+    the squared mean (zero-variance sample).
+    """
+    if estimate.sample_count < 1:
+        raise ValidationError(
+            f"no service samples for server type {spec.name}"
+        )
+    _check_mean_service_time(spec.name, estimate.mean)
+    return ServerTypeSpec(
+        name=spec.name,
+        mean_service_time=estimate.mean,
+        second_moment_service_time=max(
+            estimate.second_moment, estimate.mean**2
+        ),
+        failure_rate=spec.failure_rate,
+        repair_rate=spec.repair_rate,
+        cost=spec.cost,
+        role=spec.role,
+    )
+
+
 def calibrated_specs(
     calibrator: StreamingCalibrator, baseline: Project
 ) -> ServerTypeIndex:
@@ -185,8 +219,11 @@ def calibrated_model(
     order): the measured arrival rate times the measured mean requests
     per instance.  Workflows without a completed instance contribute
     nothing yet.  Raises when no workflow has completed at all — there
-    is no workload to recommend against.
+    is no workload to recommend against — and for an explicit
+    ``observation_period`` that is not positive and finite.
     """
+    if observation_period is not None:
+        check_positive_finite("observation period", observation_period)
     index = calibrated_specs(calibrator, baseline)
     if observation_period is None:
         observation_period = calibrator.observed_span

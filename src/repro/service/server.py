@@ -67,7 +67,7 @@ from repro.exceptions import ReproError, ValidationError
 from repro.io import Project
 from repro.monitor.drift import DriftEvent
 from repro.monitor.persistence import parse_record_row
-from repro.monitor.stream import StreamingCalibrator
+from repro.monitor.stream import StreamingCalibrator, check_positive_finite
 from repro.obs.server import (
     render_health,
     render_json_body,
@@ -146,7 +146,9 @@ class RecommendationService:
     ``port=0`` binds an ephemeral port (read :attr:`port` back after
     :meth:`start`).  When ``snapshot_path`` names an existing file the
     service warm-restarts from it; on :meth:`stop` the current state is
-    written back, so a restart cycle loses nothing.
+    written back, so a restart cycle loses nothing.  ``window``, every
+    tenant's sliding arrival-rate window, must be positive and finite:
+    the constructor checks it, before any port is bound or tenant made.
     """
 
     def __init__(
@@ -162,6 +164,7 @@ class RecommendationService:
     ) -> None:
         if not 0 <= port <= 65535:
             raise ValidationError(f"port {port} outside [0, 65535]")
+        check_positive_finite("window", window)
         self.baseline = baseline
         self.goals = goals
         self.settings = settings if settings is not None else SearchSettings()

@@ -13,11 +13,6 @@ from repro.core.configuration import greedy_configuration
 from repro.core.goals import GoalEvaluator, PerformabilityGoals
 from repro.core.performance import PerformanceModel, SystemConfiguration
 from repro.io import Project
-from repro.monitor.calibration import (
-    calibrate_flat_workflow,
-    estimate_transition_probabilities,
-    estimate_turnaround_time,
-)
 from repro.monitor.stream import StreamingCalibrator
 from repro.service.pipeline import calibrated_specs
 from repro.spec.translator import translate_chart
@@ -145,22 +140,21 @@ class TestCalibrationRoundTrip:
             "OrderProcessing", 20_000.0
         ) == pytest.approx(0.2, rel=0.15)
 
-    def test_branching_probabilities_recovered(self, operational_run):
-        _, _, report = operational_run
-        probabilities = estimate_transition_probabilities(report.trail, "EP")
+    def test_branching_probabilities_recovered(self, calibrator):
+        probabilities = calibrator.transition_probabilities("EP")
         assert probabilities[
             ("NewOrder", "CreditCardCheck")
         ] == pytest.approx(P_PAY_BY_CARD, abs=0.05)
 
     def test_recalibrated_flat_workflow_matches_measured_turnaround(
-        self, operational_run
+        self, operational_run, calibrator
     ):
-        types, _, report = operational_run
-        definition = calibrate_flat_workflow(report.trail, "EP", "NewOrder")
+        types, _, _ = operational_run
+        definition = calibrator.flat_workflow("EP", "NewOrder")
         from repro.core.workflow_model import build_workflow_ctmc
 
         model = build_workflow_ctmc(definition, types)
-        measured = estimate_turnaround_time(report.trail, "EP")
+        measured = calibrator.turnaround_time("EP")
         assert model.turnaround_time() == pytest.approx(measured, rel=0.05)
 
     def test_calibrated_tool_predictions_stay_consistent(
@@ -179,13 +173,13 @@ class TestCalibrationRoundTrip:
             )
 
     def test_analytic_turnaround_matches_reference_model(
-        self, operational_run
+        self, operational_run, calibrator
     ):
-        types, _, report = operational_run
+        types, _, _ = operational_run
         from repro.core.workflow_model import build_workflow_ctmc
 
         reference = build_workflow_ctmc(ecommerce_workflow(), types)
-        measured = estimate_turnaround_time(report.trail, "EP")
+        measured = calibrator.turnaround_time("EP")
         assert measured == pytest.approx(
             reference.turnaround_time(), rel=0.05
         )

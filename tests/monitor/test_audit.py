@@ -259,17 +259,6 @@ class TestTrailQueries:
         )
         return trail
 
-    def test_workflow_types(self):
-        assert self._trail().workflow_types() == {"alpha", "beta"}
-
-    def test_filtered_iterators(self):
-        trail = self._trail()
-        assert [r.state for r in trail.visits_of("alpha")] == ["a"]
-        assert len(list(trail.instances_of("alpha"))) == 1
-        assert len(list(trail.instances_of("beta"))) == 0
-        assert len(list(trail.requests_of("srv"))) == 1
-        assert len(list(trail.requests_of("other"))) == 0
-
     def test_merge_combines_without_mutating(self):
         first, second = self._trail(), self._trail()
         merged = first.merge([second])

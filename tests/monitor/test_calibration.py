@@ -1,4 +1,8 @@
-"""Tests for parameter calibration from audit trails (Section 7.1)."""
+"""Tests for parameter calibration from audit trails (Section 7.1).
+
+Hand-computed estimates of small trails, queried from a replayed
+:class:`~repro.monitor.stream.StreamingCalibrator`.
+"""
 
 import math
 import sys
@@ -15,17 +19,9 @@ from repro.monitor.audit import (
     ServiceRequestRecord,
     StateVisitRecord,
 )
-from repro.monitor.calibration import (
-    ServiceTimeEstimate,
-    calibrate_flat_workflow,
-    calibrate_server_type,
-    estimate_arrival_rate,
-    estimate_requests_per_instance,
-    estimate_residence_times,
-    estimate_service_times,
-    estimate_transition_probabilities,
-    estimate_turnaround_time,
-)
+from repro.monitor.stream import ServiceTimeEstimate
+from repro.service.pipeline import calibrate_server_type
+from tests.monitor.test_stream import replayed
 
 
 def build_trail():
@@ -54,45 +50,51 @@ def build_trail():
     return trail
 
 
+@pytest.fixture
+def stream():
+    """The hand-crafted trail, replayed into a streaming calibrator."""
+    return replayed(build_trail())
+
+
 class TestTransitionProbabilities:
-    def test_maximum_likelihood_frequencies(self):
-        probabilities = estimate_transition_probabilities(build_trail(), "wf")
+    def test_maximum_likelihood_frequencies(self, stream):
+        probabilities = stream.transition_probabilities("wf")
         assert probabilities[("a", "b")] == pytest.approx(2.0 / 3.0)
         assert probabilities[("a", "end")] == pytest.approx(1.0 / 3.0)
         assert probabilities[("b", "end")] == pytest.approx(1.0)
 
-    def test_termination_transitions_omitted(self):
-        probabilities = estimate_transition_probabilities(build_trail(), "wf")
+    def test_termination_transitions_omitted(self, stream):
+        probabilities = stream.transition_probabilities("wf")
         assert all(target != TERMINATION for _, target in probabilities)
 
-    def test_unknown_workflow_rejected(self):
+    def test_unknown_workflow_rejected(self, stream):
         with pytest.raises(ValidationError):
-            estimate_transition_probabilities(build_trail(), "nope")
+            stream.transition_probabilities("nope")
 
 
 class TestResidenceAndTurnaround:
-    def test_residence_means(self):
-        residence = estimate_residence_times(build_trail(), "wf")
+    def test_residence_means(self, stream):
+        residence = stream.residence_times("wf")
         assert residence["a"] == pytest.approx(2.0)
         assert residence["b"] == pytest.approx(3.0)
 
-    def test_turnaround_mean(self):
-        assert estimate_turnaround_time(build_trail(), "wf") == pytest.approx(
+    def test_turnaround_mean(self, stream):
+        assert stream.turnaround_time("wf") == pytest.approx(
             (5.1 + 5.1 + 2.1) / 3.0
         )
 
-    def test_arrival_rate(self):
-        assert estimate_arrival_rate(
-            build_trail(), "wf", observation_period=10.0
+    def test_arrival_rate(self, stream):
+        assert stream.arrival_rate(
+            "wf", observation_period=10.0
         ) == pytest.approx(0.3)
 
-    def test_arrival_rate_needs_positive_period(self):
+    def test_arrival_rate_needs_positive_period(self, stream):
         with pytest.raises(ValidationError):
-            estimate_arrival_rate(build_trail(), "wf", 0.0)
+            stream.arrival_rate("wf", 0.0)
 
     def test_empty_trail_rejected(self):
         with pytest.raises(ValidationError):
-            estimate_turnaround_time(AuditTrail(), "wf")
+            replayed(AuditTrail()).turnaround_time("wf")
 
 
 class TestServiceTimes:
@@ -105,7 +107,7 @@ class TestServiceTimes:
                     start + 0.5 + duration,
                 )
             )
-        estimates = estimate_service_times(trail)
+        estimates = replayed(trail).service_times()
         estimate = estimates["srv"]
         assert estimate.mean == pytest.approx(2.0)
         assert estimate.second_moment == pytest.approx((1.0 + 9.0) / 2.0)
@@ -119,7 +121,7 @@ class TestServiceTimes:
             ServiceRequestRecord("srv", "srv#0", 0.0, 0.0, 2.0)
         )
         updated = calibrate_server_type(
-            spec, estimate_service_times(trail)["srv"]
+            spec, replayed(trail).service_times()["srv"]
         )
         assert updated.mean_service_time == pytest.approx(2.0)
         # Failure behaviour preserved.
@@ -132,7 +134,7 @@ class TestServiceTimes:
             ServiceRequestRecord("srv", "srv#0", 0.0, 0.0, 2.0)
         )
         updated = calibrate_server_type(
-            spec, estimate_service_times(trail)["srv"]
+            spec, replayed(trail).service_times()["srv"]
         )
         assert updated.second_moment_service_time >= (
             updated.mean_service_time**2
@@ -178,15 +180,15 @@ class TestRequestsPerInstance:
         return trail
 
     def test_per_instance_means(self):
-        estimates = estimate_requests_per_instance(
-            self._trail_with_requests(), "wf"
-        )
+        estimates = replayed(
+            self._trail_with_requests()
+        ).requests_per_instance("wf")
         assert estimates["engine"] == pytest.approx(2.0)
         assert estimates["app"] == pytest.approx(1.0 / 3.0)
 
-    def test_unknown_workflow_rejected(self):
+    def test_unknown_workflow_rejected(self, stream):
         with pytest.raises(ValidationError):
-            estimate_requests_per_instance(build_trail(), "nope")
+            stream.requests_per_instance("nope")
 
     def test_simulated_trail_recovers_load_vector(self):
         from repro.core.performance import SystemConfiguration
@@ -212,7 +214,7 @@ class TestRequestsPerInstance:
             inject_failures=False,
         )
         report = wfms.run(duration=6000.0, warmup=300.0)
-        estimates = estimate_requests_per_instance(report.trail, "EP")
+        estimates = replayed(report.trail).requests_per_instance("EP")
         model = build_workflow_ctmc(ecommerce_workflow(), types)
         predicted = dict(
             zip(types.names, model.requests_per_instance())
@@ -224,14 +226,14 @@ class TestRequestsPerInstance:
 
 
 class TestFlatWorkflowReconstruction:
-    def test_reconstruction_preserves_turnaround(self):
-        definition = calibrate_flat_workflow(build_trail(), "wf", "a")
+    def test_reconstruction_preserves_turnaround(self, stream):
+        definition = stream.flat_workflow("wf", "a")
         types = ServerTypeIndex([ServerTypeSpec("srv", 1.0)])
         model = build_workflow_ctmc(definition, types)
-        measured = estimate_turnaround_time(build_trail(), "wf")
+        measured = stream.turnaround_time("wf")
         assert model.turnaround_time() == pytest.approx(measured, rel=0.01)
 
-    def test_reference_activities_preserved(self):
+    def test_reference_activities_preserved(self, stream):
         activity = ActivitySpec("a", 2.0, loads={"srv": 5.0})
         from repro.core.workflow_model import WorkflowDefinition, WorkflowState
 
@@ -246,12 +248,10 @@ class TestFlatWorkflowReconstruction:
                          ("b", "end"): 1.0},
             initial_state="a",
         )
-        definition = calibrate_flat_workflow(
-            build_trail(), "wf", "a", reference=reference
-        )
+        definition = stream.flat_workflow("wf", "a", reference=reference)
         assert definition.state("a").activity is activity
         assert definition.state("b").activity is None
 
-    def test_unobserved_initial_state_rejected(self):
+    def test_unobserved_initial_state_rejected(self, stream):
         with pytest.raises(ValidationError):
-            calibrate_flat_workflow(build_trail(), "wf", "zz")
+            stream.flat_workflow("wf", "zz")

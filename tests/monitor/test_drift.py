@@ -1,14 +1,24 @@
 """Tests for the sequential drift detectors and the drift monitor."""
 
+import json
 import random
+from itertools import chain
 
 import pytest
 
 from repro import obs
 from repro.exceptions import ValidationError
 from repro.monitor.audit import InstanceRecord, StateVisitRecord
-from repro.monitor.drift import DriftMonitor, PageHinkleyDetector
+from repro.monitor.drift import CONFIG, DriftMonitor, PageHinkleyDetector
 from repro.monitor.stream import StreamingCalibrator
+from tests.monitor.test_stream import synthetic_trail
+
+#: Confirmed drifts per record the default detector settings may raise
+#: on a stationary stream.  A Page-Hinkley detector at delta 0.25 /
+#: threshold 15 false-alarms with probability ~exp(-7.5) per excursion;
+#: across the monitor's eight detectors a long stationary replay
+#: confirms a handful of spurious drifts (each resets and re-learns).
+MAX_FALSE_POSITIVE_RATE = 5e-4
 
 
 def visit(index, residence, state="a", workflow_type="wf", next_state="b"):
@@ -87,7 +97,7 @@ class TestDriftMonitor:
         rng = random.Random(5)
         monitor = DriftMonitor()
         for i in range(400):
-            monitor.observe(visit(i, rng.expovariate(1.0)))
+            monitor.observe_all([visit(i, rng.expovariate(1.0))])
         assert not monitor.has_drift
         assert monitor.events == []
 
@@ -95,10 +105,10 @@ class TestDriftMonitor:
         visits = residence_shift_visits()
         monitor = DriftMonitor()
         for record in visits[:200]:
-            assert monitor.observe(record) == []
+            assert monitor.observe_all([record]) == []
         confirmed = []
         for record in visits[200:]:
-            confirmed.extend(monitor.observe(record))
+            confirmed.extend(monitor.observe_all([record]))
         assert confirmed
         event = confirmed[0]
         assert event.kind == "residence_time"
@@ -114,12 +124,12 @@ class TestDriftMonitor:
             return "b" if rng.random() < p_b else "c"
 
         for i in range(300):
-            monitor.observe(visit(i, 1.0, next_state=successor(0.9)))
+            monitor.observe_all([visit(i, 1.0, next_state=successor(0.9))])
         assert not monitor.has_drift
         confirmed = []
         for i in range(300, 600):
             confirmed.extend(
-                monitor.observe(visit(i, 1.0, next_state=successor(0.1)))
+                monitor.observe_all([visit(i, 1.0, next_state=successor(0.1))])
             )
         kinds = {event.kind for event in confirmed}
         assert "transition_probability" in kinds
@@ -133,12 +143,12 @@ class TestDriftMonitor:
             rate = 1.0 if i < 300 else 5.0
             clock += rng.expovariate(rate)
             confirmed.extend(
-                monitor.observe(
+                monitor.observe_all([
                     InstanceRecord(
                         instance_id=i, workflow_type="wf",
                         started_at=clock - 0.1, completed_at=clock,
                     )
-                )
+                ])
             )
             if i < 300:
                 assert not confirmed
@@ -150,10 +160,10 @@ class TestDriftMonitor:
         seen = []
         monitor = DriftMonitor(calibrator=calibrator, on_drift=seen.append)
         for i in range(200):
-            monitor.observe(visit(i, rng.expovariate(1.0)))
+            monitor.observe_all([visit(i, rng.expovariate(1.0))])
         assert seen == []
         for i in range(200, 400):
-            monitor.observe(visit(i, rng.expovariate(0.25)))
+            monitor.observe_all([visit(i, rng.expovariate(0.25))])
         assert monitor.has_drift
         assert seen == monitor.events
 
@@ -165,7 +175,7 @@ class TestDriftMonitor:
             monitor = DriftMonitor()
             for i in range(400):
                 mean = 1.0 if i < 200 else 4.0
-                monitor.observe(visit(i, rng.expovariate(1.0 / mean)))
+                monitor.observe_all([visit(i, rng.expovariate(1.0 / mean))])
             registry = obs.registry()
             confirmed = registry.counter("monitor.drift.confirmed").value
             assert confirmed == len(monitor.events) > 0
@@ -185,14 +195,14 @@ class TestDriftMonitor:
         monitor = DriftMonitor()
         for i in range(400):
             mean = 1.0 if i < 200 else 4.0
-            monitor.observe(visit(i, rng.expovariate(1.0 / mean)))
+            monitor.observe_all([visit(i, rng.expovariate(1.0 / mean))])
         first = len(monitor.events)
         assert first >= 1
         # The new regime is stationary: the reset detector re-learns it
         # without immediately re-firing on every record.
         before = len(monitor.events)
         for i in range(400, 430):
-            monitor.observe(visit(i, rng.expovariate(0.25)))
+            monitor.observe_all([visit(i, rng.expovariate(0.25))])
         assert len(monitor.events) == before
 
     def test_document_and_format_text(self):
@@ -200,7 +210,7 @@ class TestDriftMonitor:
         monitor = DriftMonitor()
         for i in range(400):
             mean = 1.0 if i < 200 else 4.0
-            monitor.observe(visit(i, rng.expovariate(1.0 / mean)))
+            monitor.observe_all([visit(i, rng.expovariate(1.0 / mean))])
         document = monitor.document()
         assert document["schema"] == "repro.monitor.drift/v1"
         assert document["has_drift"] is True
@@ -215,4 +225,48 @@ class TestDriftMonitor:
 
     def test_unknown_record_type_rejected(self):
         with pytest.raises(ValidationError):
-            DriftMonitor().observe(object())
+            DriftMonitor().observe_all([object()])
+
+
+class TestFalsePositiveBudget:
+    def test_stationary_trail_stays_inside_the_budget(self):
+        # 20,000 instances of one stationary workflow: every drift the
+        # default settings confirm here is a false alarm.
+        trail = synthetic_trail(seed=29, instances=20_000)
+        monitor = DriftMonitor()
+        events = monitor.observe_all(
+            chain(trail.state_visits, trail.service_requests, trail.instances)
+        )
+        records = monitor.calibrator.records_seen
+        assert records == 128_541
+        assert len(events) / records <= MAX_FALSE_POSITIVE_RATE
+
+
+class TestSnapshot:
+    def test_config_block_names_the_detector_settings(self):
+        assert DriftMonitor().export_state()["config"] == {
+            "delta": 0.25,
+            "threshold": 15.0,
+            "min_samples": 30,
+            "indicator_delta": 0.1,
+            "indicator_threshold": 8.0,
+        }
+
+    def test_restored_monitor_continues_exactly(self):
+        visits = residence_shift_visits()
+        straight = DriftMonitor()
+        straight.observe_all(visits)
+        halted = DriftMonitor()
+        halted.observe_all(visits[:150])
+        wire = json.loads(json.dumps(halted.export_state()))
+        restored = DriftMonitor.restore_state(wire)
+        restored.observe_all(visits[150:])
+        assert restored.events == straight.events != []
+        assert restored.export_state() == straight.export_state()
+
+    @pytest.mark.parametrize("setting", sorted(CONFIG))
+    def test_snapshot_of_other_settings_rejected(self, setting):
+        state = DriftMonitor().export_state()
+        state["config"][setting] *= 2
+        with pytest.raises(ValidationError, match="detector settings"):
+            DriftMonitor.restore_state(state)

@@ -27,6 +27,7 @@ from repro.monitor.persistence import (
     save_trail,
 )
 from repro.monitor.stream import StreamingCalibrator
+from tests.monitor.test_stream import simulated_trail
 
 
 def sample_trail() -> AuditTrail:
@@ -86,39 +87,15 @@ class TestRoundTrip:
 
 class TestSimulationTrailRoundTrip:
     def test_calibration_survives_persistence(self, tmp_path):
-        from repro.core.performance import SystemConfiguration
-        from repro.monitor.calibration import estimate_service_times
-        from repro.wfms import SimulatedWFMS, SimulatedWorkflowType
-        from repro.workflows import (
-            ecommerce_activities,
-            ecommerce_chart,
-            standard_server_types,
-        )
-
-        wfms = SimulatedWFMS(
-            standard_server_types(),
-            SystemConfiguration(
-                {"comm-server": 1, "wf-engine": 1, "app-server": 2}
-            ),
-            [SimulatedWorkflowType(
-                ecommerce_chart(), ecommerce_activities(), 0.2
-            )],
-            seed=5,
-            inject_failures=False,
-        )
-        report = wfms.run(duration=2000.0, warmup=100.0)
+        trail = simulated_trail()
         path = tmp_path / "production.jsonl"
-        save_trail(report.trail, path)
-        restored = load_trail(path)
-        original = estimate_service_times(report.trail)
-        recovered = estimate_service_times(restored)
-        for name in original:
-            assert recovered[name].mean == pytest.approx(
-                original[name].mean
-            )
-            assert recovered[name].sample_count == (
-                original[name].sample_count
-            )
+        save_trail(trail, path)
+        original = StreamingCalibrator()
+        original.replay(trail)
+        recovered = StreamingCalibrator()
+        recovered.observe_rows(iter_trail_rows(path))
+        assert recovered.export_state() == original.export_state()
+        assert recovered.service_times() == original.service_times()
 
 
 class TestErrors:

@@ -1,32 +1,40 @@
-"""Tests for the streaming calibrator: bitwise parity with the batch path."""
+"""Tests for the streaming calibrator against an independent oracle."""
 
 import json
+import math
 import random
+from collections import Counter
+from functools import partial
+from typing import Any
 
 import pytest
 
 from repro.exceptions import ValidationError
 from repro.monitor.audit import (
+    TERMINATION,
     AuditTrail,
     InstanceRecord,
     ServiceRequestRecord,
     StateVisitRecord,
 )
-from repro.monitor.calibration import (
-    calibrate_flat_workflow,
-    estimate_arrival_rate,
-    estimate_requests_per_instance,
-    estimate_residence_times,
-    estimate_service_times,
-    estimate_transition_probabilities,
-    estimate_turnaround_time,
-)
 from repro.monitor.persistence import (
     iter_trail_records,
-    load_trail,
+    iter_trail_rows,
     save_trail,
 )
 from repro.monitor.stream import StreamingCalibrator
+
+#: Means and the second moment: the stream's Welford accumulators and
+#: the oracle's exactly rounded sums agree to rounding, not bitwise.
+close = partial(pytest.approx, rel=1e-12, abs=0.0)
+
+#: The observation period arrival rates are estimated over.
+PERIOD = 500.0
+
+#: The per-workflow-type estimates: ratios of counts, which the stream
+#: must match exactly, then means, which agree to rounding.
+EXACT = ("transition_probabilities", "requests_per_instance", "arrival_rate")
+ESTIMATES = (*EXACT, "residence_times", "turnaround_time")
 
 
 def synthetic_trail(
@@ -55,7 +63,7 @@ def synthetic_trail(
                     state=state,
                     entered_at=time,
                     left_at=time + residence,
-                    next_state=successor if successor else "__TERMINATED__",
+                    next_state=successor if successor else TERMINATION,
                 )
             )
             for _ in range(rng.randrange(0, 3)):
@@ -84,69 +92,233 @@ def synthetic_trail(
     return trail
 
 
+def simulated_trail() -> AuditTrail:
+    """A simulated WFMS trail: two workflow types, unfinished instances."""
+    from repro.core.performance import SystemConfiguration
+    from repro.wfms import SimulatedWFMS, SimulatedWorkflowType
+    from repro.workflows import (
+        ecommerce_activities,
+        ecommerce_chart,
+        order_processing_activities,
+        order_processing_chart,
+        standard_server_types,
+    )
+
+    wfms = SimulatedWFMS(
+        standard_server_types(),
+        SystemConfiguration(
+            {"comm-server": 1, "wf-engine": 1, "app-server": 2}
+        ),
+        [
+            SimulatedWorkflowType(
+                ecommerce_chart(), ecommerce_activities(), 0.2
+            ),
+            SimulatedWorkflowType(
+                order_processing_chart(), order_processing_activities(), 0.1
+            ),
+        ],
+        seed=5,
+        inject_failures=False,
+    )
+    return wfms.run(duration=2000.0, warmup=100.0).trail
+
+
+def mean(values: list[float]) -> float:
+    """Exactly rounded sum over count."""
+    return math.fsum(values) / len(values)
+
+
+def oracle(trail: AuditTrail, workflow_type: str) -> dict[str, Any]:
+    """The Section 7.1 estimates of one workflow type, from first
+    principles.
+
+    Counts with :class:`~collections.Counter` and sums with
+    :func:`math.fsum` over the whole trail: no running accumulator and
+    no dependence on the order the records come in.  Counts and ratios
+    of counts therefore equal the stream's exactly; means agree with
+    its Welford accumulators to rounding.
+    """
+    visits = [
+        r for r in trail.state_visits if r.workflow_type == workflow_type
+    ]
+    instances = [
+        r for r in trail.instances if r.workflow_type == workflow_type
+    ]
+    departures = Counter(r.state for r in visits)
+    moves = Counter((r.state, r.next_state) for r in visits)
+    completed = {r.instance_id for r in instances}
+    attributed = Counter(
+        r.server_type for r in trail.service_requests
+        if r.instance_id in completed
+    )
+    return {
+        "transition_probabilities": {
+            (state, target): count / departures[state]
+            for (state, target), count in moves.items()
+            if target != TERMINATION
+        },
+        "residence_times": {
+            state: mean([r.residence_time for r in visits if r.state == state])
+            for state in departures
+        },
+        "turnaround_time": mean([r.turnaround_time for r in instances]),
+        "arrival_rate": len(instances) / PERIOD,
+        "requests_per_instance": {
+            server: count / len(completed)
+            for server, count in attributed.items()
+        },
+    }
+
+
+def service_oracle(trail: AuditTrail) -> dict[str, list]:
+    """Per server type: sample count, mean service time, its second
+    moment, and mean waiting time, from first principles."""
+    requests: dict[str, list[ServiceRequestRecord]] = {}
+    for r in trail.service_requests:
+        requests.setdefault(r.server_type, []).append(r)
+    return {
+        server: [
+            len(served),
+            mean([r.service_time for r in served]),
+            mean([r.service_time * r.service_time for r in served]),
+            mean([r.waiting_time for r in served]),
+        ]
+        for server, served in requests.items()
+    }
+
+
 def replayed(trail: AuditTrail) -> StreamingCalibrator:
     calibrator = StreamingCalibrator()
     calibrator.replay(trail)
     return calibrator
 
 
+def assert_estimate(
+    stream: StreamingCalibrator,
+    trail: AuditTrail,
+    workflow_type: str,
+    quantity: str,
+) -> None:
+    """One of ``stream``'s :data:`ESTIMATES` of ``workflow_type`` against
+    the oracle's."""
+    expected = oracle(trail, workflow_type)[quantity]
+    if quantity == "arrival_rate":
+        actual = stream.arrival_rate(workflow_type, PERIOD)
+    else:
+        actual = getattr(stream, quantity)(workflow_type)
+    assert actual == (expected if quantity in EXACT else close(expected))
+
+
+def assert_matches_oracle(
+    stream: StreamingCalibrator, trail: AuditTrail
+) -> None:
+    """Every estimate of ``stream`` against the oracles: counts and
+    ratios of counts exactly, means and second moments to rounding."""
+    types = sorted({r.workflow_type for r in trail.instances})
+    assert sorted(stream.workflow_types()) == types
+    for workflow_type in types:
+        for quantity in ESTIMATES:
+            assert_estimate(stream, trail, workflow_type, quantity)
+    assert_service_times_match(stream, trail)
+
+
+def assert_service_times_match(
+    stream: StreamingCalibrator, trail: AuditTrail
+) -> None:
+    """The stream's per-server-type service estimates against
+    :func:`service_oracle`: sample counts exactly, moments to rounding."""
+    services = stream.service_times()
+    expected_services = service_oracle(trail)
+    assert set(services) == set(expected_services)
+    for server, (count, *moments) in expected_services.items():
+        estimate = services[server]
+        assert estimate.sample_count == count
+        assert [
+            estimate.mean, estimate.second_moment, estimate.mean_waiting_time
+        ] == close(moments)
+
+
 class TestBitwiseParityWithBatch:
-    def test_transition_probabilities(self):
+    """One estimate each of the replayed default trail against the
+    whole-trail (batch) oracle: counts and ratios of counts bitwise,
+    means and second moments to rounding."""
+
+    @staticmethod
+    def check(quantity: str) -> None:
         trail = synthetic_trail()
-        stream = replayed(trail)
-        assert stream.transition_probabilities("wf") == (
-            estimate_transition_probabilities(trail, "wf")
-        )
+        assert_estimate(replayed(trail), trail, "wf", quantity)
+
+    def test_transition_probabilities(self):
+        self.check("transition_probabilities")
 
     def test_residence_times(self):
-        trail = synthetic_trail()
-        stream = replayed(trail)
-        assert stream.residence_times("wf") == (
-            estimate_residence_times(trail, "wf")
-        )
+        self.check("residence_times")
 
     def test_turnaround_time(self):
-        trail = synthetic_trail()
-        stream = replayed(trail)
-        assert stream.turnaround_time("wf") == (
-            estimate_turnaround_time(trail, "wf")
-        )
+        self.check("turnaround_time")
 
     def test_arrival_rate(self):
-        trail = synthetic_trail()
-        stream = replayed(trail)
-        assert stream.arrival_rate("wf", 500.0) == (
-            estimate_arrival_rate(trail, "wf", 500.0)
-        )
+        self.check("arrival_rate")
 
     def test_service_times(self):
         trail = synthetic_trail()
-        stream = replayed(trail)
-        assert stream.service_times() == estimate_service_times(trail)
+        assert_service_times_match(replayed(trail), trail)
 
     def test_requests_per_instance(self):
-        trail = synthetic_trail()
-        stream = replayed(trail)
-        assert stream.requests_per_instance("wf") == (
-            estimate_requests_per_instance(trail, "wf")
-        )
+        self.check("requests_per_instance")
 
-    def test_flat_workflow_reconstruction(self):
-        trail = synthetic_trail()
-        stream = replayed(trail)
-        assert stream.flat_workflow("wf", "a") == (
-            calibrate_flat_workflow(trail, "wf", "a")
-        )
 
-    def test_interleaved_feed_matches_category_order(self):
-        # A live feed interleaves categories; per-category order is what
-        # matters for parity.
-        trail = synthetic_trail()
+#: The trails the stream is checked on: synthetic ones of several seeds
+#: and a simulated WFMS run.
+TRAILS = {
+    "seed-7": lambda: synthetic_trail(seed=7, instances=400),
+    "seed-11": lambda: synthetic_trail(seed=11, instances=400),
+    "seed-29": lambda: synthetic_trail(seed=29, instances=400),
+    "seed-101": lambda: synthetic_trail(seed=101, instances=400),
+    "wfms": simulated_trail,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(TRAILS))
+def trail(request) -> AuditTrail:
+    return TRAILS[request.param]()
+
+
+class TestParityWithOracle:
+    def test_replay_matches_oracle(self, trail):
+        assert_matches_oracle(replayed(trail), trail)
+
+    def test_flat_workflow_reconstruction(self, trail):
+        stream = replayed(trail)
+        for workflow_type in stream.workflow_types():
+            expected = oracle(trail, workflow_type)
+            probabilities = expected["transition_probabilities"]
+            residence = expected["residence_times"]
+            initial = next(
+                r.state for r in trail.state_visits
+                if r.workflow_type == workflow_type
+            )
+            definition = stream.flat_workflow(workflow_type, initial)
+            assert definition.transitions == probabilities
+            assert [state.name for state in definition.states] == sorted(
+                set(residence) | {target for _, target in probabilities}
+            )
+            for state in definition.states:
+                assert state.activity is None
+                # A state seen only as a target: a near-instant duration.
+                assert state.mean_duration == close(
+                    residence.get(state.name, 1e-6)
+                )
+
+    def test_interleaved_feed_matches_category_order(self, trail):
+        # A live feed interleaves the categories; each category updates
+        # its own accumulators, so only per-category order matters.
         interleaved = StreamingCalibrator()
-        visits = iter(trail.state_visits)
-        requests = iter(trail.service_requests)
-        instances = iter(trail.instances)
-        pools = [visits, requests, instances]
+        pools = [
+            iter(trail.state_visits),
+            iter(trail.service_requests),
+            iter(trail.instances),
+        ]
         rng = random.Random(3)
         while pools:
             pool = rng.choice(pools)
@@ -154,44 +326,23 @@ class TestBitwiseParityWithBatch:
             if record is None:
                 pools.remove(pool)
                 continue
-            interleaved.observe(record)
-        reference = replayed(trail)
-        assert interleaved.transition_probabilities("wf") == (
-            reference.transition_probabilities("wf")
-        )
-        assert interleaved.residence_times("wf") == (
-            reference.residence_times("wf")
-        )
-        assert interleaved.service_times() == reference.service_times()
-        assert interleaved.turnaround_time("wf") == (
-            reference.turnaround_time("wf")
-        )
+            interleaved.replay_records([record])
+        assert_matches_oracle(interleaved, trail)
+        assert interleaved.export_state() == replayed(trail).export_state()
 
 
 class TestPersistenceRoundTrip:
     def test_jsonl_stream_matches_batch(self, tmp_path):
-        # Satellite: save -> iter_trail_records -> streaming estimates
-        # must equal batch calibration of the loaded trail, bitwise.
-        trail = synthetic_trail(seed=11)
+        # save -> iter_trail_rows -> observe_rows must reach the state of
+        # the in-memory replay of the whole trail, and the oracle.
+        trail = synthetic_trail(seed=11, instances=400)
         path = tmp_path / "trail.jsonl"
         count = save_trail(trail, path)
         stream = StreamingCalibrator()
-        assert stream.replay_records(iter_trail_records(path)) == count
+        assert stream.observe_rows(iter_trail_rows(path)) == count
         assert stream.records_seen == count
-        loaded = load_trail(path)
-        assert stream.transition_probabilities("wf") == (
-            estimate_transition_probabilities(loaded, "wf")
-        )
-        assert stream.residence_times("wf") == (
-            estimate_residence_times(loaded, "wf")
-        )
-        assert stream.turnaround_time("wf") == (
-            estimate_turnaround_time(loaded, "wf")
-        )
-        assert stream.service_times() == estimate_service_times(loaded)
-        assert stream.requests_per_instance("wf") == (
-            estimate_requests_per_instance(loaded, "wf")
-        )
+        assert stream.export_state() == replayed(trail).export_state()
+        assert_matches_oracle(stream, trail)
 
     def test_iter_trail_records_preserves_file_order(self, tmp_path):
         trail = synthetic_trail(seed=2, instances=5)
@@ -222,24 +373,30 @@ class TestEmptyConditions:
 
     def test_nonpositive_observation_period_rejected(self):
         stream = replayed(synthetic_trail())
-        with pytest.raises(ValidationError):
-            stream.arrival_rate("wf", 0.0)
+        for period in (0.0, math.nan):
+            with pytest.raises(ValidationError):
+                stream.arrival_rate("wf", period)
+        # An explicit document period must be finite too.
+        for period in (math.nan, math.inf, -math.inf, 0.0, -5.0):
+            with pytest.raises(ValidationError, match="positive and finite"):
+                stream.document(period)
 
     def test_invalid_window_rejected(self):
-        with pytest.raises(ValidationError):
-            StreamingCalibrator(window=0.0)
+        for window in (math.nan, math.inf, -math.inf, 0.0, -5.0):
+            with pytest.raises(ValidationError, match="positive and finite"):
+                StreamingCalibrator(window=window)
 
 
 class TestStreamingExtras:
     def test_windowed_arrival_rate_tracks_recent_completions(self):
         stream = StreamingCalibrator(window=10.0)
-        for i in range(20):
-            stream.observe(
-                InstanceRecord(
-                    instance_id=i, workflow_type="wf",
-                    started_at=float(i), completed_at=float(i) + 0.5,
-                )
+        stream.replay_records(
+            InstanceRecord(
+                instance_id=i, workflow_type="wf",
+                started_at=float(i), completed_at=float(i) + 0.5,
             )
+            for i in range(20)
+        )
         # Only completions inside the trailing 10-unit window count.
         assert stream.windowed_arrival_rate("wf") == pytest.approx(1.0)
         assert stream.windowed_arrival_rate("other") == 0.0

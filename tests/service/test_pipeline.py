@@ -1,5 +1,6 @@
 """Tests for the shared calibrate -> evaluate -> recommend pipeline."""
 
+import math
 import random
 
 import pytest
@@ -112,13 +113,13 @@ class TestCalibratedModel:
 
     def test_silent_types_keep_the_baseline(self, two_type_baseline):
         calibrator = StreamingCalibrator()
-        for start in (0.0, 10.0, 20.0):
-            calibrator.observe(
-                ServiceRequestRecord(
-                    "engine", "engine#0", start, start + 0.01,
-                    start + 0.01 + 0.08,
-                )
+        calibrator.replay_records(
+            ServiceRequestRecord(
+                "engine", "engine#0", start, start + 0.01,
+                start + 0.01 + 0.08,
             )
+            for start in (0.0, 10.0, 20.0)
+        )
         index = calibrated_specs(calibrator, two_type_baseline)
         baseline_types = two_type_baseline.server_types
         assert index.spec("engine").mean_service_time == pytest.approx(0.08)
@@ -245,15 +246,17 @@ def calibrated_window(arrival_rate, app_service=0.2):
         for server_type, service, requests in (
             ("engine", 0.05, 3), ("app", app_service, 2)
         ):
-            for _ in range(requests):
-                calibrator.observe(
-                    ServiceRequestRecord(
-                        server_type, f"{server_type}#0", start, start,
-                        start + rng.expovariate(1.0 / service),
-                        instance_id=instance,
-                    )
+            calibrator.replay_records(
+                ServiceRequestRecord(
+                    server_type, f"{server_type}#0", start, start,
+                    start + rng.expovariate(1.0 / service),
+                    instance_id=instance,
                 )
-        calibrator.observe(InstanceRecord(instance, "wf", start, start + 5.1))
+                for _ in range(requests)
+            )
+        calibrator.replay_records(
+            [InstanceRecord(instance, "wf", start, start + 5.1)]
+        )
     return calibrator
 
 
@@ -318,3 +321,16 @@ class TestReconfiguration:
             for violation in assessment.violations
         ] == [("waiting_time", "app")]
         assert "waiting time of app" in str(assessment.violations[0])
+
+
+class TestWindowAndPeriod:
+    @pytest.mark.parametrize("setting", ["window", "observation_period"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_batch_rejects_a_bad_value(self, baseline, goals, setting, value):
+        name = setting.replace("_", " ")
+        with pytest.raises(
+            ValidationError, match=f"{name} must be positive and finite"
+        ):
+            batch_recommendation(
+                str(TRAIL_PATH), baseline, goals, **{setting: value}
+            )

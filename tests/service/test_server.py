@@ -12,7 +12,7 @@ import urllib.request
 import pytest
 
 from repro import obs
-from repro.exceptions import SearchCancelledError
+from repro.exceptions import SearchCancelledError, ValidationError
 from repro.monitor.audit import AuditTrail
 from repro.monitor.persistence import save_trail
 from repro.service import (
@@ -858,3 +858,14 @@ class TestSnapshotLifecycle:
             status, _, _ = _get(f"{service.url}/health")
             assert status == 200
         assert not service.running
+
+
+class TestWindowValidation:
+    @pytest.mark.parametrize("window", [math.nan, math.inf, 0.0, -1.0])
+    def test_constructor_rejects_a_bad_window(self, baseline, goals, window):
+        # Tenants are made at their first POST, so a bad window must be
+        # caught here, not answered with 400 on every POST.
+        with pytest.raises(
+            ValidationError, match="window must be positive and finite"
+        ):
+            RecommendationService(baseline, goals, window=window)

@@ -47,13 +47,11 @@ class TestTenantState:
         self, trail_records
     ):
         shard = TenantState("alpha")
-        for record in trail_records[:200]:
-            shard.monitor.observe(record)
+        shard.monitor.observe_all(trail_records[:200])
         shard.publish({"schema": "x"}, shard.records_seen)
         assert shard.staleness()["stale"] is False
         assert shard.staleness()["age_records"] == 0
-        for record in trail_records[200:220]:
-            shard.monitor.observe(record)
+        shard.monitor.observe_all(trail_records[200:220])
         meta = shard.staleness()
         assert meta["age_records"] == 20
         assert meta["stale"] is True
@@ -81,16 +79,14 @@ class TestSnapshotRoundTrip:
         straight = ServiceState()
         restarted = ServiceState()
         half = len(trail_records) // 2
-        for record in trail_records[:half]:
-            straight.tenant().monitor.observe(record)
-            restarted.tenant().monitor.observe(record)
+        straight.tenant().monitor.observe_all(trail_records[:half])
+        restarted.tenant().monitor.observe_all(trail_records[:half])
 
         wire = json.dumps(restarted.export_snapshot(), sort_keys=True)
         restarted = ServiceState.restore_snapshot(json.loads(wire))
 
-        for record in trail_records[half:]:
-            straight.tenant().monitor.observe(record)
-            restarted.tenant().monitor.observe(record)
+        straight.tenant().monitor.observe_all(trail_records[half:])
+        restarted.tenant().monitor.observe_all(trail_records[half:])
 
         documents = [
             render_document(

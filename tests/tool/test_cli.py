@@ -598,6 +598,24 @@ class TestMonitor:
         assert status == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["window", "observation-period"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
+    def test_bad_window_or_period_exits_2(
+        self, trail_path, tmp_path, capsys, flag, value
+    ):
+        # A bad window fails before the trail is read: here it does not
+        # exist, which a later check would report instead.
+        trail = tmp_path / "none.jsonl" if flag == "window" else trail_path
+        status = main(
+            ["monitor", "--trail", str(trail), f"--{flag}={value}", "--json"]
+        )
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert f"{flag.replace('-', ' ')} must be positive and finite" in (
+            captured.err
+        )
+
     def test_bundled_sample_trail_replays_clean(self, capsys):
         from pathlib import Path
 
@@ -628,3 +646,28 @@ class TestServeMetrics:
         assert "serving metrics on http://127.0.0.1:" in captured.err
         json.loads(captured.out)  # --json output stays clean
         assert not obs.is_enabled()  # switch restored afterwards
+
+
+class TestServe:
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_bad_window_exits_2_before_binding(
+        self, project_path, capsys, monkeypatch, value
+    ):
+        from repro import obs
+        from repro.service.server import RecommendationService
+
+        def bind(self):
+            raise AssertionError("the service started")
+
+        monkeypatch.setattr(RecommendationService, "start", bind)
+        try:
+            status = main([
+                "serve", "--project", str(project_path),
+                "--goals", "max-waiting=0.5", f"--window={value}",
+            ])
+        finally:
+            obs.disable()  # serve switches instrumentation on itself
+        assert status == 2
+        assert "window must be positive and finite" in (
+            capsys.readouterr().err
+        )

@@ -98,7 +98,9 @@ class TestBasicRun:
         assert report.trail.instances
         assert report.trail.state_visits
         assert report.trail.service_requests
-        assert report.trail.workflow_types() == {"simple"}
+        assert {
+            record.workflow_type for record in report.trail.instances
+        } == {"simple"}
 
     def test_report_formatting(self):
         report = build_wfms().run(duration=200.0)
