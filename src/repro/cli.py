@@ -368,6 +368,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         inject_failures=not args.no_failures,
         rng_mode=args.rng_mode,
+        record_trail=False,
     )
     report = wfms.run(duration=args.duration, warmup=args.warmup)
     print(f"Simulated configuration {configuration}")
@@ -511,7 +512,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_total_servers=args.max_total_servers,
     )
     # The service serves /metrics itself, so instrumentation is always
-    # on for `serve` (main() only enables it for explicit flags).
+    # on for `serve` (main() only enables it for explicit flags, and
+    # restores the switch when the subcommand returns).
     obs.enable()
     service = RecommendationService(
         baseline,
@@ -1092,6 +1094,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         or serve_port is not None
     )
     server = None
+    # Subcommands may switch instrumentation on (`serve` always does);
+    # whatever they do, the switch ends as it was found.
+    was_enabled = obs.is_enabled()
     if observing:
         obs.reset()
         obs.enable()
@@ -1123,7 +1128,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         if server is not None:
             server.stop()
-        if observing:
+        if was_enabled:
+            obs.enable()
+        else:
             obs.disable()
 
 

@@ -75,8 +75,10 @@ def check_positive_finite(name: str, value: float) -> None:
     """Raise :class:`~repro.exceptions.ValidationError` unless ``value``
     is positive and at most the largest float.
 
-    The check of every sliding window and of an explicitly given
-    observation period, written so that NaN fails it.
+    The check of every sliding window and of every observation period a
+    document or model uses, given or defaulted to the observed span
+    (which overflows to ``inf`` for timestamps about 3.4e308 apart);
+    written so that NaN fails it.
     """
     if not 0.0 < value <= sys.float_info.max:
         raise ValidationError(
@@ -553,13 +555,18 @@ class StreamingCalibrator:
         """JSON-serializable snapshot of every current estimate.
 
         ``observation_period`` defaults to the observed time span; it
-        feeds the cumulative arrival-rate estimates, and one given
-        explicitly must be positive and finite.  Quantities with no
-        observations yet are ``None`` rather than errors — a monitoring
-        endpoint reports what it has.
+        feeds the cumulative arrival-rate estimates and must be positive
+        and finite, except that a default span of 0 (no two distinct
+        timestamps yet) leaves the arrival rates ``None``.  Quantities
+        with no observations yet are ``None`` rather than errors — a
+        monitoring endpoint reports what it has.
         """
         if observation_period is None:
             observation_period = self.observed_span
+            if observation_period:
+                check_positive_finite(
+                    "observation period", observation_period
+                )
         else:
             check_positive_finite("observation period", observation_period)
         workflows: dict[str, Any] = {}

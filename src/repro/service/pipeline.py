@@ -219,20 +219,22 @@ def calibrated_model(
     order): the measured arrival rate times the measured mean requests
     per instance.  Workflows without a completed instance contribute
     nothing yet.  Raises when no workflow has completed at all — there
-    is no workload to recommend against — and for an explicit
-    ``observation_period`` that is not positive and finite.
+    is no workload to recommend against — and for an
+    ``observation_period``, given or defaulted to the observed span,
+    that is not positive and finite.
     """
     if observation_period is not None:
         check_positive_finite("observation period", observation_period)
     index = calibrated_specs(calibrator, baseline)
     if observation_period is None:
         observation_period = calibrator.observed_span
-    if observation_period <= 0.0:
-        raise ValidationError(
-            "calibration has no observed time span yet; feed the "
-            "service more audit records before requesting a "
-            "recommendation"
-        )
+        if observation_period <= 0.0:
+            raise ValidationError(
+                "calibration has no observed time span yet; feed the "
+                "service more audit records before requesting a "
+                "recommendation"
+            )
+        check_positive_finite("observation period", observation_period)
     positions = {name: i for i, name in enumerate(index.names)}
     totals = [0.0] * len(index)
     contributed = False
@@ -287,6 +289,7 @@ def recommend_from_calibration(
         max_total_servers=settings.max_total_servers,
     )
 
+    # The period calibrated_model checked, given or defaulted.
     span = (
         calibrator.observed_span
         if observation_period is None

@@ -11,9 +11,10 @@ module turns the one-shot simulator into a campaign runner:
   :func:`repro.sim.seeding.derive_seed`, so replications are mutually
   uncorrelated and the whole campaign is reproducible from one integer.
 * :func:`run_campaign` executes the replications serially or across a
-  spawn-started process pool.  Workers return trail-free
-  measurement reports; the parent folds them — **always in replication
-  order** — so the aggregate is byte-identical for any worker count.
+  spawn-started process pool.  Replications build no audit trail, so
+  workers return trail-free measurement reports; the parent folds
+  them — **always in replication order** — so the aggregate is
+  byte-identical for any worker count.
 * :class:`CampaignResult` aggregates every metric two ways: across
   replication means (independent observations, Student-t confidence
   intervals — the statistically defensible estimate) and pooled at the
@@ -44,7 +45,6 @@ from repro.core.model_types import ServerTypeIndex
 from repro.core.performability import PerformabilityModel
 from repro.core.performance import PerformanceModel, SystemConfiguration
 from repro.exceptions import ValidationError
-from repro.monitor.audit import AuditTrail
 from repro.sim.seeding import derive_seed
 from repro.sim.statistics import RunningStats, TimeWeightedStats
 from repro.spec.translator import DEFAULT_ROUTING_DURATION
@@ -136,8 +136,15 @@ class CampaignPlan:
             )
         return derive_seed(self.base_seed, "campaign-replication", index)
 
-    def build_wfms(self, index: int) -> SimulatedWFMS:
-        """Construct the (not yet run) WFMS of replication ``index``."""
+    def build_wfms(
+        self, index: int, record_trail: bool = False
+    ) -> SimulatedWFMS:
+        """Construct the (not yet run) WFMS of replication ``index``.
+
+        It builds no audit trail unless ``record_trail`` is set: a
+        campaign keeps only the measurements, which are the same either
+        way, as is every simulated event.
+        """
         return SimulatedWFMS(
             server_types=self.server_types,
             configuration=self.configuration,
@@ -148,16 +155,18 @@ class CampaignPlan:
             inject_failures=self.inject_failures,
             default_routing_duration=self.default_routing_duration,
             rng_mode=self.rng_mode,
+            record_trail=record_trail,
         )
 
 
 def run_replication(plan: CampaignPlan, index: int) -> WFMSMeasurementReport:
-    """Run one replication and return its full report (audit trail kept).
+    """Run one replication and return its full report, audit trail included.
 
     This is the single-run escape hatch: calibration round trips need
-    the audit trail, which :func:`run_campaign` deliberately strips.
+    the audit trail, which :func:`run_campaign`'s replications never
+    build.
     """
-    return plan.build_wfms(index).run(
+    return plan.build_wfms(index, record_trail=True).run(
         duration=plan.duration, warmup=plan.warmup
     )
 
@@ -167,7 +176,7 @@ def run_replication(plan: CampaignPlan, index: int) -> WFMSMeasurementReport:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ReplicationResult:
-    """One replication's measurements, stripped for cheap transport."""
+    """One replication's measurements: a report with an empty trail."""
 
     index: int
     seed: int
@@ -189,9 +198,9 @@ def _run_replication_task(
 ) -> ReplicationResult:
     """Worker entry point: run replication ``index`` of ``plan``.
 
-    Module-level so it pickles under the spawn start method.  The audit
-    trail is dropped before the result crosses back to the parent — a
-    campaign measures aggregates, not individual instances.
+    Module-level so it pickles under the spawn start method.  The
+    replication builds no audit trail — a campaign measures aggregates,
+    not individual instances — so its report's trail is empty.
 
     ``observe=True`` is the parallel-worker path with instrumentation
     on: the worker's registry is reset before the run (workers are
@@ -209,7 +218,7 @@ def _run_replication_task(
         index=index,
         seed=plan.seed_for(index),
         events_executed=wfms.logical_events,
-        report=dataclasses.replace(report, trail=AuditTrail()),
+        report=report,
         obs_snapshot=obs.export_snapshot() if observe else None,
     )
 

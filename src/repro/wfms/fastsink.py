@@ -112,6 +112,9 @@ class FastServer:
         self._busy_times: list[float] = []
         self._waiting_buffer: list[float] = []
         self._service_buffer: list[float] = []
+        #: Whether :meth:`flush_measurements` folds the buffers (until
+        #: :meth:`stop_measuring`) or drops them.
+        self._measuring = True
         #: Completions since construction (never reset; logical events).
         self.completed_total = 0
         # Wired by the owning pool.
@@ -209,7 +212,6 @@ class FastServer:
             self._busy_times.append(end)
             self._waiting_buffer.append(start - arrival)
             self._service_buffer.append(service)
-            self.statistics.completed_requests += 1
             self.completed_total += 1
             if self._rows is not None:
                 self._rows.append(
@@ -257,7 +259,6 @@ class FastServer:
                 (done_starts - arrivals[:completed]).tolist()
             )
             self._service_buffer.extend(services[:completed].tolist())
-            self.statistics.completed_requests += completed
             self.completed_total += completed
             if self._rows is not None:
                 self._rows.extend(
@@ -384,29 +385,38 @@ class FastServer:
         self._window_index = window_index
         self._t_free = t_free
         self._current = current
-        if completed:
-            self.statistics.completed_requests += completed
-            self.completed_total += completed
+        self.completed_total += completed
 
     def flush_measurements(self) -> None:
-        """Fold the buffered measurements into the statistics collectors."""
+        """Fold the buffered measurements into the statistics collectors.
+
+        After :meth:`stop_measuring` the buffers are dropped instead.
+        """
         head = self._queue_head
         if head:
             # Compact the consumed queue prefix once per flush.
             del self._queue_times[:head]
             del self._queue_ids[:head]
             self._queue_head = 0
-        if self._busy_values:
-            self.statistics.busy.update_block(
-                self._busy_values, self._busy_times
-            )
-            self._busy_values.clear()
-            self._busy_times.clear()
-        if self._waiting_buffer:
-            self.statistics.waiting_times.add_block(self._waiting_buffer)
-            self.statistics.service_times.add_block(self._service_buffer)
-            self._waiting_buffer.clear()
-            self._service_buffer.clear()
+        if self._measuring:
+            if self._busy_values:
+                self.statistics.busy.update_block(
+                    self._busy_values, self._busy_times
+                )
+            if self._waiting_buffer:
+                self.statistics.waiting_times.add_block(self._waiting_buffer)
+                self.statistics.service_times.add_block(self._service_buffer)
+        self._clear_buffers()
+
+    def stop_measuring(self) -> None:
+        """Freeze the waiting, service and busy statistics as they are.
+
+        The run calls this at the window's end, after its last reading:
+        the replay keeps serving (and recording trail rows) through the
+        drain, but none of these statistics, nor ``completed_requests``,
+        counts the drain's requests.
+        """
+        self._measuring = False
 
     def reset_statistics(self) -> None:
         """Drop warm-up measurements; replay state carries across."""
@@ -417,6 +427,9 @@ class FastServer:
             ),
             up=TimeWeightedStats(1.0 if self.is_up else 0.0, now),
         )
+        self._clear_buffers()
+
+    def _clear_buffers(self) -> None:
         self._busy_values.clear()
         self._busy_times.clear()
         self._waiting_buffer.clear()

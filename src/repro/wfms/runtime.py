@@ -11,9 +11,9 @@ they queue, get served, and are recorded into the audit trail.  Replicas
 fail and are repaired with the Section 5 rates.
 
 The run produces a :class:`~repro.wfms.measurement.WFMSMeasurementReport`
-directly comparable with the analytic predictions, plus an
-:class:`~repro.monitor.audit.AuditTrail` the calibration component can
-re-estimate model parameters from.
+directly comparable with the analytic predictions, plus (unless
+``record_trail=False``) an :class:`~repro.monitor.audit.AuditTrail` the
+calibration component can re-estimate model parameters from.
 """
 
 from __future__ import annotations
@@ -95,7 +95,15 @@ class SimulatedWorkflowType:
 
 
 class SimulatedWFMS:
-    """A running, replicated, failure-prone WFMS in simulation."""
+    """A running, replicated, failure-prone WFMS in simulation.
+
+    ``record_trail=False`` builds no audit trail: the servers get no
+    trail and the instances append no visit or instance rows, so the
+    report's trail stays empty while every simulated event and every
+    measurement stay the same.  Campaigns, which keep only the
+    measurements, run this way.  Server statistics (waiting, service
+    and busy time) end at the measurement window's end either way.
+    """
 
     def __init__(
         self,
@@ -113,6 +121,7 @@ class SimulatedWFMS:
         worklist_policy=None,
         rng_mode: str = "exact",
         fast_block_size: int | None = None,
+        record_trail: bool = True,
     ) -> None:
         if not workflow_types:
             raise ValidationError("at least one workflow type is required")
@@ -138,6 +147,10 @@ class SimulatedWFMS:
 
         self.simulator = Simulator()
         self.trail = AuditTrail()
+        server_trail = self.trail if record_trail else None
+        self._runtime_type = (
+            _RecordingInstanceRuntime if record_trail else _InstanceRuntime
+        )
         # Independent random streams keep the comparison across runs with
         # different configurations as tight as possible.  Each stream is
         # seeded from a hash of (seed, stream name) — never seed+offset,
@@ -196,7 +209,7 @@ class SimulatedWFMS:
                         spec=spec,
                         service_distribution=service_distribution,
                         rng=fast_rng("service", f"{spec.name}#{replica}"),
-                        trail=self.trail,
+                        trail=server_trail,
                     )
                     for replica in range(count)
                 ]
@@ -215,7 +228,7 @@ class SimulatedWFMS:
                         spec=spec,
                         service_distribution=service_distribution,
                         rng=self._service_rng,
-                        trail=self.trail,
+                        trail=server_trail,
                     )
                     for replica in range(count)
                 ]
@@ -384,8 +397,7 @@ class SimulatedWFMS:
                 instance=instance_id,
                 workflow=workflow_type.chart.name,
             )
-        runtime = _InstanceRuntime(self, workflow_type, instance_id)
-        runtime.start()
+        self._runtime_type(self, workflow_type, instance_id).start()
 
     def _duration_sampler(self, mean: float) -> Callable[[], float]:
         """The compiled duration sampler for ``mean`` (built on demand).
@@ -440,7 +452,10 @@ class SimulatedWFMS:
         complete), so turnaround statistics carry no end-of-run
         censoring bias — long-running instances are never silently
         dropped.  Server utilization, waiting, and availability are
-        measured over the window itself.
+        measured over the window itself: the servers' statistics end at
+        the window's end, and the drain's requests are still simulated
+        (and recorded in the trail, if any) but counted in no waiting,
+        service or busy statistic.
         """
         if duration <= 0.0:
             raise ValidationError("duration must be positive")
@@ -474,8 +489,12 @@ class SimulatedWFMS:
                     for pool in self.pools.values():
                         pool.replay_until(end)
                 # Window-scoped measurements are taken now; the drain
-                # below only completes the in-flight instance cohort.
+                # below only completes the in-flight instance cohort,
+                # so the servers stop updating their statistics.
                 server_measurements = self._measure_servers(end)
+                for pool in self.pools.values():
+                    for server in pool.servers:
+                        server.stop_measuring()
                 self._system_up.finalize(end)
                 system_unavailability = 1.0 - self._system_up.time_average()
                 self._drain(duration, end)
@@ -679,9 +698,6 @@ class SimulatedWFMS:
             self._tracked_open -= 1
             self._turnarounds[workflow_name].add(now - started_at)
             self._completed[workflow_name] += 1
-            self.trail.instance_rows.append(
-                (instance_id, workflow_name, started_at, now)
-            )
 
 
 class _InstanceRuntime(InterpreterListener):
@@ -700,8 +716,6 @@ class _InstanceRuntime(InterpreterListener):
         self.interpreter = StateChartInterpreter(
             workflow_type.chart, resolver=wfms._resolver, listener=self
         )
-        # Top-level audit tracking: (state name, entered at).
-        self._top_level: tuple[str, float] | None = None
 
     def start(self) -> None:
         self.interpreter.start()
@@ -710,35 +724,16 @@ class _InstanceRuntime(InterpreterListener):
     # InterpreterListener callbacks
     # ------------------------------------------------------------------
     def on_state_entered(self, active: ActiveState) -> None:
-        if len(active.path) == 2:
-            self._record_top_level_transition(active.state.name)
         if active.state.is_composite:
             return  # leaves of the regions drive the composite
         self._process_leaf(active)
 
     def on_workflow_completed(self) -> None:
-        self._record_top_level_transition(TERMINATION)
         self.wfms._instance_completed(
             self.workflow_type.chart.name, self.started_at, self.instance_id
         )
 
     # ------------------------------------------------------------------
-    def _record_top_level_transition(self, next_state: str) -> None:
-        now = self.wfms.simulator.now
-        # Only instances of the measured cohort feed the audit trail, so
-        # visit records and instance records describe the same sample.
-        if (self._top_level is not None
-                and self.wfms._in_window(self.started_at)
-                and self._top_level[1] >= self.wfms._collect_from):
-            state, entered_at = self._top_level
-            self.wfms.trail.state_visit_rows.append((
-                self.instance_id, self.workflow_type.chart.name, state,
-                entered_at, now, next_state,
-            ))
-        self._top_level = (
-            None if next_state == TERMINATION else (next_state, now)
-        )
-
     def _process_leaf(self, active: ActiveState) -> None:
         state = active.state
         if state.activity is not None:
@@ -825,3 +820,50 @@ class _InstanceRuntime(InterpreterListener):
 
     def _advance(self, path: StatePath) -> None:
         self.interpreter.advance(path)
+
+
+class _RecordingInstanceRuntime(_InstanceRuntime):
+    """An instance runtime that also writes its audit-trail rows.
+
+    Only instances of the measured cohort feed the trail, so visit rows
+    and instance rows describe the same sample.
+    """
+
+    def __init__(
+        self,
+        wfms: SimulatedWFMS,
+        workflow_type: SimulatedWorkflowType,
+        instance_id: int,
+    ) -> None:
+        super().__init__(wfms, workflow_type, instance_id)
+        # Top-level audit tracking: (state name, entered at).
+        self._top_level: tuple[str, float] | None = None
+
+    def on_state_entered(self, active: ActiveState) -> None:
+        if len(active.path) == 2:
+            self._record_top_level_transition(active.state.name)
+        super().on_state_entered(active)
+
+    def on_workflow_completed(self) -> None:
+        self._record_top_level_transition(TERMINATION)
+        wfms = self.wfms
+        if wfms._in_window(self.started_at):
+            wfms.trail.instance_rows.append((
+                self.instance_id, self.workflow_type.chart.name,
+                self.started_at, wfms.simulator.now,
+            ))
+        super().on_workflow_completed()
+
+    def _record_top_level_transition(self, next_state: str) -> None:
+        now = self.wfms.simulator.now
+        if (self._top_level is not None
+                and self.wfms._in_window(self.started_at)
+                and self._top_level[1] >= self.wfms._collect_from):
+            state, entered_at = self._top_level
+            self.wfms.trail.state_visit_rows.append((
+                self.instance_id, self.workflow_type.chart.name, state,
+                entered_at, now, next_state,
+            ))
+        self._top_level = (
+            None if next_state == TERMINATION else (next_state, now)
+        )

@@ -23,6 +23,10 @@ from repro.sim.engine import EventHandle, Simulator
 from repro.sim.statistics import RunningStats, TimeWeightedStats
 
 
+def _ignore(*_values: float) -> None:
+    """A statistics update after :meth:`Server.stop_measuring`."""
+
+
 @dataclass
 class ServerStatistics:
     """Measurement collectors of one server replica."""
@@ -35,7 +39,11 @@ class ServerStatistics:
     up: TimeWeightedStats = field(
         default_factory=lambda: TimeWeightedStats(1.0)
     )
-    completed_requests: int = 0
+
+    @property
+    def completed_requests(self) -> int:
+        """Requests served to completion: one waiting time each."""
+        return self.waiting_times.count
 
 
 class Server:
@@ -91,6 +99,16 @@ class Server:
         self._add_waiting = statistics.waiting_times.add
         self._add_service = statistics.service_times.add
 
+    def stop_measuring(self) -> None:
+        """Freeze the waiting, service and busy statistics as they are.
+
+        The run calls this at the window's end, after its last reading:
+        the replica keeps serving (and recording trail rows) through the
+        drain, but none of these statistics, nor ``completed_requests``,
+        counts the drain's requests.
+        """
+        self._busy_update = self._add_waiting = self._add_service = _ignore
+
     # ------------------------------------------------------------------
     # Request handling
     # ------------------------------------------------------------------
@@ -135,7 +153,6 @@ class Server:
         self._busy_update(0.0, now)
         self._add_waiting(started_at - submitted_at)
         self._add_service(service_time)
-        self.statistics.completed_requests += 1
         append_row = self._append_row
         if append_row is not None:
             append_row((

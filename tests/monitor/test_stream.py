@@ -381,6 +381,36 @@ class TestEmptyConditions:
             with pytest.raises(ValidationError, match="positive and finite"):
                 stream.document(period)
 
+    def test_overflowing_default_observation_period_rejected(self):
+        # Two valid rows about 3.4e308 apart: the span overflows to inf.
+        stream = StreamingCalibrator()
+        stream.replay_records(
+            InstanceRecord(
+                instance_id=i, workflow_type="wf",
+                started_at=at, completed_at=at,
+            )
+            for i, at in enumerate((-1.7e308, 1.7e308))
+        )
+        assert stream.observed_span == math.inf
+        with pytest.raises(
+            ValidationError,
+            match="observation period must be positive and finite, got inf",
+        ):
+            stream.document()
+        assert stream.document(10.0)["observation_period"] == 10.0
+
+    def test_zero_default_span_leaves_arrival_rates_unset(self):
+        stream = StreamingCalibrator()
+        stream.replay_records([
+            InstanceRecord(
+                instance_id=0, workflow_type="wf",
+                started_at=5.0, completed_at=5.0,
+            )
+        ])
+        document = stream.document()
+        assert document["observation_period"] == 0.0
+        assert document["workflow_types"]["wf"]["arrival_rate"] is None
+
     def test_invalid_window_rejected(self):
         for window in (math.nan, math.inf, -math.inf, 0.0, -5.0):
             with pytest.raises(ValidationError, match="positive and finite"):

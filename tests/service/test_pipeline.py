@@ -1,5 +1,6 @@
 """Tests for the shared calibrate -> evaluate -> recommend pipeline."""
 
+import json
 import math
 import random
 
@@ -334,3 +335,24 @@ class TestWindowAndPeriod:
             batch_recommendation(
                 str(TRAIL_PATH), baseline, goals, **{setting: value}
             )
+
+    def test_batch_rejects_an_overflowing_observed_span(
+        self, baseline, goals, tmp_path
+    ):
+        # Each row is valid, but they lie about 3.4e308 apart, so the
+        # default observation period overflows to inf.
+        far_apart = "".join(
+            json.dumps({
+                "completed_at": at, "instance_id": 10_000 + i,
+                "kind": "instance", "started_at": at,
+                "workflow_type": "simple",
+            }) + "\n"
+            for i, at in enumerate((-1.7e308, 1.7e308))
+        )
+        trail = tmp_path / "far_apart.jsonl"
+        trail.write_text(TRAIL_PATH.read_text() + far_apart)
+        with pytest.raises(
+            ValidationError,
+            match="observation period must be positive and finite, got inf",
+        ):
+            batch_recommendation(str(trail), baseline, goals)

@@ -1,5 +1,6 @@
 """Tests for the replicated simulation-campaign runner."""
 
+import dataclasses
 import json
 import math
 
@@ -21,7 +22,9 @@ from repro.sim.campaign import (
 from repro.spec.events import ECARule
 from repro.spec.statechart import ChartState, ChartTransition, StateChart
 from repro.spec.translator import ActivityRegistry
-from repro.wfms import SimulatedWorkflowType
+from repro.wfms import RoutingPolicy, SimulatedWorkflowType
+
+from .test_golden_campaign import make_plan as make_golden_plan
 
 
 def server_types(failure_rate=0.0):
@@ -219,3 +222,51 @@ class TestCampaignAggregation:
         assert "replications" in text
         assert "simple" in text
         assert "engine" in text and "app" in text
+
+
+class TestTrailFreeReplications:
+    """A replication without an audit trail simulates the same run."""
+
+    @pytest.mark.parametrize("rng_mode", ["exact", "fast"])
+    @pytest.mark.parametrize(
+        "policy", list(RoutingPolicy), ids=lambda policy: policy.value
+    )
+    def test_same_reports_and_events_without_the_trail(
+        self, rng_mode, policy
+    ):
+        plan = dataclasses.replace(
+            make_golden_plan(policy), rng_mode=rng_mode
+        )
+        for index in range(plan.replications):
+            free = plan.build_wfms(index)
+            free_report = free.run(duration=plan.duration, warmup=plan.warmup)
+            kept = plan.build_wfms(index, record_trail=True)
+            kept_report = kept.run(duration=plan.duration, warmup=plan.warmup)
+            assert repr(free_report) == repr(kept_report)
+            assert free.logical_events == kept.logical_events
+            trail = free_report.trail
+            assert not trail.state_visits
+            assert not trail.service_requests
+            assert not trail.instances
+            assert kept_report.trail.instances
+            assert kept_report.trail.service_requests
+
+    @pytest.mark.parametrize("rng_mode", ["exact", "fast"])
+    @pytest.mark.parametrize(
+        "policy", list(RoutingPolicy), ids=lambda policy: policy.value
+    )
+    def test_server_statistics_end_at_the_window(self, rng_mode, policy):
+        # The drain past the window end completes requests too; none of
+        # them may reach the statistics the report was read from.
+        plan = dataclasses.replace(
+            make_golden_plan(policy), rng_mode=rng_mode
+        )
+        for index in range(plan.replications):
+            wfms = plan.build_wfms(index)
+            report = wfms.run(duration=plan.duration, warmup=plan.warmup)
+            for name, pool in wfms.pools.items():
+                counted = sum(
+                    server.statistics.waiting_times.count
+                    for server in pool.servers
+                )
+                assert counted == report.server_types[name].completed_requests

@@ -93,7 +93,7 @@ class TestFastCampaignDeterminism:
 class TestFastRuntime:
     def test_run_reports_and_counts_logical_events(self):
         plan = make_fast_plan()
-        wfms = plan.build_wfms(0)
+        wfms = plan.build_wfms(0, record_trail=True)
         report = wfms.run(duration=plan.duration, warmup=plan.warmup)
         # Requests never enter the calendar in fast mode: the logical
         # count folds the replayed submissions and completions back in.
@@ -114,7 +114,7 @@ class TestFastRuntime:
 
     def test_replay_preserves_request_accounting(self):
         plan = make_fast_plan()
-        wfms = plan.build_wfms(0)
+        wfms = plan.build_wfms(0, record_trail=True)
         report = wfms.run(duration=plan.duration, warmup=plan.warmup)
         for pool in wfms.pools.values():
             # Everything submitted was routed (or parked) and nothing

@@ -616,6 +616,26 @@ class TestMonitor:
             captured.err
         )
 
+    def test_overflowing_observed_span_exits_2(self, tmp_path, capsys):
+        # Two valid instance rows about 3.4e308 apart: the default
+        # observation period overflows to inf, which JSON cannot hold.
+        trail = tmp_path / "far_apart.jsonl"
+        trail.write_text("".join(
+            json.dumps({
+                "completed_at": at, "instance_id": i, "kind": "instance",
+                "started_at": at, "workflow_type": "wf",
+            }) + "\n"
+            for i, at in enumerate((-1.7e308, 1.7e308))
+        ))
+        status = main(["monitor", "--trail", str(trail), "--json"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert (
+            "observation period must be positive and finite, got inf"
+            in captured.err
+        )
+
     def test_bundled_sample_trail_replays_clean(self, capsys):
         from pathlib import Path
 
@@ -671,3 +691,20 @@ class TestServe:
         assert "window must be positive and finite" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_bad_window_leaves_instrumentation_as_found(
+        self, project_path, enabled
+    ):
+        from repro import obs
+
+        (obs.enable if enabled else obs.disable)()
+        try:
+            status = main([
+                "serve", "--project", str(project_path),
+                "--goals", "max-waiting=0.5", "--window=nan",
+            ])
+            assert status == 2
+            assert obs.is_enabled() is enabled
+        finally:
+            obs.disable()
