@@ -1,9 +1,7 @@
 # Development targets for the repro package.
 
-.PHONY: install test docstrings bench bench-search \
-	bench-frontier campaign bench-campaign bench-corpus bench-sim \
-	bench-sim-quick monitor-smoke \
-	serve-smoke examples all
+.PHONY: install test docstrings bench campaign bench-campaign \
+	monitor-smoke serve-smoke examples all
 
 install:
 	pip install -e . || python setup.py develop
@@ -17,12 +15,6 @@ docstrings:
 bench:
 	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only -s
 
-bench-search:
-	PYTHONPATH=src python benchmarks/bench_search.py --check
-
-bench-frontier:
-	PYTHONPATH=src python benchmarks/bench_frontier.py --check
-
 campaign:
 	PYTHONPATH=src python -m repro.cli init-demo /tmp/repro_demo.json
 	PYTHONPATH=src python -m repro.cli campaign \
@@ -33,16 +25,6 @@ campaign:
 
 bench-campaign:
 	PYTHONPATH=src python benchmarks/bench_campaign.py --check
-
-bench-corpus:
-	PYTHONPATH=src python benchmarks/bench_corpus.py --check
-
-bench-sim:
-	PYTHONPATH=src python benchmarks/bench_sim_hotpath.py --check \
-		--min-speedup 1.5 --min-fast-speedup 2.5
-
-bench-sim-quick:
-	PYTHONPATH=src python benchmarks/bench_sim_hotpath.py --quick --check
 
 monitor-smoke:
 	PYTHONPATH=src python tools/monitor_smoke.py

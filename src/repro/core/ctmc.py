@@ -253,7 +253,6 @@ class AbsorbingCTMC:
     def z_max(
         self,
         confidence: float = DEFAULT_ZMAX_CONFIDENCE,
-        hard_limit: int = MAX_UNIFORMIZATION_STEPS,
     ) -> int:
         """Truncation depth of the paper's series (Section 4.2.1).
 
@@ -274,11 +273,12 @@ class AbsorbingCTMC:
                 row = row @ p_bar
                 surviving = float(row.sum())
                 z += 1
-                if z >= hard_limit:
+                if z >= MAX_UNIFORMIZATION_STEPS:
                     obs.count("ctmc.uniformization.steps", z)
                     raise ModelError(
-                        f"z_max exceeded the hard limit of {hard_limit} "
-                        "steps; the chain absorbs too slowly"
+                        "z_max exceeded the hard limit of "
+                        f"{MAX_UNIFORMIZATION_STEPS} steps; the chain "
+                        "absorbs too slowly"
                     )
             span.set("depth", z)
         obs.count("ctmc.uniformization.steps", z)

@@ -99,13 +99,12 @@ class EvaluationCache:
     did not move.  Rows are keyed by ``(ServerTypeSpec, total request
     rate, repair policy, degraded policy, penalty)`` and bounded to
     :data:`MAX_ROWS` in LRU order.  Rows grow in place, so threads that
-    share a cache must serialize their searches (the service holds a
-    per-tenant lock around each one).
+    share a cache must serialize their searches (the service runs each
+    one under :attr:`~repro.service.worker.SearchWorker.lock`).
 
     ``enabled=False`` memoizes nothing: every term is rebuilt from a
-    fresh row, giving the uncached reference path that the cache tests,
-    ``recommend --no-evaluation-cache`` and
-    ``benchmarks/bench_search.py`` compare against.
+    fresh row, giving the uncached reference path that the cache tests
+    and ``recommend --no-evaluation-cache`` compare against.
     """
 
     def __init__(self, enabled: bool = True) -> None:

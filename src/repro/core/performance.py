@@ -25,7 +25,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.ctmc import VisitMethod
 from repro.core.model_types import ServerTypeIndex, ServerTypeSpec
 from repro.core.workflow_model import (
     WorkflowCTMC,
@@ -323,13 +322,9 @@ class PerformanceModel:
         self,
         server_types: ServerTypeIndex,
         workload: Workload,
-        visit_method: VisitMethod = "fundamental",
-        confidence: float = 0.99,
     ) -> None:
         self.server_types = server_types
         self.workload = workload
-        self._visit_method = visit_method
-        self._confidence = confidence
         self._models: dict[str, WorkflowCTMC] = {}
         self._turnarounds: dict[str, float] = {}
         self._requests: dict[str, np.ndarray] = {}
@@ -342,9 +337,7 @@ class PerformanceModel:
                 span.set("states", model.chain.num_states)
                 self._models[name] = model
                 self._turnarounds[name] = model.turnaround_time()
-                self._requests[name] = model.requests_per_instance(
-                    method=visit_method, confidence=confidence
-                )
+                self._requests[name] = model.requests_per_instance()
 
     @classmethod
     def from_request_totals(
@@ -377,8 +370,6 @@ class PerformanceModel:
         model = cls.__new__(cls)
         model.server_types = server_types
         model.workload = None
-        model._visit_method = "fundamental"
-        model._confidence = 0.99
         model._models = {}
         model._turnarounds = {}
         model._requests = {}

@@ -78,6 +78,12 @@ OBJECTIVES = (
     "performability_waiting_time",
 )
 
+#: Candidates per round of the cost-ordered prefix phase.
+PREFIX_ROUND = 16
+
+#: Rounds after which a sweep stops proposing, whatever its phase.
+MAX_ROUNDS = 1000
+
 
 def _configuration_key(
     configuration: SystemConfiguration,
@@ -274,8 +280,6 @@ class FrontierStrategy(SearchStrategy):
         restarts: int = 4,
         seed: int = 0,
         prefix: int | None = None,
-        prefix_round: int = 16,
-        max_rounds: int = 1000,
     ) -> None:
         if shotgun < 0:
             raise ValidationError("shotgun must be >= 0")
@@ -283,16 +287,12 @@ class FrontierStrategy(SearchStrategy):
             raise ValidationError("restarts must be >= 0")
         if prefix is not None and prefix < 1:
             raise ValidationError("prefix must be >= 1 when given")
-        if prefix_round < 1:
-            raise ValidationError("prefix_round must be >= 1")
         self.frontier = ParetoFrontier(objectives)
         self._server_types = evaluator.server_types
         self._lattice = ReplicaLattice(evaluator.server_types, constraints)
         self._shotgun = shotgun
         self._restarts = restarts
         self._prefix = prefix
-        self._prefix_round = prefix_round
-        self._max_rounds = max_rounds
         self._rng = random.Random(seed)
         self._enumeration = self._lattice.by_cost()
         self._phase = "prefix"
@@ -325,7 +325,7 @@ class FrontierStrategy(SearchStrategy):
             if self._mark_seen(counts):
                 batch.append((counts, "prefix"))
                 self._prefix_emitted += 1
-            if len(batch) >= self._prefix_round:
+            if len(batch) >= PREFIX_ROUND:
                 break
             if (self._prefix is not None
                     and self._prefix_emitted >= self._prefix):
@@ -395,7 +395,7 @@ class FrontierStrategy(SearchStrategy):
         """Fill ``_pending`` with the next round, advancing phases."""
         while not self._pending:
             self._rounds += 1
-            if self._rounds > self._max_rounds:
+            if self._rounds > MAX_ROUNDS:
                 return
             if self._phase == "prefix":
                 done = (

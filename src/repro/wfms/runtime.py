@@ -114,13 +114,11 @@ class SimulatedWFMS:
         routing_policy: RoutingPolicy = RoutingPolicy.HASH,
         duration_sampling: DurationSampling = DurationSampling.EXPONENTIAL,
         inject_failures: bool = True,
-        repair_distributions: Mapping[str, Distribution] | None = None,
         default_routing_duration: float = DEFAULT_ROUTING_DURATION,
         organization=None,
         activity_roles: Mapping[str, str] | None = None,
         worklist_policy=None,
         rng_mode: str = "exact",
-        fast_block_size: int | None = None,
         record_trail: bool = True,
     ) -> None:
         if not workflow_types:
@@ -163,12 +161,7 @@ class SimulatedWFMS:
         if fast:
 
             def fast_rng(*scope) -> FastRng:
-                if fast_block_size is not None:
-                    rng = FastRng(
-                        seed, *scope, block_size=fast_block_size
-                    )
-                else:
-                    rng = FastRng(seed, *scope)
+                rng = FastRng(seed, *scope)
                 self._fast_rngs.append(rng)
                 return rng
 
@@ -190,7 +183,6 @@ class SimulatedWFMS:
 
         self.pools: dict[str, ServerPool | FastServerPool] = {}
         self._injectors: list[FailureInjector] = []
-        repair_distributions = dict(repair_distributions or {})
         for spec in server_types.specs:
             count = configuration.count(spec.name)
             if count < 1:
@@ -250,9 +242,6 @@ class SimulatedWFMS:
                                 fast_rng("failure", server.name)
                                 if fast
                                 else self._failure_rng
-                            ),
-                            repair_distribution=repair_distributions.get(
-                                spec.name
                             ),
                             on_failure=self._on_server_failure,
                             on_repair=self._on_server_repair,

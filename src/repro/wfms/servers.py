@@ -216,9 +216,8 @@ class FailureInjector:
 
     Times to failure are exponential with the spec's ``lambda_x`` (only
     while the server is up, matching the availability CTMC in which only
-    running replicas fail); repair durations default to exponential with
-    mean ``1/mu_x`` but accept any :class:`Distribution` — enabling the
-    non-exponential (phase-type) experiments of Section 5.1.
+    running replicas fail); repair durations are exponential with mean
+    ``1/mu_x``.
     """
 
     def __init__(
@@ -226,7 +225,6 @@ class FailureInjector:
         simulator: Simulator,
         server: Server,
         rng: random.Random,
-        repair_distribution: Distribution | None = None,
         on_failure=None,
         on_repair=None,
     ) -> None:
@@ -240,11 +238,7 @@ class FailureInjector:
         self.server = server
         self._rng = rng
         self._time_to_failure = Exponential(1.0 / spec.failure_rate)
-        self._repair_distribution = (
-            repair_distribution
-            if repair_distribution is not None
-            else Exponential(spec.mean_time_to_repair)
-        )
+        self._repair_distribution = Exponential(spec.mean_time_to_repair)
         self._sample_time_to_failure = self._time_to_failure.sampler(rng)
         self._sample_repair = self._repair_distribution.sampler(rng)
         self._on_failure = on_failure

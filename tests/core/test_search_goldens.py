@@ -75,7 +75,7 @@ def demo_model() -> PerformanceModel:
 
 
 def five_type_model() -> PerformanceModel:
-    """The five-type landscape of ``benchmarks/bench_frontier.py``."""
+    """The five-type model of the benchmark's search-frontier workload."""
     return PerformanceModel(
         extended_server_types(),
         Workload(

@@ -11,6 +11,7 @@ bottleneck identity) is expected where they are approximations (request
 clustering inside activities).
 """
 
+import math
 import random
 
 import pytest
@@ -24,6 +25,13 @@ from repro.core.performance import (
     WorkloadItem,
 )
 from repro.queueing import mg1_mean_waiting_time
+from repro.scenarios import (
+    GeneratorConfig,
+    generate_corpus,
+    spec_to_ctmc,
+    spec_to_project,
+    spec_to_simulated_type,
+)
 from repro.sim.campaign import (
     CampaignPlan,
     run_campaign,
@@ -154,6 +162,59 @@ class TestEPWorkflowAgainstModel:
             row = validation[f"waiting[{name}]"]
             assert row.simulated.mean >= 0.9 * row.analytic
             assert row.simulated.mean <= 4.0 * row.analytic + 1e-3
+
+
+class TestGeneratedSpecsAgainstModel:
+    def test_validation_rows_clear_the_floor(self):
+        # The three quickest specs of a seeded parallel-free pool (the
+        # turnaround and waiting models assume sequential flow), run for
+        # 20 of the longest analytic turnarounds after 5 of warm-up so
+        # the steady state the models describe is reached.  Waiting
+        # rows are skipped: spec activities issue request batches, not
+        # the Poisson stream the M/G/1 model assumes.
+        config = GeneratorConfig(
+            service_time_family="lognormal",
+            min_arrival_rate=0.005,
+            max_arrival_rate=0.05,
+            parallel_probability=0.0,
+            subworkflow_probability=0.0,
+        )
+        pool = generate_corpus(10, master_seed=2001, config=config)
+        turnaround = {
+            spec.name: spec_to_ctmc(spec).turnaround_time() for spec in pool
+        }
+        chosen = sorted(pool, key=lambda spec: turnaround[spec.name])[:3]
+        longest = turnaround[chosen[-1].name]
+        plan = CampaignPlan(
+            server_types=standard_server_types(),
+            configuration=SystemConfiguration(
+                {"comm-server": 2, "wf-engine": 2, "app-server": 3}
+            ),
+            workflow_types=tuple(
+                spec_to_simulated_type(spec) for spec in chosen
+            ),
+            duration=20.0 * longest,
+            warmup=5.0 * longest,
+            replications=5,
+            base_seed=2000,
+            inject_failures=False,
+        )
+        result = run_campaign(plan)
+        assert len(result.workflow_types) == 3
+        assert all(
+            math.isfinite(aggregate.turnaround.mean)
+            and aggregate.turnaround.mean > 0.0
+            for aggregate in result.workflow_types.values()
+        )
+        analytic = PerformanceModel(
+            plan.server_types, spec_to_project(chosen).workload()
+        )
+        validation = validate_against_models(
+            result, analytic, waiting_times=False
+        )
+        within = [row.within_ci for row in validation.metrics]
+        assert len(within) == 6
+        assert sum(within) >= math.ceil(0.8 * len(within))
 
 
 class TestAvailabilityAgainstModel:

@@ -1,5 +1,6 @@
 """Tests for the seeded scenario generator: determinism and validity."""
 
+import json
 import subprocess
 import sys
 
@@ -67,6 +68,7 @@ class TestGeneratedSpecValidity:
     def test_specs_round_trip(self):
         for spec in generate_corpus(5, master_seed=3):
             assert spec_from_dict(spec_to_dict(spec)) == spec
+            assert spec_from_dict(json.loads(spec_to_json(spec))) == spec
 
     def test_extended_landscape_config(self):
         config = GeneratorConfig(landscape="extended")

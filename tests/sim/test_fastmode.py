@@ -6,11 +6,13 @@ with numpy 2.4, the byte-compare is skipped on other numpy feature
 versions because numpy only guarantees stream stability within one.
 The worker-count identity test always runs: a fast campaign aggregate
 must be byte-identical whether replications run serially or across any
-number of workers, exactly like the exact mode.
+number of workers, exactly like the exact mode.  So does the parity
+test, which holds fast mode to exact mode statistically.
 """
 
 import dataclasses
 import json
+import math
 
 import numpy
 import pytest
@@ -88,6 +90,51 @@ class TestFastCampaignDeterminism:
             make_plan(RoutingPolicy.ROUND_ROBIN), workers=1
         ).to_document()
         assert "rng_mode" not in document
+
+
+class TestExactFastParity:
+    """Fast campaigns estimate what exact campaigns estimate.
+
+    The two modes draw different variates, so they agree statistically:
+    on the department scenario (the golden mix, 600 minutes after 60 of
+    warm-up, 5 replications) the 95% CI on the difference of each
+    turnaround, waiting-time and utilization mean, half-width
+    ``sqrt(hw_exact² + hw_fast²)``, must contain zero.  Testing the fast
+    mean against the exact CI alone would ignore the fast campaign's own
+    sampling noise: two exact campaigns with different seeds fail that
+    one-sided test on about half of these rows.
+    """
+
+    def test_difference_intervals_contain_zero(self):
+        plan = dataclasses.replace(
+            make_plan(RoutingPolicy.ROUND_ROBIN),
+            duration=600.0,
+            warmup=60.0,
+            replications=5,
+            base_seed=23,
+        )
+        exact = run_campaign(plan, workers=1)
+        fast = run_campaign(
+            dataclasses.replace(plan, rng_mode="fast"), workers=1
+        )
+        rows = [
+            (f"turnaround[{name}]", aggregate.turnaround,
+             fast.workflow_types[name].turnaround)
+            for name, aggregate in exact.workflow_types.items()
+        ]
+        for name, aggregate in exact.server_types.items():
+            rows.append((f"waiting[{name}]", aggregate.waiting_time,
+                         fast.server_types[name].waiting_time))
+            rows.append((f"utilization[{name}]", aggregate.utilization,
+                         fast.server_types[name].utilization))
+        assert len(rows) == 8
+        outside = [
+            label
+            for label, exact_estimate, fast_estimate in rows
+            if abs(fast_estimate.mean - exact_estimate.mean)
+            > math.hypot(exact_estimate.half_width, fast_estimate.half_width)
+        ]
+        assert outside == []
 
 
 class TestFastRuntime:

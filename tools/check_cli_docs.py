@@ -1,6 +1,6 @@
-"""Documentation drift gate: CLI reference and operations runbook.
+"""Documentation drift gate: CLI reference, runbook and named scripts.
 
-Three checks, run in CI's lint job:
+Four checks, run in CI's lint job:
 
 1. **CLI completeness** — walks the real argparse tree built by
    :func:`repro.cli.build_parser` (recursively, so nested subcommands
@@ -19,6 +19,12 @@ Three checks, run in CI's lint job:
    literal prefix, each ``{...}`` standing for one dotted segment
    (``f"monitor.drift.{kind}"`` covers ``monitor.drift.arrival_rate``).
    A metric the code stops emitting must leave the runbook with it.
+4. **No dead script or target names** — fails when a code span or
+   fenced block of ``README.md``, ``DESIGN.md`` or ``docs/*.md`` names
+   a ``benchmarks/….py`` or ``tools/….py`` path that git does not
+   track, or a ``make <target>`` that the ``Makefile`` does not define.
+   A code span may wrap lines.  A deleted script or target must leave
+   the docs with it.
 
 Usage::
 
@@ -32,6 +38,7 @@ from __future__ import annotations
 import argparse
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,9 +51,21 @@ from repro.service import SERVICE_METRICS  # noqa: E402
 CLI_DOC = REPO_ROOT / "docs" / "CLI.md"
 OPERATIONS_DOC = REPO_ROOT / "docs" / "OPERATIONS.md"
 SOURCE_DIR = REPO_ROOT / "src" / "repro"
+MAKEFILE = REPO_ROOT / "Makefile"
+DOCS = ("README.md", "DESIGN.md", "docs/*.md")
+SCRIPT_DIRS = ("benchmarks", "tools")
 
 #: A full dotted metric name in backticks.
 METRIC_NAME = re.compile(r"`([A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)+)`")
+
+#: A fenced code block, or an inline code span (which may wrap lines).
+CODE = re.compile(r"^```.*?^```|`[^`]+`", re.MULTILINE | re.DOTALL)
+#: A script path, or ``make`` and the target it names (group 1).
+REFERENCE = re.compile(
+    rf"\b(?:{'|'.join(SCRIPT_DIRS)})/[\w./-]+\.py\b"
+    r"|\bmake\s+([A-Za-z0-9][\w-]*)"
+)
+MAKE_RULE = re.compile(r"^([A-Za-z0-9][\w-]*)\s*:(?!=)", re.MULTILINE)
 
 
 def iter_subcommands(
@@ -154,18 +173,63 @@ def check_stale_metrics() -> list[str]:
     ]
 
 
+def tracked_scripts() -> set[str]:
+    """Files under the script directories that git tracks (all, outside git)."""
+    try:
+        listed = subprocess.run(
+            ["git", "ls-files", "--", *SCRIPT_DIRS],
+            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
+        ).stdout.split()
+    except (OSError, subprocess.CalledProcessError):
+        return {
+            path.relative_to(REPO_ROOT).as_posix()
+            for directory in SCRIPT_DIRS
+            for path in (REPO_ROOT / directory).rglob("*.py")
+        }
+    return set(listed)
+
+
+def unresolved_references(
+    docs: list[Path], scripts: set[str], targets: set[str]
+) -> list[str]:
+    """``file:line`` of every script path or make target that is gone."""
+    problems: list[str] = []
+    for doc in docs:
+        text = doc.read_text(encoding="utf-8")
+        for code in CODE.finditer(text):
+            for match in REFERENCE.finditer(code.group(0)):
+                target = match.group(1)
+                if target is None and match.group(0) not in scripts:
+                    problem = f"names no git-tracked file: {match.group(0)}"
+                elif target is not None and target not in targets:
+                    problem = f"names no Makefile target: make {target}"
+                else:
+                    continue
+                line = text.count("\n", 0, code.start() + match.start()) + 1
+                problems.append(f"{doc}:{line}: {problem}")
+    return problems
+
+
+def check_named_scripts() -> list[str]:
+    """Dead script paths and make targets in the repository's docs."""
+    docs = sorted(
+        path for pattern in DOCS for path in REPO_ROOT.glob(pattern)
+    )
+    targets = set(MAKE_RULE.findall(MAKEFILE.read_text(encoding="utf-8")))
+    return unresolved_references(docs, tracked_scripts(), targets)
+
+
 def main() -> int:
     """Run every drift check; print every finding."""
     problems = (
         check_cli_reference() + check_metric_reference()
-        + check_stale_metrics()
+        + check_stale_metrics() + check_named_scripts()
     )
     if problems:
         for problem in problems:
             print(f"DOC DRIFT: {problem}", file=sys.stderr)
         print(
-            f"{len(problems)} documentation drift problem(s); update "
-            f"docs/CLI.md and docs/OPERATIONS.md",
+            f"{len(problems)} documentation drift problem(s)",
             file=sys.stderr,
         )
         return 1
@@ -177,7 +241,8 @@ def main() -> int:
     print(
         f"documentation in sync: {len(subcommands)} subcommands, "
         f"{flags} flags, {len(SERVICE_METRICS)} service metric families, "
-        f"{len(documented)} documented metrics emitted"
+        f"{len(documented)} documented metrics emitted, every named "
+        f"script and make target present"
     )
     return 0
 
