@@ -18,6 +18,7 @@ This module implements the stochastic core of the paper:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
@@ -82,49 +83,90 @@ class AbsorbingCTMC:
     state_names: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        p = linalg.validate_stochastic_matrix(
-            np.asarray(self.jump_probabilities, dtype=float),
-            "jump probability matrix",
+        embedded = self._jump_chain(
+            self.jump_probabilities, self.state_names, self.initial_state
         )
         h = np.asarray(self.residence_times, dtype=float)
-        n = p.shape[0]
+        n = embedded.num_states
         if h.shape != (n,):
             raise ValidationError(
                 f"residence times must have shape ({n},), got {h.shape}"
             )
-        object.__setattr__(self, "jump_probabilities", p)
-        object.__setattr__(self, "residence_times", h)
-        # The embedded chain shares the matrix validated above; it checks
-        # the state names and supplies defaults.
-        embedded = AbsorbingDTMC._of_valid_matrix(p, self.state_names)
-        object.__setattr__(self, "state_names", embedded.state_names)
+        self._join(embedded, h)
+
+    @staticmethod
+    def _jump_chain(
+        jump_probabilities: np.ndarray,
+        state_names: tuple[str, ...],
+        initial_state: int,
+    ) -> AbsorbingDTMC:
+        """The validated embedded chain of ``P``; ``H`` may come later.
+
+        Every check that reads ``P`` alone: stochastic rows, certain
+        absorption, exactly one absorbing state, a transient initial
+        state and no transient self-loop.  The embedded chain shares the
+        validated matrix; it checks the state names and supplies
+        defaults.
+        """
+        p = linalg.validate_stochastic_matrix(
+            np.asarray(jump_probabilities, dtype=float),
+            "jump probability matrix",
+        )
+        embedded = AbsorbingDTMC._of_valid_matrix(p, state_names)
         if len(embedded.absorbing_states) != 1:
             raise ModelError(
                 "workflow CTMC must have exactly one absorbing state, found "
                 f"{len(embedded.absorbing_states)}"
             )
-        object.__setattr__(self, "_embedded", embedded)
-        if self.initial_state not in embedded.transient_states:
+        if initial_state not in embedded.transient_states:
             raise ValidationError(
-                f"initial state {self.initial_state} must be transient"
-            )
-        transient = embedded._transient_index
-        if np.any(h[transient] <= 0.0) or not np.all(np.isfinite(h[transient])):
-            raise ValidationError(
-                "residence times of transient states must be positive and "
-                "finite"
+                f"initial state {initial_state} must be transient"
             )
         # A self-transition of a CTMC state is unobservable: the residence
         # time already models "staying".  Rejecting such loops keeps the
         # series algorithm (which skips b == a, Section 4.2.1) consistent
         # with the exact embedded-chain analysis.  Use
         # :func:`remove_self_loops` to fold designer-level retry loops in.
-        loopy = [self.state_names[i] for i in embedded.transient_states
-                 if p[i, i] > 0.0]
-        if loopy:
+        transient = embedded._transient_index
+        loopy = transient[np.diagonal(p)[transient] > 0.0]
+        if loopy.size:
+            names = [embedded.state_names[i] for i in loopy.tolist()]
             raise ValidationError(
                 "transient states must not have self-transitions "
-                f"(found on {loopy}); apply remove_self_loops() first"
+                f"(found on {names}); apply remove_self_loops() first"
+            )
+        return embedded
+
+    @classmethod
+    def _of_jump_chain(
+        cls,
+        jump_chain: AbsorbingDTMC,
+        residence_times: np.ndarray,
+        initial_state: int,
+    ) -> "AbsorbingCTMC":
+        """The chain over a jump chain :meth:`_jump_chain` returned.
+
+        Only the residence times are checked here.
+        """
+        chain = object.__new__(cls)
+        object.__setattr__(chain, "initial_state", initial_state)
+        chain._join(jump_chain, residence_times)
+        return chain
+
+    def _join(self, embedded: AbsorbingDTMC, h: np.ndarray) -> None:
+        """Adopt a validated jump chain and check the residence times."""
+        object.__setattr__(
+            self, "jump_probabilities", embedded.transition_matrix
+        )
+        object.__setattr__(self, "residence_times", h)
+        object.__setattr__(self, "state_names", embedded.state_names)
+        object.__setattr__(self, "_embedded", embedded)
+        residences = h[embedded._transient_index]
+        if not (residences.min() > 0.0
+                and residences.max() < math.inf):  # NaN fails
+            raise ValidationError(
+                "residence times of transient states must be positive and "
+                "finite"
             )
 
     # ------------------------------------------------------------------
@@ -184,10 +226,13 @@ class AbsorbingCTMC:
 
         Returns a full-length vector with 0 at the absorbing state.
         """
-        transient = self._embedded._transient_index
-        v = self.departure_rates()
-        a = self.transition_rates().take(self._embedded._transient_block)
-        np.fill_diagonal(a, -v[transient])
+        embedded = self._embedded
+        transient = embedded._transient_index
+        rates = 1.0 / self.residence_times[transient]
+        a = rates[:, None] * self.jump_probabilities.take(
+            embedded._transient_block
+        )
+        np.fill_diagonal(a, -rates)
         k = len(transient)
         b = np.full(k, -1.0)
         with obs.span("ctmc.first_passage", size=k, method=method):
@@ -445,12 +490,30 @@ def remove_self_loops(
         raise ValidationError(
             f"absorbing_state {absorbing_state} out of range for {n} states"
         )
-    for a in range(n):
-        if a == absorbing_state:
-            continue
+    # ``~(d <= 0)`` so that a NaN diagonal is folded too, into a NaN
+    # row that the chain then rejects.
+    looping = np.flatnonzero(~(np.diagonal(p) <= 0.0)).tolist()
+    for a, loop in fold_self_loops(
+        p, [a for a in looping if a != absorbing_state]
+    ):
+        h[a] /= 1.0 - loop
+    return p, h
+
+
+def fold_self_loops(
+    jump_probabilities: np.ndarray, states: Sequence[int]
+) -> list[tuple[int, float]]:
+    """Fold the self-loops of ``states`` out of ``P``, in place.
+
+    The jump-matrix half of :func:`remove_self_loops`: each listed row is
+    rescaled to ``p_ab / (1 - p_aa)`` and its loop cleared.  Returns the
+    ``(a, p_aa)`` pairs, by which the caller stretches each residence time
+    to ``H_a / (1 - p_aa)``.
+    """
+    p = jump_probabilities
+    folded = []
+    for a in states:
         loop = p[a, a]
-        if loop <= 0.0:
-            continue
         if loop >= 1.0:
             raise ValidationError(
                 f"state {a} is a self-loop trap (p_aa = {loop}); the "
@@ -458,8 +521,8 @@ def remove_self_loops(
             )
         p[a] /= 1.0 - loop
         p[a, a] = 0.0
-        h[a] /= 1.0 - loop
-    return p, h
+        folded.append((a, loop))
+    return folded
 
 
 @dataclass(frozen=True)

@@ -325,7 +325,11 @@ def _validated_distribution(pi: np.ndarray) -> np.ndarray:
 def validate_stochastic_matrix(p: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate that ``p`` is a row-stochastic matrix and return it."""
     p = _as_square_matrix(p, name)
-    if not ((p >= -1e-12).all() and (p <= 1.0 + 1e-12).all()):  # NaN fails
+    # ``initial=0.0`` keeps an empty matrix valid; it moves neither bound
+    # across the tolerances below.
+    low = p.min(initial=0.0)
+    high = p.max(initial=0.0)
+    if not (low >= -1e-12 and high <= 1.0 + 1e-12):  # NaN fails
         raise ValidationError(f"{name} entries must lie in [0, 1]")
     row_sums = p.sum(axis=1)
     if np.any(np.abs(row_sums - 1.0) > 1e-9):
@@ -334,4 +338,6 @@ def validate_stochastic_matrix(p: np.ndarray, name: str = "matrix") -> np.ndarra
             f"{name} rows must sum to one; row {worst} sums to "
             f"{row_sums[worst]:.12f}"
         )
-    return np.clip(p, 0.0, 1.0)
+    if low < 0.0 or high > 1.0:
+        return np.clip(p, 0.0, 1.0)
+    return p.copy()

@@ -313,9 +313,12 @@ class PerformanceModel:
     """Evaluates the Section 4 performance metrics for configurations.
 
     The per-workflow CTMC analyses (turnaround times and request counts)
-    depend only on the workload, not on the configuration, and are computed
-    once and cached; evaluating a candidate configuration is then cheap,
-    which is what makes the configuration search of Section 7 practical.
+    depend only on the workload, not on the configuration, and are cached;
+    evaluating a candidate configuration is then cheap, which is what
+    makes the configuration search of Section 7 practical.  The request
+    counts are computed at construction; a turnaround, which no goal of
+    the search reads, is solved on its first read
+    (:meth:`turnaround_time`, :meth:`active_instances`, :meth:`assess`).
     """
 
     def __init__(
@@ -334,9 +337,8 @@ class PerformanceModel:
                 "performance.workflow_analysis", workflow=name
             ) as span:
                 model = build_workflow_ctmc(item.definition, server_types)
-                span.set("states", model.chain.num_states)
+                span.set("states", model.jump_chain.num_states)
                 self._models[name] = model
-                self._turnarounds[name] = model.turnaround_time()
                 self._requests[name] = model.requests_per_instance()
 
     @classmethod
@@ -391,9 +393,13 @@ class PerformanceModel:
             ) from None
 
     def turnaround_time(self, workflow_name: str) -> float:
-        """Mean turnaround time ``R_t`` (Section 4.1)."""
-        self.workflow_model(workflow_name)
-        return self._turnarounds[workflow_name]
+        """Mean turnaround time ``R_t`` (Section 4.1), solved on first read."""
+        model = self.workflow_model(workflow_name)
+        turnaround = self._turnarounds.get(workflow_name)
+        if turnaround is None:
+            turnaround = model.turnaround_time()
+            self._turnarounds[workflow_name] = turnaround
+        return turnaround
 
     def requests_per_instance(self, workflow_name: str) -> np.ndarray:
         """Expected requests ``r_{x,t}`` per server type (Section 4.2)."""
@@ -403,7 +409,7 @@ class PerformanceModel:
     def active_instances(self, workflow_name: str) -> float:
         """Mean number of concurrent instances ``N_active`` (Little)."""
         item = self.workload.item(workflow_name)
-        return item.arrival_rate * self._turnarounds[workflow_name]
+        return item.arrival_rate * self.turnaround_time(workflow_name)
 
     # ------------------------------------------------------------------
     # Stage 3: aggregated load and sustainable throughput
@@ -691,7 +697,10 @@ class PerformanceModel:
         return PerformanceReport(
             configuration=configuration,
             server_types=self.server_types,
-            turnaround_times=dict(self._turnarounds),
+            turnaround_times={
+                workflow: self.turnaround_time(workflow)
+                for workflow in self._models
+            },
             requests_per_instance={
                 workflow: {
                     name: float(self._requests[workflow][i])

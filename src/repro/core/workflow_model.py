@@ -9,17 +9,23 @@ without load.  :func:`build_workflow_ctmc` translates a definition into an
 resolving subworkflows hierarchically exactly as Section 4.2.2 prescribes:
 the residence time of a subworkflow state is the maximum of the children's
 mean turnaround times, and its load entries are the sums of the children's
-expected request counts.
+expected request counts.  The translation is split where Section 4 splits
+its analysis: the jump chain and the load matrix, which the request counts
+read, are built and validated at once; the residence times and the CTMC,
+which only the turnaround reads, when the turnaround is first read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal, Mapping
 
 import numpy as np
 
-from repro.core.ctmc import AbsorbingCTMC, remove_self_loops
+from repro.core.ctmc import AbsorbingCTMC, fold_self_loops
+from repro.core.dtmc import AbsorbingDTMC
 from repro.core.model_types import ActivitySpec, ServerTypeIndex
 from repro.exceptions import ModelError, ValidationError
 
@@ -64,9 +70,11 @@ class WorkflowState:
             raise ValidationError(
                 f"state {self.name}: a routing state needs mean_duration"
             )
-        if self.mean_duration is not None and self.mean_duration <= 0.0:
+        if (self.mean_duration is not None
+                and not 0.0 < self.mean_duration < math.inf):  # NaN fails
             raise ValidationError(
-                f"state {self.name}: mean_duration must be positive"
+                f"state {self.name}: mean_duration must be positive and "
+                "finite"
             )
         if self.subworkflows and self.mean_duration is not None:
             raise ValidationError(
@@ -100,13 +108,20 @@ class WorkflowDefinition:
     The single *final* state is detected as the unique state without
     outgoing transitions (the paper assumes one final state; multiple final
     states "could be easily connected to an additional termination state",
-    which callers can do explicitly).
+    which callers can do explicitly).  ``state_names`` and ``final_state``
+    are derived once, at construction.
     """
 
     name: str
     states: tuple[WorkflowState, ...]
     transitions: Mapping[tuple[str, str], float]
     initial_state: str
+    #: Names of the states, in definition order.
+    state_names: tuple[str, ...] = field(
+        init=False, repr=False, compare=False
+    )
+    #: The unique state without outgoing transitions.
+    final_state: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -115,18 +130,20 @@ class WorkflowDefinition:
         object.__setattr__(self, "states", states)
         if not states:
             raise ValidationError(f"workflow {self.name}: needs states")
-        names = [state.name for state in states]
-        if len(set(names)) != len(names):
+        names = tuple(state.name for state in states)
+        positions = {name: i for i, name in enumerate(names)}
+        if len(positions) != len(names):
             raise ValidationError(
                 f"workflow {self.name}: duplicate state names"
             )
+        object.__setattr__(self, "state_names", names)
+        object.__setattr__(self, "_positions", positions)
         transitions = dict(self.transitions)
         object.__setattr__(self, "transitions", transitions)
-        known = set(names)
         # Outgoing probabilities grouped by source, in one pass.
         outgoing: dict[str, dict[str, float]] = {}
         for (source, target), probability in transitions.items():
-            if source not in known or target not in known:
+            if source not in positions or target not in positions:
                 raise ValidationError(
                     f"workflow {self.name}: transition {source}->{target} "
                     "references unknown states"
@@ -138,7 +155,7 @@ class WorkflowDefinition:
                 )
             outgoing.setdefault(source, {})[target] = probability
         object.__setattr__(self, "_outgoing", outgoing)
-        if self.initial_state not in known:
+        if self.initial_state not in positions:
             raise ValidationError(
                 f"workflow {self.name}: unknown initial state "
                 f"{self.initial_state!r}"
@@ -152,25 +169,13 @@ class WorkflowDefinition:
                     f"workflow {self.name}: outgoing probabilities of "
                     f"{name} sum to {total}, expected 1"
                 )
-        # Computing the final state validates its uniqueness.
-        _ = self.final_state
-
-    @property
-    def state_names(self) -> tuple[str, ...]:
-        """Names of the states, in definition order."""
-        return tuple(state.name for state in self.states)
-
-    @property
-    def final_state(self) -> str:
-        """The unique state without outgoing transitions."""
-        finals = [name for name in self.state_names
-                  if name not in self._outgoing]
+        finals = [name for name in names if name not in outgoing]
         if len(finals) != 1:
             raise ValidationError(
                 f"workflow {self.name}: expected exactly one final state "
                 f"(without outgoing transitions), found {finals}"
             )
-        return finals[0]
+        object.__setattr__(self, "final_state", finals[0])
 
     def state(self, name: str) -> WorkflowState:
         """Look up a state by name."""
@@ -190,31 +195,74 @@ class WorkflowDefinition:
 class WorkflowCTMC:
     """The CTMC translation of a workflow type (Figure 4).
 
+    Built in Section 4's two stages.  The request counts (§4.2) read the
+    jump chain and the load matrix, which :func:`build_workflow_ctmc`
+    builds and validates at once.  The turnaround (§4.1) also reads the
+    residence times, among them the turnarounds of the subworkflow
+    children; those and :attr:`chain` are built on the first read of the
+    chain or of a turnaround.
+
     Attributes
     ----------
     definition:
         The source workflow definition.
-    chain:
-        Absorbing CTMC whose first ``n`` states are the workflow execution
-        states (in definition order) and whose last state is the artificial
-        absorbing state ``s_A``.
     load_matrix:
         ``k x (n + 1)`` matrix ``L^t``: expected service requests per visit
         of each state, one row per server type (absorbing column is zero).
         Subworkflow states carry the aggregated load of their children.
     server_types:
         The server type index fixing the row order of the load matrix.
+    jump_chain:
+        The validated embedded jump chain, designer-level self-loops
+        folded out: its first ``n`` states are the workflow execution
+        states (in definition order), its last state the artificial
+        absorbing state ``s_A``.
+    initial_state:
+        Index of the initial state.
+    durations:
+        Each execution state's mean duration, before the self-loop
+        stretch; a subworkflow state holds its children's translations
+        instead, and its duration is their largest turnaround.
+    self_loops:
+        ``(state index, p_aa)`` of each folded self-loop; the chain
+        stretches that state's residence time to ``H_a / (1 - p_aa)``.
     """
 
     definition: WorkflowDefinition
-    chain: AbsorbingCTMC
     load_matrix: np.ndarray
     server_types: ServerTypeIndex
+    jump_chain: AbsorbingDTMC
+    initial_state: int
+    durations: tuple[float | tuple[WorkflowCTMC, ...], ...] = field(
+        repr=False
+    )
+    self_loops: tuple[tuple[int, float], ...] = field(repr=False)
+
+    @cached_property
+    def chain(self) -> AbsorbingCTMC:
+        """Absorbing CTMC over the jump chain, built on first read.
+
+        Its first ``n`` states are the workflow execution states and its
+        last state is ``s_A``, as in :attr:`jump_chain`, which it shares.
+        """
+        residence_times = np.array(
+            [
+                max([child.turnaround_time() for child in duration])
+                if isinstance(duration, tuple) else duration
+                for duration in self.durations
+            ] + [0.0],
+            dtype=float,
+        )
+        for state, loop in self.self_loops:
+            residence_times[state] /= 1.0 - loop
+        return AbsorbingCTMC._of_jump_chain(
+            self.jump_chain, residence_times, self.initial_state
+        )
 
     @property
     def state_names(self) -> tuple[str, ...]:
         """Names of the chain's states, in matrix order."""
-        return self.chain.state_names
+        return self.jump_chain.state_names
 
     def turnaround_time(self, method: Literal["direct", "gauss_seidel"] = "direct") -> float:
         """Mean turnaround time ``R_t`` (Section 4.1)."""
@@ -225,7 +273,15 @@ class WorkflowCTMC:
         method: Literal["fundamental", "series"] = "fundamental",
         confidence: float = 0.99,
     ) -> np.ndarray:
-        """Expected service requests ``r_{x,t}`` per server type (§4.2)."""
+        """Expected service requests ``r_{x,t}`` per server type (§4.2).
+
+        ``fundamental`` reads only the jump chain; ``series`` (the
+        paper's uniformized algorithm) needs :attr:`chain`.
+        """
+        if method == "fundamental":
+            return self.load_matrix @ self.jump_chain.expected_visits(
+                self.initial_state
+            )
         result = self.chain.expected_reward_until_absorption(
             self.load_matrix, method=method, confidence=confidence
         )
@@ -233,11 +289,12 @@ class WorkflowCTMC:
 
     def expected_visits(self) -> dict[str, float]:
         """Expected visits per execution state (absorbing state excluded)."""
-        visits = self.chain.expected_visits()
+        visits = self.jump_chain.expected_visits(self.initial_state)
+        absorbing = self.jump_chain.absorbing_states[0]
         return {
             name: float(visits[i])
             for i, name in enumerate(self.state_names)
-            if i != self.chain.absorbing_state
+            if i != absorbing
         }
 
     def turnaround_quantile(self, probability: float) -> float:
@@ -257,79 +314,84 @@ def build_workflow_ctmc(
     """Translate a workflow definition into its CTMC and load matrix.
 
     Subworkflows are resolved bottom-up (Section 4.2.2): every child is
-    analyzed recursively; a subworkflow state's residence time becomes the
-    maximum of the children's turnaround times (a conservative lower bound
-    on the true residence time, as the paper notes) and its load the sum of
-    the children's expected requests.  Designer-level self-loops are folded
-    into residence times via :func:`repro.core.ctmc.remove_self_loops`.
+    translated recursively; a subworkflow state's load is the sum of the
+    children's expected requests and its residence time the maximum of
+    the children's turnaround times (a conservative lower bound on the
+    true residence time, as the paper notes).  Designer-level self-loops
+    are folded into residence times as
+    :func:`repro.core.ctmc.remove_self_loops` does.
+
+    The jump chain is validated here, so a malformed workflow fails at
+    once; the residence times and :attr:`WorkflowCTMC.chain` are built on
+    the first read of the chain or of a turnaround.
     """
     n = len(definition.states)
-    state_positions = {
-        state.name: i for i, state in enumerate(definition.states)
-    }
     absorbing = n
+    names = server_types.names
+    no_load = [0.0] * len(names)
+    durations: list[float | tuple[WorkflowCTMC, ...]] = []
+    columns: list[list[float]] = []
+    for state in definition.states:
+        if state.subworkflows:
+            children = tuple(
+                build_workflow_ctmc(child, server_types)
+                for child in state.subworkflows
+            )
+            load = no_load
+            for child in children:
+                load = [
+                    total + requests for total, requests in zip(
+                        load, child.requests_per_instance().tolist()
+                    )
+                ]
+            durations.append(children)
+            columns.append(load)
+        elif state.activity is not None:
+            activity = state.activity
+            unknown = set(activity.loads).difference(names)
+            if unknown:
+                raise ModelError(
+                    f"activity {activity.name} loads unknown server "
+                    f"types {sorted(unknown)}"
+                )
+            durations.append(
+                state.mean_duration
+                if state.mean_duration is not None
+                else activity.mean_duration
+            )
+            columns.append([activity.load_on(name) for name in names])
+        else:
+            durations.append(state.mean_duration)
+            columns.append(no_load)
+    columns.append(no_load)
+    # The copy makes the matrix C-ordered: ``load_matrix @ visits`` over
+    # the transposed (F-ordered) view differs in the last bit.
+    load_matrix = np.array(columns, dtype=float).T.copy()
 
-    probabilities = np.zeros((n + 1, n + 1))
-    for (source, target), probability in definition.transitions.items():
-        probabilities[state_positions[source], state_positions[target]] = (
-            probability
-        )
-    probabilities[state_positions[definition.final_state], absorbing] = 1.0
-    probabilities[absorbing, absorbing] = 1.0
-
-    residence_times = np.zeros(n + 1)
-    load_matrix = np.zeros((len(server_types), n + 1))
-    for i, state in enumerate(definition.states):
-        residence_times[i], load_matrix[:, i] = _state_parameters(
-            state, server_types
-        )
-
-    probabilities, residence_times = remove_self_loops(
-        probabilities, residence_times, absorbing
+    positions = definition._positions
+    transitions = definition.transitions
+    rows = [positions[source] for source, _ in transitions]
+    targets = [positions[target] for _, target in transitions]
+    looping = sorted(
+        row for row, target in zip(rows, targets) if row == target
     )
-    chain = AbsorbingCTMC(
-        jump_probabilities=probabilities,
-        residence_times=residence_times,
-        initial_state=state_positions[definition.initial_state],
-        state_names=definition.state_names + (ABSORBING_STATE_NAME,),
+    rows += (positions[definition.final_state], absorbing)
+    targets += (absorbing, absorbing)
+    probabilities = np.zeros((n + 1, n + 1))
+    probabilities[rows, targets] = [*transitions.values(), 1.0, 1.0]
+    self_loops = fold_self_loops(probabilities, looping)
+    initial_state = positions[definition.initial_state]
+    jump_chain = AbsorbingCTMC._jump_chain(
+        probabilities,
+        definition.state_names + (ABSORBING_STATE_NAME,),
+        initial_state,
     )
     return WorkflowCTMC(
         definition=definition,
-        chain=chain,
         load_matrix=load_matrix,
         server_types=server_types,
+        jump_chain=jump_chain,
+        initial_state=initial_state,
+        durations=tuple(durations),
+        self_loops=tuple(self_loops),
     )
-
-
-def _state_parameters(
-    state: WorkflowState, server_types: ServerTypeIndex
-) -> tuple[float, np.ndarray]:
-    """Residence time and load column of one workflow state."""
-    if state.is_subworkflow_state:
-        load = np.zeros(len(server_types))
-        turnarounds = []
-        for child in state.subworkflows:
-            child_model = build_workflow_ctmc(child, server_types)
-            turnarounds.append(child_model.turnaround_time())
-            load += child_model.requests_per_instance()
-        return max(turnarounds), load
-
-    if state.activity is not None:
-        activity = state.activity
-        unknown = set(activity.loads).difference(server_types.names)
-        if unknown:
-            raise ModelError(
-                f"activity {activity.name} loads unknown server "
-                f"types {sorted(unknown)}"
-            )
-        duration = (
-            state.mean_duration
-            if state.mean_duration is not None
-            else activity.mean_duration
-        )
-        return duration, np.array(
-            [activity.load_on(name) for name in server_types.names]
-        )
-
-    assert state.mean_duration is not None  # enforced in __post_init__
-    return state.mean_duration, np.zeros(len(server_types))

@@ -83,9 +83,11 @@ class RoutingBlock(Block):
     def __post_init__(self) -> None:
         if not self.state:
             raise ValidationError("routing block needs a state name")
-        if self.mean_duration is not None and self.mean_duration <= 0.0:
+        if (self.mean_duration is not None
+                and not 0.0 < self.mean_duration < math.inf):  # NaN fails
             raise ValidationError(
-                f"routing block {self.state}: mean_duration must be positive"
+                f"routing block {self.state}: mean_duration must be "
+                "positive and finite"
             )
 
 

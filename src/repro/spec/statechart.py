@@ -18,6 +18,7 @@ probability, or a value calibrated from audit trails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -64,9 +65,11 @@ class ChartState:
                 f"state {self.name}: cannot both start an activity and "
                 "contain regions"
             )
-        if self.mean_duration is not None and self.mean_duration <= 0.0:
+        if (self.mean_duration is not None
+                and not 0.0 < self.mean_duration < math.inf):  # NaN fails
             raise ValidationError(
-                f"state {self.name}: mean_duration must be positive"
+                f"state {self.name}: mean_duration must be positive and "
+                "finite"
             )
         if self.regions and self.mean_duration is not None:
             raise ValidationError(

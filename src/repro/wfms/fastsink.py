@@ -208,10 +208,11 @@ class FastServer:
             if end > horizon:
                 return  # still in service past this flush
             arrival, instance_id, start, service, end = current
-            self._busy_values.append(0.0)
-            self._busy_times.append(end)
-            self._waiting_buffer.append(start - arrival)
-            self._service_buffer.append(service)
+            if self._measuring:
+                self._busy_values.append(0.0)
+                self._busy_times.append(end)
+                self._waiting_buffer.append(start - arrival)
+                self._service_buffer.append(service)
             self.completed_total += 1
             if self._rows is not None:
                 self._rows.append(
@@ -250,15 +251,16 @@ class FastServer:
         if completed:
             done_starts = starts[:completed]
             done_ends = ends[:completed]
-            toggle_times = np.empty(2 * completed)
-            toggle_times[0::2] = done_starts
-            toggle_times[1::2] = done_ends
-            self._busy_values.extend((1.0, 0.0) * completed)
-            self._busy_times.extend(toggle_times.tolist())
-            self._waiting_buffer.extend(
-                (done_starts - arrivals[:completed]).tolist()
-            )
-            self._service_buffer.extend(services[:completed].tolist())
+            if self._measuring:
+                toggle_times = np.empty(2 * completed)
+                toggle_times[0::2] = done_starts
+                toggle_times[1::2] = done_ends
+                self._busy_values.extend((1.0, 0.0) * completed)
+                self._busy_times.extend(toggle_times.tolist())
+                self._waiting_buffer.extend(
+                    (done_starts - arrivals[:completed]).tolist()
+                )
+                self._service_buffer.extend(services[:completed].tolist())
             self.completed_total += completed
             if self._rows is not None:
                 self._rows.extend(
@@ -277,8 +279,9 @@ class FastServer:
             # The next request enters service before the horizon but
             # completes beyond it: it becomes the pending attempt.
             start = float(starts[completed])
-            self._busy_values.append(1.0)
-            self._busy_times.append(start)
+            if self._measuring:
+                self._busy_values.append(1.0)
+                self._busy_times.append(start)
             self._current = [
                 float(arrivals[completed]),
                 self._queue_ids[head + completed],
@@ -299,6 +302,7 @@ class FastServer:
         t_free = self._t_free
         current = self._current
         sample = self._sample_service
+        measuring = self._measuring
         busy_values = self._busy_values
         busy_times = self._busy_times
         waiting = self._waiting_buffer
@@ -332,8 +336,9 @@ class FastServer:
                     break  # service begins beyond the flushed horizon
                 head += 1
                 service = sample()
-                busy_values.append(1.0)
-                busy_times.append(start)
+                if measuring:
+                    busy_values.append(1.0)
+                    busy_times.append(start)
                 current = [arrival, instance_id, start, service,
                            start + service]
             arrival, instance_id, start, service, end = current
@@ -345,8 +350,9 @@ class FastServer:
                 # Preempted: partial service is lost (retry semantics),
                 # the request returns to the queue head.
                 fail_time, repair = windows[window_index]
-                busy_values.append(0.0)
-                busy_times.append(fail_time)
+                if measuring:
+                    busy_values.append(0.0)
+                    busy_times.append(fail_time)
                 # Return the request to the queue head: back up the head
                 # pointer when possible (its slot still holds the same
                 # values), otherwise prepend (an earlier flush already
@@ -368,10 +374,11 @@ class FastServer:
                 continue
             if end > horizon:
                 break  # completion resolves beyond the flushed horizon
-            busy_values.append(0.0)
-            busy_times.append(end)
-            waiting.append(start - arrival)
-            services.append(service)
+            if measuring:
+                busy_values.append(0.0)
+                busy_times.append(end)
+                waiting.append(start - arrival)
+                services.append(service)
             completed += 1
             if self._rows is not None:
                 self._rows.append(
@@ -390,7 +397,8 @@ class FastServer:
     def flush_measurements(self) -> None:
         """Fold the buffered measurements into the statistics collectors.
 
-        After :meth:`stop_measuring` the buffers are dropped instead.
+        After :meth:`stop_measuring` the replay buffers nothing, and
+        whatever was buffered before is dropped instead.
         """
         head = self._queue_head
         if head:
@@ -413,8 +421,9 @@ class FastServer:
 
         The run calls this at the window's end, after its last reading:
         the replay keeps serving (and recording trail rows) through the
-        drain, but none of these statistics, nor ``completed_requests``,
-        counts the drain's requests.
+        drain, but builds no measurement buffers for it, and none of
+        these statistics, nor ``completed_requests``, counts the drain's
+        requests.
         """
         self._measuring = False
 

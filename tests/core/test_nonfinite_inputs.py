@@ -23,6 +23,7 @@ from repro.core.linalg import (
 from repro.core.model_types import ActivitySpec, ServerTypeSpec
 from repro.core.performance import SystemConfiguration
 from repro.core.search import ReplicationConstraints
+from repro.core.workflow_model import WorkflowState
 from repro.exceptions import ValidationError
 from repro.scenarios import (
     ArrivalSpec,
@@ -31,6 +32,7 @@ from repro.scenarios import (
     spec_to_dict,
     spec_to_project,
 )
+from repro.spec.statechart import ChartState
 
 NAN = math.nan
 INF = math.inf
@@ -68,6 +70,21 @@ class TestSpecDocuments:
         document = _ecommerce_document()
         document["server_types"][0]["failure_rate"] = NAN
         with pytest.raises(ValidationError, match="failure rate"):
+            _parse(document)
+
+    @pytest.mark.parametrize("duration", [NAN, INF])
+    def test_non_finite_routing_duration_is_rejected(self, duration):
+        # Used to parse and lower; only the chain's residence check,
+        # when the turnaround was solved, rejected it.
+        document = _ecommerce_document()
+        routing = document["body"]["blocks"][-1]
+        assert routing["kind"] == "routing"
+        routing["mean_duration"] = duration
+        with pytest.raises(
+            ValidationError,
+            match="routing block EP_EXIT_S: mean_duration must be "
+            "positive and finite",
+        ):
             _parse(document)
 
 
@@ -123,6 +140,24 @@ class TestActivitySpec:
     def test_non_finite_load_is_rejected(self, requests):
         with pytest.raises(ValidationError, match="load on x"):
             ActivitySpec("a", 1.0, loads={"x": requests})
+
+
+class TestWorkflowStates:
+    @pytest.mark.parametrize("duration", [NAN, INF])
+    def test_non_finite_routing_duration_is_rejected(self, duration):
+        with pytest.raises(
+            ValidationError,
+            match="state route: mean_duration must be positive and finite",
+        ):
+            WorkflowState("route", mean_duration=duration)
+
+    @pytest.mark.parametrize("duration", [NAN, INF])
+    def test_non_finite_chart_state_duration_is_rejected(self, duration):
+        with pytest.raises(
+            ValidationError,
+            match="state route: mean_duration must be positive and finite",
+        ):
+            ChartState("route", mean_duration=duration)
 
 
 class TestArrivalSpec:

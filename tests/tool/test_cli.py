@@ -316,6 +316,55 @@ class TestRecommend:
         assert document["violations"]
 
 
+class TestNoEvaluationCache:
+    """``--no-evaluation-cache`` moves only the evaluation count.
+
+    The uncached path memoizes no assessment, so it counts every visit
+    of a candidate: a greedy walk visits each candidate once, and its
+    documents are byte-equal; an annealing walk revisits candidates, and
+    only its ``evaluations`` grows.
+    """
+
+    def _recommend(self, project_path, capsys, algorithm, *flags):
+        status = main(
+            [
+                "recommend",
+                "--project", str(project_path),
+                "--max-waiting", "0.15",
+                "--max-unavailability", "1e-5",
+                "--algorithm", algorithm,
+                "--json",
+                *flags,
+            ]
+        )
+        assert status == 0
+        return capsys.readouterr().out
+
+    def test_greedy_documents_are_byte_equal(self, project_path, capsys):
+        cached = self._recommend(project_path, capsys, "greedy")
+        uncached = self._recommend(
+            project_path, capsys, "greedy", "--no-evaluation-cache"
+        )
+        assert uncached == cached
+
+    def test_annealing_counts_every_revisit_uncached(
+        self, project_path, capsys
+    ):
+        cached = json.loads(
+            self._recommend(project_path, capsys, "simulated_annealing")
+        )
+        uncached = json.loads(
+            self._recommend(
+                project_path, capsys, "simulated_annealing",
+                "--no-evaluation-cache",
+            )
+        )
+        assert uncached["evaluations"] > cached["evaluations"]
+        assert {**uncached, "evaluations": None} == {
+            **cached, "evaluations": None
+        }
+
+
 class TestRecommendFrontier:
     ARGUMENTS = [
         "--max-waiting", "0.5",
