@@ -660,9 +660,13 @@ def _cmd_throughput(args: argparse.Namespace) -> int:
 # Parser
 # ----------------------------------------------------------------------
 def _add_observability_arguments(
-    subparser: argparse.ArgumentParser,
+    subparser: argparse.ArgumentParser, serve_metrics: bool = True
 ) -> None:
-    """Attach the shared instrumentation flags to one subcommand."""
+    """Attach the shared instrumentation flags to one subcommand.
+
+    ``serve`` gets no ``--serve-metrics``: its own port answers
+    ``/metrics``, ``/health`` and ``/report``.
+    """
     group = subparser.add_argument_group("observability")
     group.add_argument(
         "--metrics-out", metavar="PATH", default=None,
@@ -676,6 +680,8 @@ def _add_observability_arguments(
         "--verbose", "-v", action="store_true",
         help="print an observability run report after the command",
     )
+    if not serve_metrics:
+        return
     group.add_argument(
         "--serve-metrics", type=int, default=None, metavar="PORT",
         help="serve /metrics (Prometheus text), /health, and /report "
@@ -1077,8 +1083,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_corpus_inputs(corpus_assess)
     corpus_assess.set_defaults(handler=_cmd_corpus_assess)
 
-    for subcommand in commands.choices.values():
-        _add_observability_arguments(subcommand)
+    for name, subcommand in commands.choices.items():
+        _add_observability_arguments(
+            subcommand, serve_metrics=name != "serve"
+        )
     return parser
 
 

@@ -107,11 +107,6 @@ class Workload:
         return len(self._items)
 
     @property
-    def workflow_names(self) -> tuple[str, ...]:
-        """Names of the workflow types, in declaration order."""
-        return tuple(item.definition.name for item in self._items)
-
-    @property
     def total_arrival_rate(self) -> float:
         """Total workflow instances arriving per time unit."""
         return sum(item.arrival_rate for item in self._items)

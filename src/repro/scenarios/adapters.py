@@ -376,8 +376,7 @@ def region_to_chart(region, validate: bool = True) -> StateChart:
     """Lower one :class:`~repro.scenarios.spec.RegionSpec` to its chart.
 
     Composite states lower their regions through this automatically; it
-    is exposed so subworkflow charts can also be built standalone (the
-    ``*_subchart()`` helpers of :mod:`repro.workflows`).
+    is exposed so subworkflow charts can also be built standalone.
     """
     return _Lowering(region.name, region.body, validate).chart()
 

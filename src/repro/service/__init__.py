@@ -11,9 +11,10 @@ search (:mod:`repro.core.search`) — into a long-running HTTP service:
   the ``monitor`` → ``recommend`` batch pipeline;
 * :mod:`repro.service.state` — per-tenant shards and the snapshot
   format for graceful shutdown / warm restart;
-* :mod:`repro.service.server` — the stdlib-asyncio HTTP server
-  (``POST /events``, ``GET /recommendation``, ``GET /status``, plus
-  the ``/metrics``/``/health``/``/report`` observability endpoints);
+* :mod:`repro.service.server` — the HTTP service, a subclass of the
+  asyncio :class:`repro.obs.server.MetricsServer` that adds
+  ``POST /events``, ``GET /recommendation`` and ``GET /status`` to the
+  ``/metrics``/``/health``/``/report`` observability endpoints;
 * :mod:`repro.service.worker` — the one search thread behind it, fed
   by one pending slot per tenant (the newest submission wins).
 

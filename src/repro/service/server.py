@@ -29,13 +29,14 @@ Endpoints
     publish) — per tenant (404 for an unknown one), or for all tenants
     without the parameter.
 ``GET /metrics`` / ``GET /health`` / ``GET /report``
-    The observability endpoints, rendered by the exact same functions
-    as :class:`repro.obs.server.MetricsServer`.
+    The observability endpoints of :class:`repro.obs.server.MetricsServer`,
+    which this service extends; ``/health`` adds the tenant count.
 
 Threading model
 ---------------
-The asyncio loop runs on a dedicated daemon thread behind a blocking
-:meth:`start`/:meth:`stop` facade (mirroring ``MetricsServer``).  All
+The asyncio loop of :class:`~repro.obs.server.MetricsServer` runs on a
+dedicated daemon thread behind a blocking :meth:`start`/:meth:`stop`
+facade, and so do its request parsing, limits and error replies.  All
 tenant state is touched only on the loop thread.  Re-searches run on
 the one thread of a :class:`~repro.service.worker.SearchWorker`, one
 pending slot per tenant: a newer submission overwrites its tenant's
@@ -57,9 +58,7 @@ slots and a submission still queued then are dropped.
 from __future__ import annotations
 
 import asyncio
-import threading
 from typing import Any, Callable
-from urllib.parse import parse_qs, urlsplit
 
 from repro import obs
 from repro.core.goals import PerformabilityGoals
@@ -69,10 +68,11 @@ from repro.monitor.drift import DriftEvent
 from repro.monitor.persistence import parse_record_row
 from repro.monitor.stream import StreamingCalibrator, check_positive_finite
 from repro.obs.server import (
-    render_health,
-    render_json_body,
-    render_metrics,
-    render_report,
+    JSON_CONTENT_TYPE,
+    Handler,
+    MetricsServer,
+    Response,
+    json_response,
 )
 from repro.service.pipeline import (
     SearchSettings,
@@ -124,16 +124,8 @@ SERVICE_METRICS: tuple[tuple[str, str, str], ...] = (
      "records ingested since the tenant's published revision"),
 )
 
-_JSON = "application/json; charset=utf-8"
 
-#: Largest request body the service reads (16 MiB).  A larger
-#: ``Content-Length`` is answered with 413 before any of the body is
-#: read, so a client cannot hold a connection open for a body of any
-#: claimed size.
-MAX_BODY_BYTES = 16 * 1024 * 1024
-
-
-class RecommendationService:
+class RecommendationService(MetricsServer):
     """Long-running §7 recommendation loop over HTTP.
 
     Use as a context manager or via :meth:`start`/:meth:`stop`::
@@ -151,6 +143,9 @@ class RecommendationService:
     the constructor checks it, before any port is bound or tenant made.
     """
 
+    requests_metric = "service.http.requests"
+    errors_metric = "service.http.errors"
+
     def __init__(
         self,
         baseline: Project,
@@ -160,31 +155,34 @@ class RecommendationService:
         port: int = 0,
         window: float = 1_000.0,
         snapshot_path: str | None = None,
-        prefix: str = "repro",
     ) -> None:
-        if not 0 <= port <= 65535:
-            raise ValidationError(f"port {port} outside [0, 65535]")
+        super().__init__(port=port, host=host)
         check_positive_finite("window", window)
         self.baseline = baseline
         self.goals = goals
         self.settings = settings if settings is not None else SearchSettings()
-        self.host = host
-        self.prefix = prefix
         self.window = window
         self.snapshot_path = snapshot_path
-        self._requested_port = port
-        self._bound_port: int | None = None
         self.state = self._initial_state()
         self.worker = SearchWorker()
         #: Newest submission per tenant; read and written on the loop
         #: thread only.
         self._generations: dict[str, int] = {}
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_future: asyncio.Future[None] | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._startup_error: BaseException | None = None
+
+    def _route_table(self) -> dict[str, tuple[str, Handler]]:
+        return {
+            **super()._route_table(),
+            "/events": ("POST", self._post_events),
+            "/recommendation": ("GET", self._get_recommendation),
+            "/status": ("GET", self._get_status),
+        }
+
+    def _health(self) -> dict[str, Any]:
+        return {
+            **super()._health(),
+            "service": "repro.service",
+            "tenants": len(self.state.tenants),
+        }
 
     def _initial_state(self) -> ServiceState:
         if self.snapshot_path is not None:
@@ -215,82 +213,12 @@ class RecommendationService:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def port(self) -> int:
-        """The bound port (the ephemeral one when 0 was requested)."""
-        if self._bound_port is not None:
-            return self._bound_port
-        return self._requested_port
-
-    @property
-    def url(self) -> str:
-        """Base URL of the running service."""
-        return f"http://{self.host}:{self.port}"
-
-    @property
-    def running(self) -> bool:
-        """Whether the serving thread is alive."""
-        return self._thread is not None and self._thread.is_alive()
-
     def start(self) -> int:
         """Bind and serve on a daemon thread; returns the bound port."""
-        if self._thread is not None:
-            raise ValidationError("recommendation service already started")
-        # stop() stops the worker for good, so each run gets its own.
-        self.worker = SearchWorker()
-        self._started.clear()
-        self._startup_error = None
-        thread = threading.Thread(
-            target=self._serve_thread,
-            name="repro-recommendation-service",
-            daemon=True,
-        )
-        self._thread = thread
-        thread.start()
-        self._started.wait(timeout=30.0)
-        if self._startup_error is not None:
-            error = self._startup_error
-            self._thread = None
-            self._startup_error = None
-            if isinstance(error, ReproError):
-                raise error
-            raise ValidationError(
-                f"service failed to start: {error}"
-            ) from error
-        if not self._started.is_set():
-            raise ValidationError("service did not start within 30s")
-        return self.port
-
-    def _serve_thread(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self._serve(loop))
-        finally:
-            loop.close()
-            self._loop = None
-
-    async def _serve(self, loop: asyncio.AbstractEventLoop) -> None:
-        try:
-            server = await asyncio.start_server(
-                self._handle_connection, self.host, self._requested_port,
-                reuse_address=True,
-            )
-        except BaseException as error:
-            self._startup_error = error
-            self._started.set()
-            return
-        self._server = server
-        self._bound_port = server.sockets[0].getsockname()[1]
-        self._stop_future = loop.create_future()
-        self._started.set()
-        try:
-            await self._stop_future
-        finally:
-            server.close()
-            await server.wait_closed()
-            self._server = None
+        if self._thread is None:
+            # stop() stops the worker for good, so each run gets its own.
+            self.worker = SearchWorker()
+        return super().start()
 
     def stop(self, snapshot: bool = True) -> None:
         """Drain searches, stop serving, optionally snapshot; idempotent.
@@ -302,20 +230,7 @@ class RecommendationService:
         if self._thread is None:
             return
         self.worker.stop(timeout=10.0)
-        loop = self._loop
-        if loop is not None:
-
-            def _finish() -> None:
-                future = self._stop_future
-                if future is not None and not future.done():
-                    future.set_result(None)
-
-            try:
-                loop.call_soon_threadsafe(_finish)
-            except RuntimeError:
-                pass  # loop already closed
-        self._thread.join(timeout=10.0)
-        self._thread = None
+        super().stop()
         if snapshot and self.snapshot_path is not None:
             tenants = self.state.save_snapshot(self.snapshot_path)
             obs.count("service.snapshot.saved")
@@ -324,176 +239,14 @@ class RecommendationService:
                 tenants=tenants,
             )
 
-    def __enter__(self) -> "RecommendationService":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    # ------------------------------------------------------------------
-    # HTTP plumbing (minimal HTTP/1.1, one request per connection)
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            status, content_type, body, headers = await self._handle_request(
-                reader
-            )
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            asyncio.LimitOverrunError,
-            TimeoutError,
-        ):
-            writer.close()
-            return
-        except ValidationError as error:
-            status, content_type, body, headers = (
-                400, _JSON, render_json_body({"error": str(error)}), {},
-            )
-        except Exception as error:  # never kill the accept loop
-            obs.count("service.http.errors")
-            status, content_type, body, headers = (
-                500, _JSON, render_json_body({"error": str(error)}), {},
-            )
-        if status >= 400:
-            obs.count("service.http.errors")
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed", 413: "Content Too Large",
-                  500: "Internal Server Error"}.get(status, "OK")
-        lines = [
-            f"HTTP/1.1 {status} {reason}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-            "Connection: close",
-        ]
-        lines.extend(f"{name}: {value}" for name, value in headers.items())
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("utf-8")
-        try:
-            writer.write(head + body)
-            await writer.drain()
-        except ConnectionError:
-            pass
-        finally:
-            writer.close()
-
-    async def _handle_request(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[int, str, bytes, dict[str, str]]:
-        request_line = await asyncio.wait_for(
-            reader.readline(), timeout=10.0
-        )
-        if not request_line.strip():
-            raise ConnectionError("empty request")
-        try:
-            method, target, _version = (
-                request_line.decode("latin-1").strip().split(None, 2)
-            )
-        except ValueError:
-            raise ValidationError("malformed request line") from None
-        content_length = 0
-        while True:
-            line = await asyncio.wait_for(reader.readline(), timeout=10.0)
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    raise ValidationError(
-                        "bad Content-Length header"
-                    ) from None
-        if content_length < 0:
-            raise ValidationError("negative Content-Length header")
-        if content_length > MAX_BODY_BYTES:
-            return 413, _JSON, render_json_body({
-                "error": f"request body of {content_length} bytes exceeds "
-                         f"the {MAX_BODY_BYTES}-byte limit",
-            }), {}
-        body = b""
-        if content_length > 0:
-            body = await asyncio.wait_for(
-                reader.readexactly(content_length), timeout=60.0
-            )
-        obs.count("service.http.requests")
-        parts = urlsplit(target)
-        path = parts.path.rstrip("/") or "/"
-        query = {
-            name: values[-1]
-            for name, values in parse_qs(parts.query).items()
-        }
-        return self._route(method.upper(), path, query, body)
-
-    def _route(
-        self,
-        method: str,
-        path: str,
-        query: dict[str, str],
-        body: bytes,
-    ) -> tuple[int, str, bytes, dict[str, str]]:
-        if path == "/events":
-            if method != "POST":
-                return self._method_not_allowed("POST")
-            return self._post_events(query, body)
-        if method != "GET":
-            return self._method_not_allowed("GET")
-        if path == "/recommendation":
-            return self._get_recommendation(query)
-        if path == "/status":
-            return self._get_status(query)
-        if path == "/metrics":
-            content_type, rendered = render_metrics(
-                obs.registry(), prefix=self.prefix
-            )
-            return 200, content_type, rendered, {}
-        if path == "/health":
-            content_type, rendered = render_health(
-                {
-                    "service": "repro.service",
-                    "tenants": len(self.state.tenants),
-                }
-            )
-            return 200, content_type, rendered, {}
-        if path == "/report":
-            content_type, rendered = render_report(
-                obs.registry(), obs.tracer()
-            )
-            return 200, content_type, rendered, {}
-        return self._not_found(
-            f"unknown path {path!r}",
-            endpoints=[
-                "/events", "/recommendation", "/status",
-                "/metrics", "/health", "/report",
-            ],
-        )
-
     @staticmethod
-    def _not_found(
-        error: str, **details: Any
-    ) -> tuple[int, str, bytes, dict[str, str]]:
-        return 404, _JSON, render_json_body({"error": error, **details}), {}
-
-    @staticmethod
-    def _method_not_allowed(
-        allowed: str,
-    ) -> tuple[int, str, bytes, dict[str, str]]:
-        return (
-            405, _JSON,
-            render_json_body({"error": f"method not allowed; use {allowed}"}),
-            {"Allow": allowed},
-        )
+    def _not_found(error: str, **details: Any) -> Response:
+        return json_response(404, {"error": error, **details})
 
     # ------------------------------------------------------------------
     # Endpoint: POST /events
     # ------------------------------------------------------------------
-    def _post_events(
-        self, query: dict[str, str], body: bytes
-    ) -> tuple[int, str, bytes, dict[str, str]]:
+    def _post_events(self, query: dict[str, str], body: bytes) -> Response:
         tenant = self.state.tenant(query.get("tenant", DEFAULT_TENANT))
         obs.set_gauge("service.tenants", len(self.state.tenants))
         rows: list[tuple[str, tuple]] = []
@@ -531,7 +284,7 @@ class RecommendationService:
             "search_scheduled": scheduled,
         }
         status = 200 if ingested or not rejected else 400
-        return status, _JSON, render_json_body(document), {}
+        return json_response(status, document)
 
     # ------------------------------------------------------------------
     # Re-search
@@ -636,8 +389,8 @@ class RecommendationService:
     # Endpoint: GET /recommendation
     # ------------------------------------------------------------------
     def _get_recommendation(
-        self, query: dict[str, str]
-    ) -> tuple[int, str, bytes, dict[str, str]]:
+        self, query: dict[str, str], body: bytes
+    ) -> Response:
         name = query.get("tenant", DEFAULT_TENANT)
         tenant = self.state.tenants.get(name)
         if tenant is None:
@@ -676,14 +429,13 @@ class RecommendationService:
                 "true" if meta["stale"] else "false"
             ),
         }
-        return 200, _JSON, render_document(tenant.document), headers
+        body = render_document(tenant.document)
+        return 200, JSON_CONTENT_TYPE, body, headers
 
     # ------------------------------------------------------------------
     # Endpoint: GET /status
     # ------------------------------------------------------------------
-    def _get_status(
-        self, query: dict[str, str]
-    ) -> tuple[int, str, bytes, dict[str, str]]:
+    def _get_status(self, query: dict[str, str], body: bytes) -> Response:
         name = query.get("tenant")
         if name is not None:
             tenant = self.state.tenants.get(name)
@@ -700,4 +452,4 @@ class RecommendationService:
                 },
                 "searches_active": self.worker.active(),
             }
-        return 200, _JSON, render_json_body(document), {}
+        return json_response(200, document)

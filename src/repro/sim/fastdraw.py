@@ -374,29 +374,11 @@ class FastRng:
             lambda generator, n: generator.lognormal(mu, sigma, n),
         ).next()
 
-    def normalvariate(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        """Normal variate from the ``(mu, sigma)`` stream."""
-        return self._stream(
-            ("normal", mu, sigma),
-            lambda generator, n: generator.normal(mu, sigma, n),
-        ).next()
-
-    def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        """Alias of :meth:`normalvariate` (block streams have no state)."""
-        return self.normalvariate(mu, sigma)
-
     def paretovariate(self, alpha: float) -> float:
         """Pareto variate with minimum 1 (matching ``random.Random``)."""
         return self._stream(
             ("paretovariate", alpha),
             lambda generator, n: generator.pareto(alpha, n) + 1.0,
-        ).next()
-
-    def gammavariate(self, alpha: float, beta: float) -> float:
-        """Gamma variate with shape ``alpha`` and scale ``beta``."""
-        return self._stream(
-            ("gamma", alpha, beta),
-            lambda generator, n: generator.gamma(alpha, beta, n),
         ).next()
 
     def choice(self, sequence):

@@ -298,11 +298,6 @@ class TimeWeightedStats:
         self._value = float(value_array[-1])
         self._last_time = float(time_array[-1])
 
-    @property
-    def current_value(self) -> float:
-        """Level set by the most recent update."""
-        return self._value
-
     def finalize(self, time: float) -> None:
         """Close the window; the signal held its value until ``time``."""
         self.update(self._value, time)

@@ -28,7 +28,6 @@ from __future__ import annotations
 from repro.core.model_types import ActivitySpec
 from repro.core.workflow_model import WorkflowDefinition
 from repro.scenarios.adapters import (
-    region_to_chart,
     spec_to_chart,
     spec_to_definition,
 )
@@ -148,16 +147,6 @@ def _delivery_region() -> RegionSpec:
             activity("UpdateBilling"),
         ),
     )
-
-
-def notify_subchart() -> StateChart:
-    """``Notify_SC`` lowered to a standalone state chart."""
-    return region_to_chart(_notify_region())
-
-
-def delivery_subchart() -> StateChart:
-    """``Delivery_SC`` lowered to a standalone state chart."""
-    return region_to_chart(_delivery_region())
 
 
 def ecommerce_spec() -> WorkflowSpec:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from repro.core.model_types import ActivitySpec
 from repro.core.workflow_model import WorkflowDefinition
 from repro.scenarios.adapters import (
-    region_to_chart,
     spec_to_chart,
     spec_to_definition,
 )
@@ -101,16 +100,6 @@ def _inspection_region() -> RegionSpec:
 def _fraud_region() -> RegionSpec:
     """Automated fraud scoring, running in parallel to the inspection."""
     return region("Fraud_SC", activity("FraudScoring"))
-
-
-def inspection_subchart() -> StateChart:
-    """``Inspection_SC`` lowered to a standalone state chart."""
-    return region_to_chart(_inspection_region())
-
-
-def fraud_subchart() -> StateChart:
-    """``Fraud_SC`` lowered to a standalone state chart."""
-    return region_to_chart(_fraud_region())
 
 
 def insurance_spec() -> WorkflowSpec:

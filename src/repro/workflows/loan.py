@@ -16,7 +16,6 @@ from __future__ import annotations
 from repro.core.model_types import ActivitySpec
 from repro.core.workflow_model import WorkflowDefinition
 from repro.scenarios.adapters import (
-    region_to_chart,
     spec_to_chart,
     spec_to_definition,
 )
@@ -107,16 +106,6 @@ def _risk_region() -> RegionSpec:
             activity("CollateralAssessment"),
         ),
     )
-
-
-def credit_check_subchart() -> StateChart:
-    """``CreditCheck_SC`` lowered to a standalone state chart."""
-    return region_to_chart(_credit_check_region())
-
-
-def risk_subchart() -> StateChart:
-    """``Risk_SC`` lowered to a standalone state chart."""
-    return region_to_chart(_risk_region())
 
 
 def loan_spec() -> WorkflowSpec:

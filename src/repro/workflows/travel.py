@@ -17,7 +17,6 @@ from __future__ import annotations
 from repro.core.model_types import ActivitySpec
 from repro.core.workflow_model import WorkflowDefinition
 from repro.scenarios.adapters import (
-    region_to_chart,
     spec_to_chart,
     spec_to_definition,
 )
@@ -115,21 +114,6 @@ def _hotel_region() -> RegionSpec:
 def _car_region() -> RegionSpec:
     """Car rental agency: a single automated booking."""
     return region("Car_SC", activity("CarBooking"))
-
-
-def flight_subchart() -> StateChart:
-    """``Flight_SC`` lowered to a standalone state chart."""
-    return region_to_chart(_flight_region())
-
-
-def hotel_subchart() -> StateChart:
-    """``Hotel_SC`` lowered to a standalone state chart."""
-    return region_to_chart(_hotel_region())
-
-
-def car_subchart() -> StateChart:
-    """``Car_SC`` lowered to a standalone state chart."""
-    return region_to_chart(_car_region())
 
 
 def travel_spec() -> WorkflowSpec:

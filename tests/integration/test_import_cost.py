@@ -3,7 +3,8 @@
 Only analyses off those start-up paths use scipy (the Gauss-Seidel
 triangular solve), and they import it where it is used.  networkx is
 not a dependency; the check keeps any future use of it off the start-up
-paths too.
+paths too.  Nor do they load the stdlib ``http.server``: the one HTTP
+server, :mod:`repro.obs.server`, is built on asyncio.
 """
 
 import subprocess
@@ -26,3 +27,17 @@ def test_cli_and_service_import_without_scipy_or_networkx():
         env={"PYTHONPATH": str(SRC)},
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_and_service_import_without_http_server():
+    program = (
+        "import sys\n"
+        "import repro.cli, repro.service\n"
+        "print('http.server' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", program],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(SRC)},
+    )
+    assert result.stdout.strip() == "False"

@@ -73,6 +73,50 @@ class TestEndpoints:
         document = json.loads(excinfo.value.read().decode("utf-8"))
         assert "/nope" in document["error"]
 
+    def test_404_lists_the_endpoints_health_lists(self, populated_server):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _get(f"{populated_server.url}/nope")
+        listed = json.loads(excinfo.value.read())["endpoints"]
+        _, _, body = _get(f"{populated_server.url}/health")
+        assert listed == json.loads(body)["endpoints"] == sorted(ENDPOINTS)
+
+    @pytest.mark.parametrize("method", ["POST", "PUT", "DELETE", "HEAD"])
+    @pytest.mark.parametrize("path", ENDPOINTS)
+    def test_other_methods_are_a_json_405(
+        self, populated_server, path, method
+    ):
+        request = urllib.request.Request(
+            f"{populated_server.url}{path}", method=method
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10.0)
+        assert excinfo.value.code == 405
+        assert excinfo.value.headers["Allow"] == "GET"
+        assert excinfo.value.headers["Content-Type"].startswith(
+            "application/json"
+        )
+        if method != "HEAD":
+            document = json.loads(excinfo.value.read())
+            assert document == {"error": "method not allowed; use GET"}
+
+    def test_counts_no_service_metric(self):
+        obs.reset()
+        obs.enable()
+        try:
+            with MetricsServer(port=0) as server:
+                _get(f"{server.url}/health")
+                with pytest.raises(urllib.error.HTTPError):
+                    _get(f"{server.url}/nope")
+            snapshot = obs.registry().snapshot()
+        finally:
+            obs.disable()
+            obs.reset()
+        assert {
+            name: document.get("value")
+            for name, document in snapshot.items()
+            if name.startswith("service.") and document.get("value")
+        } == {}
+
 
 class TestLifecycle:
     def test_ephemeral_port_binding(self):
@@ -114,11 +158,11 @@ class TestLifecycle:
 class TestDeterministicPortRelease:
     """Regression tests for the rapid fixed-port restart bug.
 
-    ``server_close`` used to join handler threads; a client that
-    connected and never sent a request line parked a handler in
-    ``readline``, so ``stop()`` hung and the next bind on the same
-    fixed port failed.  ``block_on_close = False`` plus a handler
-    read timeout make shutdown deterministic.
+    A client that connected and never sent a request line used to park
+    a handler in ``readline``, so ``stop()`` hung and the next bind on
+    the same fixed port failed.  ``stop()`` now aborts every open
+    connection before it waits for the server to close, and the
+    listening socket binds with ``SO_REUSEADDR``.
     """
 
     def test_rapid_restart_on_the_same_fixed_port(self):

@@ -1,5 +1,6 @@
 """Lifecycle tests for the always-on recommendation service."""
 
+import gc
 import json
 import logging
 import math
@@ -15,6 +16,7 @@ from repro import obs
 from repro.exceptions import SearchCancelledError, ValidationError
 from repro.monitor.audit import AuditTrail
 from repro.monitor.persistence import save_trail
+from repro.obs.server import MAX_BODY_BYTES
 from repro.service import (
     RecommendationService,
     ServiceState,
@@ -22,13 +24,12 @@ from repro.service import (
     render_document,
 )
 from repro.service import server as server_module
-from repro.service.server import MAX_BODY_BYTES
 
 from tests.monitor.test_drift import residence_shift_visits
 from tests.service.conftest import TRAIL_PATH
 
 
-def _get(url: str) -> tuple[int, dict, bytes]:
+def _get(url: str | urllib.request.Request) -> tuple[int, dict, bytes]:
     try:
         with urllib.request.urlopen(url, timeout=30.0) as response:
             return response.status, dict(response.headers), response.read()
@@ -55,6 +56,25 @@ def service(baseline, goals, tmp_path):
     service.start()
     yield service
     service.stop(snapshot=False)
+
+
+def _exchange(service, request: bytes) -> bytes:
+    """Send raw request bytes; return the whole response.
+
+    A reply sent before the request body was read is followed by a
+    reset, which ends the response like a close does.
+    """
+    with socket.create_connection(
+        (service.host, service.port), timeout=10.0
+    ) as connection:
+        connection.sendall(request)
+        chunks = []
+        try:
+            while chunk := connection.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass
+    return b"".join(chunks)
 
 
 def _wait_until_published(service, tenant="default", timeout=30.0):
@@ -189,6 +209,53 @@ class TestEndpoints:
         assert status == 200
         assert b"repro_" in body
 
+    def test_health_and_404_list_every_endpoint(self, service):
+        endpoints = [
+            "/events", "/health", "/metrics", "/recommendation", "/report",
+            "/status",
+        ]
+        status, _, body = _get(f"{service.url}/health")
+        assert json.loads(body)["endpoints"] == endpoints
+        assert json.loads(body)["tenants"] == 0
+        status, _, body = _get(f"{service.url}/nope")
+        assert status == 404
+        assert json.loads(body)["endpoints"] == endpoints
+
+    @pytest.mark.parametrize("path", ["/metrics", "/health", "/report"])
+    def test_posting_to_an_observability_endpoint_is_405(self, service, path):
+        status, headers, body = _get(urllib.request.Request(
+            f"{service.url}{path}", data=b"", method="POST"
+        ))
+        assert status == 405
+        assert headers["Allow"] == "GET"
+        assert json.loads(body) == {"error": "method not allowed; use GET"}
+
+    def test_an_unexpected_error_is_a_500_counted_once(
+        self, service, monkeypatch, trail_lines
+    ):
+        def broken(*args, **kwargs):
+            raise RuntimeError("search exploded")
+
+        monkeypatch.setattr(
+            server_module, "recommend_from_calibration", broken
+        )
+        obs.reset()
+        obs.enable()
+        try:
+            assert _post(f"{service.url}/events", trail_lines)[0] == 200
+            status, _, body = _get(
+                f"{service.url}/recommendation?refresh=1"
+            )
+            registry = obs.registry()
+            requests = registry.counter("service.http.requests").value
+            errors = registry.counter("service.http.errors").value
+        finally:
+            obs.disable()
+            obs.reset()
+        assert status == 500
+        assert json.loads(body) == {"error": "search exploded"}
+        assert (requests, errors) == (2, 1)
+
     def test_malformed_lines_are_rejected_not_fatal(self, service):
         body = b'not json\n{"kind": "unknown"}\n'
         status, summary = _post(f"{service.url}/events", body)
@@ -305,19 +372,11 @@ class TestBodyLimit:
     @staticmethod
     def _raw_post(service, content_length: int) -> bytes:
         """Send only the head of a POST; return the whole response."""
-        head = (
+        return _exchange(service, (
             "POST /events HTTP/1.1\r\n"
             f"Host: {service.host}\r\n"
             f"Content-Length: {content_length}\r\n\r\n"
-        ).encode("ascii")
-        with socket.create_connection(
-            (service.host, service.port), timeout=5.0
-        ) as connection:
-            connection.sendall(head)
-            chunks = []
-            while chunk := connection.recv(65536):
-                chunks.append(chunk)
-        return b"".join(chunks)
+        ).encode("ascii"))
 
     def test_oversized_body_is_413_before_reading(self, service):
         response = self._raw_post(service, MAX_BODY_BYTES + 1)
@@ -330,6 +389,154 @@ class TestBodyLimit:
         response = self._raw_post(service, -5)
         assert response.startswith(b"HTTP/1.1 400 Bad Request\r\n")
         assert b"negative Content-Length" in response
+
+    @pytest.mark.parametrize("where", ["request line", "header line"])
+    def test_a_head_line_over_64_kib_is_400(self, service, where):
+        filler = "a" * 70_000
+        request = (
+            f"GET /{filler} HTTP/1.1\r\n\r\n" if where == "request line"
+            else f"GET /health HTTP/1.1\r\nX-Filler: {filler}\r\n\r\n"
+        )
+        response = _exchange(service, request.encode("ascii"))
+        assert response.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"longer than 64 KiB" in response
+
+
+class TestExpectContinue:
+    """A client that sends ``Expect: 100-continue`` (curl does for
+    bodies over 1 MiB) gets the interim reply before it sends the body,
+    instead of waiting out its own timeout."""
+
+    def test_interim_reply_arrives_before_any_body_byte(
+        self, service, trail_lines
+    ):
+        head = (
+            "POST /events HTTP/1.1\r\n"
+            f"Host: {service.host}\r\n"
+            f"Content-Length: {len(trail_lines)}\r\n"
+            "Expect: 100-continue\r\n\r\n"
+        ).encode("ascii")
+        with socket.create_connection(
+            (service.host, service.port), timeout=5.0
+        ) as connection:
+            connection.sendall(head)
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                chunk = connection.recv(1)
+                assert chunk, "connection closed before the interim reply"
+                interim += chunk
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            connection.sendall(trail_lines)
+            chunks = []
+            while chunk := connection.recv(65536):
+                chunks.append(chunk)
+        response = b"".join(chunks)
+        assert response.startswith(b"HTTP/1.1 200 OK\r\n")
+        summary = json.loads(response.partition(b"\r\n\r\n")[2])
+        assert summary["ingested"] == 745
+
+    def test_an_oversized_body_is_refused_without_the_interim_reply(
+        self, service
+    ):
+        response = _exchange(service, (
+            "POST /events HTTP/1.1\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n"
+            "Expect: 100-continue\r\n\r\n"
+        ).encode("ascii"))
+        assert response.startswith(b"HTTP/1.1 413 Content Too Large\r\n")
+
+
+class TestChunkedBodies:
+    """A chunked body is refused, not read as empty: the request used to
+    be answered 200 with ``ingested: 0`` and create its tenant."""
+
+    @staticmethod
+    def _chunked(lines: list[bytes]) -> bytes:
+        chunks = b"".join(
+            b"%x\r\n%s\r\n" % (len(line), line) for line in lines
+        )
+        return chunks + b"0\r\n\r\n"
+
+    def test_transfer_encoding_is_411_and_creates_no_tenant(
+        self, service, trail_lines
+    ):
+        lines = trail_lines.splitlines(keepends=True)[:50]
+        response = _exchange(service, (
+            b"POST /events?tenant=t HTTP/1.1\r\n"
+            b"Host: localhost\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n" + self._chunked(lines)
+        ))
+        status_line, _, rest = response.partition(b"\r\n")
+        assert status_line == b"HTTP/1.1 411 Length Required"
+        error = json.loads(rest.partition(b"\r\n\r\n")[2])["error"]
+        assert "Transfer-Encoding" in error
+        status, _, body = _get(f"{service.url}/status")
+        assert json.loads(body)["tenants"] == {}
+
+        # The same lines with a Content-Length are ingested.
+        status, summary = _post(
+            f"{service.url}/events?tenant=t", b"".join(lines)
+        )
+        assert status == 200
+        assert summary["ingested"] == 50
+
+
+class TestShutdownWithOpenConnections:
+    """``stop()`` aborts the connections still open.
+
+    Since Python 3.12.1 ``asyncio.Server.wait_closed()`` waits for every
+    open connection, so a client that went silent held ``stop()`` up
+    until the handler's read timed out (10 s for a request head, 60 s
+    for a body, longer than ``stop()``'s 10-s join).  Before 3.12 the
+    handler was left pending and asyncio logged "Task was destroyed but
+    it is pending!" once it was collected.
+    """
+
+    @pytest.mark.parametrize(
+        "sent",
+        [
+            b"",
+            b"POST /events?tenant=slow HTTP/1.1\r\n"
+            b"Content-Length: 4096\r\n\r\n"
+            b'{"kind": "instance", ',
+            b"POST /events?tenant=half HTTP/1.1\r\nContent-Le",
+        ],
+        ids=["silent", "part-of-the-body", "part-of-the-head"],
+    )
+    def test_stop_returns_promptly_and_quietly(
+        self, baseline, goals, tmp_path, caplog, sent
+    ):
+        snapshot = tmp_path / "snapshot.json"
+        service = RecommendationService(
+            baseline, goals, snapshot_path=str(snapshot)
+        )
+        port = service.start()
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            client = socket.create_connection(
+                ("127.0.0.1", port), timeout=10.0
+            )
+            try:
+                client.sendall(sent)
+                time.sleep(0.2)  # the handler is waiting on its read
+                start = time.monotonic()
+                service.stop()
+                elapsed = time.monotonic() - start
+            finally:
+                client.close()
+            gc.collect()
+        assert elapsed < 3.0, f"stop() took {elapsed:.1f}s"
+        assert not service.running
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+        # Nothing was ingested from the cut-off request.
+        assert json.loads(snapshot.read_text())["tenants"] == {}
+        # And the port binds again at once.
+        again = RecommendationService(baseline, goals, port=port)
+        again.start()
+        try:
+            status, _, _ = _get(f"{again.url}/health")
+            assert status == 200
+        finally:
+            again.stop()
 
 
 class TestDriftPost:

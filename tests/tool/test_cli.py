@@ -718,6 +718,18 @@ class TestServeMetrics:
 
 
 class TestServe:
+    def test_has_no_serve_metrics_flag(self, project_path, capsys):
+        # The service's own port answers /metrics, /health and /report.
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "serve", "--project", str(project_path),
+                "--goals", "max-waiting=0.5", "--serve-metrics", "0",
+            ])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --serve-metrics" in (
+            capsys.readouterr().err
+        )
+
     @pytest.mark.parametrize("value", ["nan", "inf", "0"])
     def test_bad_window_exits_2_before_binding(
         self, project_path, capsys, monkeypatch, value

@@ -22,9 +22,14 @@ operator deploys it — as a subprocess of the CLI:
    asserts that each then publishes a revision covering its 745
    records with the bytes tenant ``default`` serves, and that
    ``/status`` ends with ``searches_active: 0``;
-7. sends SIGTERM and asserts a clean exit that wrote the snapshot,
-   which names no ``ghost`` tenant;
-8. restarts from the snapshot and asserts the published document
+7. posts the sample trail eight times over (a body over 1 MiB, for
+   which curl sends ``Expect: 100-continue``) with that header and
+   asserts the interim ``100 Continue`` arrives before the body is
+   sent;
+8. opens a connection that sends nothing, sends SIGTERM and asserts a
+   clean exit within 5 s that wrote the snapshot, which names no
+   ``ghost`` tenant, and that asyncio logged no "Task was destroyed";
+9. restarts from the snapshot and asserts the published document
    survived the restart byte-for-byte.
 
 Exits non-zero with a one-line diagnosis on the first failure.
@@ -40,11 +45,13 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from pathlib import Path
 
@@ -165,15 +172,55 @@ def wait_until_idle(url: str) -> None:
     fail("searches were still active 60s after the burst")
 
 
-def terminate(process: subprocess.Popen) -> None:
+def connect(url: str) -> socket.socket:
+    """A raw TCP connection to the server at ``url``."""
+    parts = urllib.parse.urlsplit(url)
+    return socket.create_connection((parts.hostname, parts.port), timeout=5.0)
+
+
+def post_expecting_continue(url: str, target: str, body: bytes) -> dict:
+    """POST with ``Expect: 100-continue``, sending the body only after
+    the interim reply; return the ingestion summary."""
+    head = (
+        f"POST {target} HTTP/1.1\r\nContent-Length: {len(body)}\r\n"
+        "Expect: 100-continue\r\n\r\n"
+    ).encode("ascii")
+    with connect(url) as connection:
+        connection.sendall(head)
+        interim = b""
+        try:
+            while not interim.endswith(b"\r\n\r\n"):
+                chunk = connection.recv(1)
+                if not chunk:
+                    break
+                interim += chunk
+        except socket.timeout:
+            pass
+        if interim != b"HTTP/1.1 100 Continue\r\n\r\n":
+            fail(f"no interim 100 Continue before the body: {interim!r}")
+        connection.settimeout(30.0)
+        connection.sendall(body)
+        response = b""
+        while chunk := connection.recv(65536):
+            response += chunk
+    status_line, _, rest = response.partition(b"\r\n")
+    if status_line != b"HTTP/1.1 200 OK":
+        fail(f"POST with Expect: 100-continue returned {status_line!r}")
+    return json.loads(rest.partition(b"\r\n\r\n")[2])
+
+
+def terminate(process: subprocess.Popen, within: float = 30.0) -> str:
+    """SIGTERM; require a clean exit within ``within`` s; return the
+    rest of the server's stderr."""
     process.send_signal(signal.SIGTERM)
     try:
-        process.wait(timeout=30.0)
+        process.wait(timeout=within)
     except subprocess.TimeoutExpired:
         process.kill()
-        fail("serve did not exit within 30s of SIGTERM")
+        fail(f"serve did not exit within {within:g}s of SIGTERM")
     if process.returncode != 0:
         fail(f"serve exited with status {process.returncode}")
+    return process.stderr.read()
 
 
 def main() -> int:
@@ -251,8 +298,25 @@ def main() -> int:
                 if status != 200 or body != served:
                     fail(f"tenant {tenant} serves other bytes than default")
             wait_until_idle(url)
+
+            bulk = TRAIL.read_bytes() * 8
+            summary = post_expecting_continue(url, "/events?tenant=bulk", bulk)
+            if summary["ingested"] != 745 * 8:
+                fail(f"unexpected summary for the 1 MiB body: {summary}")
+
+            # A client that connects and sends nothing must not hold
+            # the shutdown up.
+            silent = connect(url)
+            time.sleep(0.2)
+            try:
+                log = terminate(process, within=5.0)
+            finally:
+                silent.close()
+            if "Task was destroyed" in log:
+                fail(f"asyncio complained at shutdown: {log!r}")
         finally:
-            terminate(process)
+            if process.poll() is None:
+                terminate(process)
 
         if not Path(snapshot).exists():
             fail("graceful shutdown did not write the snapshot")
@@ -272,7 +336,8 @@ def main() -> int:
 
     print(
         "serve smoke passed: ingest, refresh, metrics, unknown tenant, "
-        "ill-formed lines, burst of 8 tenants, snapshot, restart"
+        "ill-formed lines, burst of 8 tenants, 100-continue, shutdown "
+        "with a silent client, snapshot, restart"
     )
     return 0
 
